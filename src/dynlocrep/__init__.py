@@ -41,7 +41,7 @@ from .geometry import (
     select_neighbors,
     similarity_matrix,
 )
-from .kernels import KernelKind, KernelSpec, PositivenessMatrix, kernel_value, positiveness_matrix
+from .kernels import KernelSpec, PositivenessMatrix, kernel_value, positiveness_matrix
 from .losses import (
     LossConfig,
     LossOutput,
@@ -68,7 +68,6 @@ __all__ = [
     "Encoder",
     "EncoderConfig",
     "InputError",
-    "KernelKind",
     "KernelSpec",
     "LossConfig",
     "LossOutput",

@@ -9,11 +9,12 @@ missing input file, 70 numerical failure.
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import sys
 from pathlib import Path
 
-from .data import SyntheticSpec, generate_synthetic, load_csv, write_csv
+from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, write_csv
 from .encoder import EncoderConfig, OptimConfig, save_checkpoint
 from .errors import (
     ConfigError,
@@ -22,12 +23,7 @@ from .errors import (
     NumericalError,
     ParseError,
 )
-from .evaluation import (
-    RidgeConfig,
-    ablate_norms,
-    benchmark,
-    max_workers_from_env,
-)
+from .evaluation import RidgeConfig, ablate_norms, benchmark
 from .geometry import DistanceNorm
 from .kernels import KernelSpec
 from .losses import LossVariant, NeighborSpace, Reduction
@@ -46,7 +42,23 @@ _NORM_NAMES = [n.value for n in DistanceNorm]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 64."""
+    """argparse with usage errors mapped to exit code 64.
+
+    Each parser also records its long flags, mapped to whether the flag is
+    a switch, so that config-file keys can be matched exactly.
+    """
+
+    def __init__(self, *args, **kwargs):
+        # set first: the base constructor adds --help through add_argument
+        self.long_flags: dict[str, bool] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        for option in action.option_strings:
+            if option.startswith("--"):
+                self.long_flags[option[2:]] = action.nargs == 0
+        return action
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -234,7 +246,7 @@ def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(
         prog=PROG,
         description=(
@@ -244,7 +256,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         formatter_class=_formatter,
     )
     subparsers = parser.add_subparsers(dest="command", metavar="COMMAND")
-    commands: dict[str, argparse.ArgumentParser] = {}
+    commands: dict[str, _Parser] = {}
 
     gen = subparsers.add_parser(
         "generate",
@@ -397,67 +409,42 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
-_BOOL_TEXT = {
-    "1": True,
-    "true": True,
-    "yes": True,
-    "on": True,
-    "0": False,
-    "false": False,
-    "no": False,
-    "off": False,
-}
+def _config_tokens(argv: list[str], commands: dict[str, _Parser]) -> list[str]:
+    """Return argv with the invoked command's config file spliced in.
 
-
-def _apply_config_file(argv: list[str], commands: dict[str, argparse.ArgumentParser]) -> None:
-    """Inject config-file values as parser defaults for the invoked command.
-
-    Keys use the long flag spelling without dashes. Unknown keys are
-    rejected; explicit command-line flags still win because they override
-    defaults.
+    Each ``key = value`` entry becomes a ``--key=value`` token right after
+    the command name, so argparse converts and checks file values like
+    flags, and its last-wins rule lets explicit flags override them. Keys
+    must name a long flag exactly (argparse alone would accept 'epoch' for
+    --epochs); a switch key takes a boolean and becomes the bare flag or
+    nothing.
     """
     if not argv or argv[0] not in commands:
-        return
+        return argv
     config_path = None
     for idx, token in enumerate(argv):
         if token == "--config":
             if idx + 1 >= len(argv):
-                return  # parser will report the missing value
+                return argv  # parser will report the missing value
             config_path = argv[idx + 1]
         elif token.startswith("--config="):
             config_path = token.split("=", 1)[1]
     if config_path is None:
-        return
-    subparser = commands[argv[0]]
-    entries = read_config_file(config_path)
-    actions = {
-        option[2:]: action
-        for action in subparser._actions
-        for option in action.option_strings
-        if option.startswith("--")
-    }
-    defaults = {}
-    for key, text in entries.items():
-        if key in ("config", "help") or key not in actions:
+        return argv
+    flags = commands[argv[0]].long_flags
+    tokens = []
+    for key, text in read_config_file(config_path).items():
+        if key in ("config", "help") or key not in flags:
             raise ConfigError(f"unknown config key {key!r} for command {argv[0]!r}")
-        action = actions[key]
-        if isinstance(action, argparse._StoreTrueAction):
-            flag = _BOOL_TEXT.get(text.lower())
-            if flag is None:
-                raise ConfigError(f"config key {key!r} expects a boolean, got {text!r}")
-            defaults[action.dest] = flag
+        if not flags[key]:
+            tokens.append(f"--{key}={text}")
             continue
-        convert = action.type if action.type is not None else str
-        try:
-            value = convert(text)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from None
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(
-                f"config key {key!r}: {value!r} is not one of {sorted(action.choices)}"
-            )
-        defaults[action.dest] = value
-    subparser.set_defaults(**defaults)
+        switch = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+        if switch is None:
+            raise ConfigError(f"config key {key!r} expects a boolean, got {text!r}")
+        if switch:
+            tokens.append(f"--{key}")
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def _require(parser_name: str, args: argparse.Namespace, attr: str, flag: str):
@@ -477,20 +464,18 @@ def _load_dataset(args: argparse.Namespace) -> tuple:
     return generate_synthetic(spec, args.data_seed), f"synthetic(n={spec.n}, seed={args.data_seed})"
 
 
-def _train_config(args: argparse.Namespace, variant: LossVariant, seed: int) -> TrainConfig:
+def _train_config(args: argparse.Namespace, **fields) -> TrainConfig:
+    """The shared training flags; ``fields`` sets the command-specific rest."""
     return TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
-        seed=seed,
-        variant=variant,
         kernel=KernelSpec(bandwidth=args.kernel_sigma),
         nn_final=args.nn_final,
         nn_step_size=args.nn_step_size,
-        distance_norm=DistanceNorm(args.distance_norm) if hasattr(args, "distance_norm") else DistanceNorm.MANHATTAN,
         temperature=args.temperature,
         nn_space=NeighborSpace(args.nn_space),
         reduction=Reduction(args.reduction),
-        export_epochs=tuple(getattr(args, "export_epochs", ())),
+        **fields,
     )
 
 
@@ -548,7 +533,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise FileNotFoundError(f"dataset {data_path} does not exist")
     out_dir = Path(_require("train", args, "out_dir", "--out-dir"))
     dataset = load_csv(data_path)
-    config = _train_config(args, LossVariant(args.loss), args.seed)
+    config = _train_config(
+        args,
+        seed=args.seed,
+        variant=LossVariant(args.loss),
+        distance_norm=DistanceNorm(args.distance_norm),
+        export_epochs=tuple(args.export_epochs),
+    )
     result = train(
         dataset, config, _optim_config(args), _encoder_config(args, dataset.feature_dim)
     )
@@ -570,67 +561,65 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _protocol_configs(args: argparse.Namespace, dataset: Dataset, source: str) -> dict:
+    """Keyword arguments shared by the benchmark and ablation runners."""
+    return dict(
+        optim=_optim_config(args),
+        encoder_config=_encoder_config(args, dataset.feature_dim),
+        ridge=RidgeConfig(regularization=args.ridge_lambda),
+        test_fraction=args.test_fraction,
+        dataset_source=source,
+    )
+
+
 def _summarize(entries: dict, label: str) -> None:
     for name, entry in entries.items():
         print(f"  {label} {name}: MAE {entry['mean_mae']:.4f} +- {entry['std_mae']:.4f}")
 
 
-def _cmd_benchmark(args: argparse.Namespace) -> int:
-    dataset, source = _load_dataset(args)
-    variants = [LossVariant(name) for name in args.variants]
-    report = benchmark(
-        dataset,
-        variants,
-        args.seeds,
-        _train_config(args, variants[0], args.seeds[0]),
-        _optim_config(args),
-        _encoder_config(args, dataset.feature_dim),
-        RidgeConfig(regularization=args.ridge_lambda),
-        test_fraction=args.test_fraction,
-        dataset_source=source,
-        max_workers=max_workers_from_env(),
-    )
+def _write_report(
+    args: argparse.Namespace, report: dict, title: str, entries_key: str, label: str
+) -> int:
+    """Write the report to --out and print its per-entry MAE summary."""
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"benchmark over seeds {args.seeds} on {source}")
-    _summarize(report["variants"], "variant")
+    print(f"{title} over seeds {args.seeds} on {report['dataset']['source']}")
+    _summarize(report[entries_key], label)
     _summarize(report["baselines"], "baseline")
     print(f"report written to {out}")
     return EXIT_OK
+
+
+def _cmd_benchmark(args: argparse.Namespace) -> int:
+    dataset, source = _load_dataset(args)
+    report = benchmark(
+        dataset,
+        [LossVariant(name) for name in args.variants],
+        args.seeds,
+        _train_config(args, distance_norm=DistanceNorm(args.distance_norm)),
+        **_protocol_configs(args, dataset, source),
+    )
+    return _write_report(args, report, "benchmark", "variants", "variant")
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     dataset, source = _load_dataset(args)
-    norms = [DistanceNorm(name) for name in args.norms]
     report = ablate_norms(
         dataset,
-        norms,
+        [DistanceNorm(name) for name in args.norms],
         args.seeds,
-        _train_config(args, LossVariant.DYN_LOC_REP, args.seeds[0]),
-        _optim_config(args),
-        _encoder_config(args, dataset.feature_dim),
-        RidgeConfig(regularization=args.ridge_lambda),
-        test_fraction=args.test_fraction,
-        dataset_source=source,
-        max_workers=max_workers_from_env(),
+        _train_config(args),
+        **_protocol_configs(args, dataset, source),
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"distance-norm ablation over seeds {args.seeds} on {source}")
-    _summarize(report["norms"], "norm")
-    _summarize(report["baselines"], "baseline")
-    print(f"report written to {out}")
-    return EXIT_OK
+    return _write_report(args, report, "distance-norm ablation", "norms", "norm")
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         parser, commands = build_parser()
-        _apply_config_file(argv, commands)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_config_tokens(argv, commands))
         if getattr(args, "handler", None) is None:
             parser.print_help()
             return EXIT_USAGE

@@ -10,9 +10,7 @@ aggregation uses the population standard deviation over seeds.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,8 +33,6 @@ ABLATION_REFERENCE_MAE = {
     "euclidean": (3.806, 0.154),
     "chebyshev": (3.842, 0.196),
 }
-
-THREADS_ENV_VAR = "DYNLOC_THREADS"
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,6 @@ def _aggregate(runs: list[dict]) -> dict:
 
 def _contrastive_run(
     dataset: Dataset,
-    variant: LossVariant,
     seed: int,
     base: TrainConfig,
     optim: OptimConfig,
@@ -144,7 +139,7 @@ def _contrastive_run(
 ) -> tuple[dict, float]:
     started = time.perf_counter()
     train_ds, test_ds = split(dataset, test_fraction, seed)
-    config = replace(base, variant=variant, seed=seed)
+    config = replace(base, seed=seed)
     result = train(train_ds, config, optim, encoder_config)
     train_emb = result.encoder.forward(train_ds.features).unit
     test_emb = result.encoder.forward(test_ds.features).unit
@@ -201,62 +196,6 @@ def _baseline_runs(
     }
 
 
-def max_workers_from_env() -> int:
-    """Seed-level parallelism cap from DYNLOC_THREADS (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1, got {workers}")
-    return workers
-
-
-def _run_grid(
-    dataset: Dataset,
-    cells: list[tuple[str, LossVariant, TrainConfig]],
-    seeds: list[int],
-    optim: OptimConfig,
-    encoder_config: EncoderConfig,
-    ridge: RidgeConfig,
-    test_fraction: float,
-    max_workers: int,
-) -> tuple[dict, dict]:
-    """Run every (cell, seed) pair, independent runs optionally in parallel.
-
-    Results are joined in the deterministic (cell, seed) order regardless
-    of completion order; a failing run aborts with its identity attached.
-    """
-    jobs = [(name, variant, base, seed) for name, variant, base in cells for seed in seeds]
-
-    def _execute(job):
-        name, variant, base, seed = job
-        try:
-            return _contrastive_run(
-                dataset, variant, seed, base, optim, encoder_config, ridge, test_fraction
-            )
-        except DynLocRepError as exc:
-            # keep the subtype so callers can still map it to an exit code
-            raise type(exc)(f"run ({name}, seed {seed}) failed: {exc}") from exc
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(_execute, jobs))
-    else:
-        outcomes = [_execute(job) for job in jobs]
-
-    grouped: dict[str, list[dict]] = {name: [] for name, _, _ in cells}
-    seconds: dict[str, list[float]] = {name: [] for name, _, _ in cells}
-    for (name, _, _, _), (record, elapsed) in zip(jobs, outcomes):
-        grouped[name].append(record)
-        seconds[name].append(round(elapsed, 3))
-    return (
-        {name: _aggregate(records) for name, records in grouped.items()},
-        seconds,
-    )
-
-
 def _dataset_summary(dataset: Dataset, source: str) -> dict:
     return {
         "source": source,
@@ -283,7 +222,7 @@ def _protocol_summary(
         "epochs": base.epochs,
         "batch_size": base.batch_size,
         "temperature": base.temperature,
-        "kernel": {"kind": base.kernel.kind.value, "bandwidth": base.kernel.bandwidth},
+        "kernel": {"kind": "gaussian", "bandwidth": base.kernel.bandwidth},
         "nn_final": base.nn_final,
         "nn_step_size": base.nn_step_size,
         "nn_space": base.nn_space.value,
@@ -301,6 +240,55 @@ def _protocol_summary(
     }
 
 
+def _run_grid(
+    kind: str,
+    entries_key: str,
+    cells: list[tuple[str, TrainConfig]],
+    dataset: Dataset,
+    seeds: list[int],
+    base: TrainConfig,
+    optim: OptimConfig,
+    encoder_config: EncoderConfig,
+    ridge: RidgeConfig,
+    test_fraction: float,
+    dataset_source: str,
+) -> dict:
+    """Train and score every (cell, seed) pair in order; returns the report.
+
+    Each cell is a named training config; entries are grouped per cell name
+    in (cell, seed) order, and a failing run aborts with its identity
+    attached.
+    """
+    if not seeds:
+        raise ConfigError("need at least one seed")
+    started = time.perf_counter()
+    grouped: dict[str, list[dict]] = {name: [] for name, _ in cells}
+    seconds: dict[str, list[float]] = {name: [] for name, _ in cells}
+    for name, config in cells:
+        for seed in seeds:
+            try:
+                record, elapsed = _contrastive_run(
+                    dataset, seed, config, optim, encoder_config, ridge, test_fraction
+                )
+            except DynLocRepError as exc:
+                # keep the subtype so callers can still map it to an exit code
+                raise type(exc)(f"run ({name}, seed {seed}) failed: {exc}") from exc
+            grouped[name].append(record)
+            seconds[name].append(round(elapsed, 3))
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "protocol": _protocol_summary(base, optim, encoder_config, ridge, seeds, test_fraction),
+        "dataset": _dataset_summary(dataset, dataset_source),
+        entries_key: {name: _aggregate(records) for name, records in grouped.items()},
+        "baselines": _baseline_runs(dataset, seeds, encoder_config, ridge, test_fraction),
+        "timing": {
+            "per_run_seconds": seconds,
+            "total_seconds": round(time.perf_counter() - started, 3),
+        },
+    }
+
+
 def benchmark(
     dataset: Dataset,
     variants: list[LossVariant],
@@ -311,7 +299,6 @@ def benchmark(
     ridge: RidgeConfig,
     test_fraction: float = 0.2,
     dataset_source: str = "user",
-    max_workers: int = 1,
 ) -> dict:
     """Compare loss variants over seeds; returns the JSON-ready report.
 
@@ -320,26 +307,12 @@ def benchmark(
     """
     if not variants:
         raise ConfigError("need at least one loss variant")
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    started = time.perf_counter()
-    cells = [(variant.value, variant, base) for variant in variants]
-    results, seconds = _run_grid(
-        dataset, cells, seeds, optim, encoder_config, ridge, test_fraction, max_workers
+    cells = [(variant.value, replace(base, variant=variant)) for variant in variants]
+    report = _run_grid(
+        "benchmark", "variants", cells, dataset, seeds, base, optim, encoder_config, ridge,
+        test_fraction, dataset_source,
     )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "benchmark",
-        "protocol": _protocol_summary(base, optim, encoder_config, ridge, seeds, test_fraction)
-        | {"distance_norm": base.distance_norm.value},
-        "dataset": _dataset_summary(dataset, dataset_source),
-        "variants": results,
-        "baselines": _baseline_runs(dataset, seeds, encoder_config, ridge, test_fraction),
-        "timing": {
-            "per_run_seconds": seconds,
-            "total_seconds": round(time.perf_counter() - started, 3),
-        },
-    }
+    report["protocol"]["distance_norm"] = base.distance_norm.value
     return report
 
 
@@ -353,7 +326,6 @@ def ablate_norms(
     ridge: RidgeConfig,
     test_fraction: float = 0.2,
     dataset_source: str = "user",
-    max_workers: int = 1,
 ) -> dict:
     """Sweep the neighbor-selection distance norm for the localized loss.
 
@@ -363,21 +335,15 @@ def ablate_norms(
     """
     if not norms:
         raise ConfigError("need at least one distance norm")
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    started = time.perf_counter()
     cells = [
-        (
-            norm.value,
-            LossVariant.DYN_LOC_REP,
-            replace(base, variant=LossVariant.DYN_LOC_REP, distance_norm=norm),
-        )
+        (norm.value, replace(base, variant=LossVariant.DYN_LOC_REP, distance_norm=norm))
         for norm in norms
     ]
-    results, seconds = _run_grid(
-        dataset, cells, seeds, optim, encoder_config, ridge, test_fraction, max_workers
+    report = _run_grid(
+        "ablation", "norms", cells, dataset, seeds, base, optim, encoder_config, ridge,
+        test_fraction, dataset_source,
     )
-    for name, entry in results.items():
+    for name, entry in report["norms"].items():
         reference = ABLATION_REFERENCE_MAE.get(name)
         if reference is not None:
             entry["reference"] = {
@@ -385,18 +351,6 @@ def ablate_norms(
                 "mae_mean": reference[0],
                 "mae_std": reference[1],
             }
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "ablation",
-        "protocol": _protocol_summary(base, optim, encoder_config, ridge, seeds, test_fraction),
-        "dataset": _dataset_summary(dataset, dataset_source),
-        "norms": results,
-        "baselines": _baseline_runs(dataset, seeds, encoder_config, ridge, test_fraction),
-        "timing": {
-            "per_run_seconds": seconds,
-            "total_seconds": round(time.perf_counter() - started, 3),
-        },
-    }
     return report
 
 

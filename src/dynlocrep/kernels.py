@@ -9,7 +9,6 @@ are pulled together; distant samples get weights near 0 and are repulsed.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -18,15 +17,9 @@ import numpy as np
 from .errors import ConfigError, InputError
 
 
-class KernelKind(str, enum.Enum):
-    """Supported kernel families for label similarity."""
-
-    GAUSSIAN = "gaussian"
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus bandwidth, in label units (years for age).
+    """Gaussian kernel bandwidth, in label units (years for age).
 
     The default bandwidth of 6 keeps pairs up to roughly a decade apart
     inside the attraction window, which the default benchmark needs for
@@ -34,7 +27,6 @@ class KernelSpec:
     labels.
     """
 
-    kind: KernelKind = KernelKind.GAUSSIAN
     bandwidth: float = 6.0
 
     def __post_init__(self) -> None:
@@ -67,9 +59,7 @@ def kernel_value(delta: float, spec: KernelSpec) -> float:
     """
     if not math.isfinite(delta):
         raise InputError(f"label difference must be finite, got {delta}")
-    if spec.kind is KernelKind.GAUSSIAN:
-        return math.exp(-(delta * delta) / (2.0 * spec.bandwidth * spec.bandwidth))
-    raise ConfigError(f"unknown kernel kind: {spec.kind!r}")
+    return math.exp(-(delta * delta) / (2.0 * spec.bandwidth * spec.bandwidth))
 
 
 def positiveness_matrix(labels: np.ndarray, spec: KernelSpec) -> PositivenessMatrix:
@@ -86,8 +76,6 @@ def positiveness_matrix(labels: np.ndarray, spec: KernelSpec) -> PositivenessMat
         raise InputError(f"need at least 2 samples to form pairs, got {labels.shape[0]}")
     if not np.all(np.isfinite(labels)):
         raise InputError("labels contain non-finite values")
-    if spec.kind is not KernelKind.GAUSSIAN:
-        raise ConfigError(f"unknown kernel kind: {spec.kind!r}")
     delta = labels[:, None] - labels[None, :]
     # delta squared is bit-identical across the diagonal, so w is exactly
     # symmetric; (delta * delta) rather than delta**2 keeps it elementwise.

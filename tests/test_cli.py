@@ -214,20 +214,6 @@ def test_benchmark_is_byte_identical_excluding_timing(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_benchmark_respects_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("DYNLOC_THREADS", "3")
-    out = tmp_path / "r.json"
-    assert (
-        main(["benchmark", "--variants", "dynlocrep", "--out", str(out), *FAST_PROTOCOL])
-        == EXIT_OK
-    )
-    monkeypatch.setenv("DYNLOC_THREADS", "zebra")
-    assert (
-        main(["benchmark", "--variants", "dynlocrep", "--out", str(out), *FAST_PROTOCOL])
-        == EXIT_USAGE
-    )
-
-
 def test_ablate_default_covers_four_norms(tmp_path):
     out = tmp_path / "ablation.json"
     code = main(
@@ -266,21 +252,37 @@ def test_config_file_supplies_values_and_flags_override(tmp_path):
         "seed = 5   # inline comment\n"
         "feature-dim = 6\n"
         "informative-dims = 3\n"
+        "mix-means = -10,40\n"
     )
     out = tmp_path / "data.csv"
     assert main(["generate", "--config", str(config), "--out", str(out)]) == EXIT_OK
     assert load_csv(out).n == 30
+    assert load_csv(out).labels.min() < 0  # a leading minus stays with its key
     out2 = tmp_path / "data2.csv"
     assert (
         main(["generate", "--config", str(config), "--out", str(out2), "--n", "11"]) == EXIT_OK
     )
     assert load_csv(out2).n == 11  # explicit flag beats the file
+    for switch, code in (("false", EXIT_OVERWRITE), ("true", EXIT_OK)):
+        config.write_text(f"n = 12\nforce = {switch}\n")
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == code
+    assert load_csv(out).n == 12  # force = true overwrote the file
 
 
-def test_config_file_unknown_key_rejected(tmp_path):
+def test_config_file_unknown_key_rejected(tmp_path, monkeypatch):
+    """Keys are exact long-flag names: an abbreviation such as 'epoch' for
+    'epochs' is refused, and a file cannot name another config file."""
+    monkeypatch.chdir(tmp_path)
+    write_small_csv(tmp_path / "data.csv")
+    train_args = ["--data", "data.csv", "--out-dir", "r", *FAST_TRAIN[2:]]
     config = tmp_path / "run.conf"
-    config.write_text("zebra = 1\n")
-    assert main(["generate", "--config", str(config), "--out", "x.csv"]) == EXIT_USAGE
+    for command, line, args in (
+        ("generate", "zebra = 1", ["--out", "x.csv"]),
+        ("generate", "config = other.conf", ["--out", "x.csv"]),
+        ("train", "epoch = 3", train_args),
+    ):
+        config.write_text(line + "\n")
+        assert main([command, "--config", str(config), *args]) == EXIT_USAGE, line
 
 
 def test_config_file_bad_value_rejected(tmp_path):
