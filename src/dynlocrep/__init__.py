@@ -34,14 +34,12 @@ from .evaluation import (
 from .geometry import (
     DistanceNorm,
     EmbeddingBatch,
-    NeighborSets,
-    SimilarityMatrix,
     distance_matrix,
     l2_normalize,
     select_neighbors,
     similarity_matrix,
 )
-from .kernels import KernelSpec, PositivenessMatrix, kernel_value, positiveness_matrix
+from .kernels import KernelSpec, kernel_value, positiveness_matrix
 from .losses import (
     LossConfig,
     LossOutput,
@@ -72,17 +70,14 @@ __all__ = [
     "LossConfig",
     "LossOutput",
     "LossVariant",
-    "NeighborSets",
     "NeighborSpace",
     "NumericalError",
     "OptimConfig",
     "ParseError",
-    "PositivenessMatrix",
     "Reduction",
     "RidgeConfig",
     "RidgeReadout",
     "ScheduleConfig",
-    "SimilarityMatrix",
     "SyntheticSpec",
     "TrainConfig",
     "TrainResult",

@@ -113,6 +113,13 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _seed_list(text: str) -> list[int]:
+    values = _int_list(text)
+    if min(values) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {min(values)}")
+    return values
+
+
 def _epoch_list(text: str) -> list[int]:
     if not text.strip():
         return []
@@ -236,7 +243,7 @@ def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--seeds", type=_int_list, default=[0, 1, 2, 3, 4], help="comma-separated run seeds"
+        "--seeds", type=_seed_list, default=[0, 1, 2, 3, 4], help="comma-separated run seeds"
     )
     parser.add_argument(
         "--test-fraction", type=_fraction, default=0.2, help="held-out fraction per split"

@@ -54,37 +54,6 @@ class EmbeddingBatch:
         return cls(raw=raw, unit=l2_normalize(raw))
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Temperature-scaled cosine similarities between unit rows."""
-
-    values: np.ndarray = field(repr=False)
-    temperature: float = 0.5
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class NeighborSets:
-    """Per-anchor neighbor indices, shape (n, count), ascending by distance.
-
-    No anchor ever contains itself and all rows have the same length.
-    Ties are broken by the smaller index, so selection is deterministic.
-    """
-
-    indices: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.indices.shape[0]
-
-    @property
-    def count(self) -> int:
-        return self.indices.shape[1]
-
-
 def l2_normalize(raw: np.ndarray) -> np.ndarray:
     """Row-wise L2 normalization with an epsilon guard.
 
@@ -96,7 +65,7 @@ def l2_normalize(raw: np.ndarray) -> np.ndarray:
     return raw / np.maximum(norms, NORM_EPS)
 
 
-def similarity_matrix(unit: np.ndarray, temperature: float) -> SimilarityMatrix:
+def similarity_matrix(unit: np.ndarray, temperature: float) -> np.ndarray:
     """Cosine similarities of unit rows divided by the temperature.
 
     Entries are bounded by 1/temperature in absolute value; the diagonal
@@ -108,8 +77,7 @@ def similarity_matrix(unit: np.ndarray, temperature: float) -> SimilarityMatrix:
     s = (unit @ unit.T) / temperature
     # BLAS may round the two triangles differently; mirror the upper one
     # so s is exactly symmetric.
-    s = np.triu(s) + np.triu(s, 1).T
-    return SimilarityMatrix(values=s, temperature=float(temperature))
+    return np.triu(s) + np.triu(s, 1).T
 
 
 def distance_matrix(points: np.ndarray, norm: DistanceNorm) -> np.ndarray:
@@ -140,11 +108,12 @@ def distance_matrix(points: np.ndarray, norm: DistanceNorm) -> np.ndarray:
     raise ConfigError(f"unknown distance norm: {norm!r}")
 
 
-def select_neighbors(distances: np.ndarray, count: int) -> NeighborSets:
-    """Pick each anchor's ``count`` nearest other samples.
+def select_neighbors(distances: np.ndarray, count: int) -> np.ndarray:
+    """Each anchor's ``count`` nearest other samples as (n, count) indices.
 
-    Sorting is stable on (distance, index): equal distances resolve to the
-    smaller index, making the result deterministic and seed-stable.
+    Rows run ascending by distance. Sorting is stable on (distance, index):
+    equal distances resolve to the smaller index, making the result
+    deterministic and seed-stable.
     Callers must clamp ``count`` into [1, n - 1] beforehand.
     """
     distances = np.asarray(distances, dtype=np.float64)
@@ -156,4 +125,4 @@ def select_neighbors(distances: np.ndarray, count: int) -> NeighborSets:
     masked = distances.copy()
     np.fill_diagonal(masked, np.inf)
     order = np.argsort(masked, axis=1, kind="stable")
-    return NeighborSets(indices=order[:, :count])
+    return order[:, :count]

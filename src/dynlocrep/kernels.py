@@ -10,7 +10,7 @@ are pulled together; distant samples get weights near 0 and are repulsed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,22 +34,6 @@ class KernelSpec:
             raise ConfigError(f"kernel bandwidth must be positive, got {self.bandwidth}")
 
 
-@dataclass(frozen=True)
-class PositivenessMatrix:
-    """Pairwise label-similarity weights in [0, 1].
-
-    Symmetric with unit diagonal. The diagonal is never consumed by the
-    losses (anchors are excluded from their own pair sums) but keeping it
-    at 1 makes the matrix a plain kernel Gram matrix.
-    """
-
-    weights: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-
 def kernel_value(delta: float, spec: KernelSpec) -> float:
     """Evaluate the positiveness kernel on a single label difference.
 
@@ -62,7 +46,7 @@ def kernel_value(delta: float, spec: KernelSpec) -> float:
     return math.exp(-(delta * delta) / (2.0 * spec.bandwidth * spec.bandwidth))
 
 
-def positiveness_matrix(labels: np.ndarray, spec: KernelSpec) -> PositivenessMatrix:
+def positiveness_matrix(labels: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Build the n x n matrix of kernel weights over all label pairs.
 
     Entry (i, k) is kernel_value(labels[i] - labels[k], spec). Exact
@@ -79,5 +63,4 @@ def positiveness_matrix(labels: np.ndarray, spec: KernelSpec) -> PositivenessMat
     delta = labels[:, None] - labels[None, :]
     # delta squared is bit-identical across the diagonal, so w is exactly
     # symmetric; (delta * delta) rather than delta**2 keeps it elementwise.
-    w = np.exp(-(delta * delta) / (2.0 * spec.bandwidth * spec.bandwidth))
-    return PositivenessMatrix(weights=w)
+    return np.exp(-(delta * delta) / (2.0 * spec.bandwidth * spec.bandwidth))

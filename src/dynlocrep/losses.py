@@ -6,25 +6,33 @@ M(i, k), the total loss is
 
     L = -sum_i sum_{k != i} a_{i,k} * [ s_{i,k} - log sum_{t in M(i,k)} exp(s_{i,t} * b_{i,t}) ]
 
-where s is the temperature-scaled cosine similarity matrix. The variants
-differ only in (a, b, M):
+where s is the temperature-scaled cosine similarity matrix. Each anchor
+i sorts the other n - 1 samples once, stably by a per-variant key, and
+every M(i, k) is a prefix [0, c_{i,k}) plus a suffix [e_{i,k}, n - 1) of
+that order. The variants differ only in (a, b, key, c, e):
 
-  dynlocrep    a = w_{i,k} / sum_{t != i} w_{i,t}; b = 1 - w; M = the
-               anchor's current nearest-neighbor set (same for every k).
-  yaware       same a; b = 1; M = all t not in {i, k}.
-  exponential  same a; b = 1 - w; M = all t not in {i, k}.
-  threshold    a = w_{i,k} / sum over {t : w_{i,t} < w_{i,k}} of w_{i,t};
-               b = 1; M = {t : w_{i,t} < w_{i,k}}; pairs with an empty
-               set are skipped.
-  rnc          a = 1; b = 1; M = {t != i : |y_i - y_t| >= |y_i - y_k|}
-               (k is always a member, so the set is never empty).
+  dynlocrep    a = w_{i,k} / sum_{t != i} w_{i,t}; b = 1 - w; key: the
+               anchor's current nearest neighbors first; c = the neighbor
+               count, empty suffix (M is the same for every k).
+  yaware       same a; b = 1; key: sample index; c = position of k,
+               e = c + 1 (everyone but k).
+  exponential  as yaware, but b = 1 - w.
+  threshold    a = w_{i,k} / (sum of w over M(i,k)); b = 1; key: w
+               ascending; c = start of k's tie group, empty suffix, so
+               M = {t : w_{i,t} < w_{i,k}}.
+  rnc          a = 1; b = 1; key: |y_i - y_t| ascending; empty prefix,
+               e = start of k's tie group, so M = {t != i : |y_i - y_t|
+               >= |y_i - y_k|} (k is always a member, never empty).
 
 Anchors never pair with themselves: every sum over k and t excludes i.
-Inner sums are evaluated with max-shifted log-sum-exp, which matters at
-temperatures as low as 0.1 where |s| reaches 10. Gradients treat the
-neighbor selection and all kernel weights as constants and are chained
-through the cosine similarity and the row normalization back to the raw
-embeddings.
+Pairs with an empty candidate set are dropped. Prefix and suffix sums
+are cumulative log-sum-exps (np.logaddexp.accumulate): nothing is
+exponentiated unshifted and no sum is formed by subtraction, which
+matters at temperatures as low as 0.1 where |s| reaches 10. The
+gradient's sums over k are cumulative log-sum-exps over the same order.
+Gradients treat the neighbor selection and all kernel weights as
+constants and are chained through the cosine similarity and the row
+normalization back to the raw embeddings.
 """
 
 from __future__ import annotations
@@ -39,13 +47,11 @@ from .geometry import (
     NORM_EPS,
     DistanceNorm,
     EmbeddingBatch,
-    NeighborSets,
-    SimilarityMatrix,
     distance_matrix,
     select_neighbors,
     similarity_matrix,
 )
-from .kernels import KernelSpec, PositivenessMatrix, positiveness_matrix
+from .kernels import KernelSpec, positiveness_matrix
 
 # An anchor whose off-diagonal kernel weights sum below this contributes 0
 # instead of dividing by ~0. Unreachable with a gaussian kernel.
@@ -113,100 +119,116 @@ def _normalized_pair_weights(w: np.ndarray) -> np.ndarray:
     return np.where(row_sums < WEIGHT_SUM_EPS, 0.0, off / safe)
 
 
-def _threshold_pair_weights(w: np.ndarray) -> np.ndarray:
-    """Per-pair weights w_{i,k} / sum over {t : w_{i,t} < w_{i,k}} of w_{i,t}.
+def _tie_group_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Per row, the position at which each entry's run of equal keys starts."""
+    new_run = np.ones(sorted_keys.shape, dtype=bool)
+    new_run[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
+    positions = np.arange(sorted_keys.shape[1])
+    return np.maximum.accumulate(np.where(new_run, positions, 0), axis=1)
 
-    A pair whose strict-inequality candidate set is empty, or whose
-    candidate weight mass falls below WEIGHT_SUM_EPS, gets weight 0 and
-    drops out of the loss; without the mass guard a near-empty candidate
-    set would blow the per-pair weight up to ~1/underflow.
+
+def _count_at_most(bounds: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is how many of row i's bounds are <= j, for j < m.
+
+    Bounds are integers in [0, m], where m = bounds.shape[1].
     """
-    n = w.shape[0]
-    a = np.zeros((n, n))
-    for i in range(n):
-        below = w[i][None, :] < w[i][:, None]  # below[k, t]: t is strictly less positive than k
-        below[:, i] = False
-        sums = below @ w[i]
-        usable = sums >= WEIGHT_SUM_EPS
-        a[i] = np.where(usable, w[i] / np.where(usable, sums, 1.0), 0.0)
-    np.fill_diagonal(a, 0.0)
-    return a
+    rows, m = bounds.shape
+    flat = (bounds + (m + 1) * np.arange(rows)[:, None]).ravel()
+    histogram = np.bincount(flat, minlength=rows * (m + 1)).reshape(rows, m + 1)
+    return np.cumsum(histogram, axis=1)[:, :m]
 
 
-def _pair_weights(variant: LossVariant, w: np.ndarray | None, n: int) -> np.ndarray:
-    if variant is LossVariant.RANK_N_CONTRAST:
-        return 1.0 - np.eye(n)
-    if variant is LossVariant.THRESHOLD:
-        return _threshold_pair_weights(w)
-    return _normalized_pair_weights(w)
+def _log_cumsum(x: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Row-wise cumulative log-sum-exp, padded to m + 1 columns.
+
+    Column j holds the log-sum-exp of the first j entries, or with
+    ``reverse`` of the entries from j on; an empty sum is -inf.
+    """
+    pad = np.full((x.shape[0], 1), -np.inf)
+    if reverse:
+        return np.hstack([np.logaddexp.accumulate(x[:, ::-1], axis=1)[:, ::-1], pad])
+    return np.hstack([pad, np.logaddexp.accumulate(x, axis=1)])
 
 
-def _exponent_scaling(variant: LossVariant, w: np.ndarray | None, n: int) -> np.ndarray:
-    if variant in (LossVariant.DYN_LOC_REP, LossVariant.EXPONENTIAL):
-        return 1.0 - w
-    return np.ones((n, n))
-
-
-def _candidate_mask(
+def _loss_core(
     variant: LossVariant,
-    i: int,
-    n: int,
-    w_row: np.ndarray | None,
-    label_gap_row: np.ndarray | None,
-    neighbor_row: np.ndarray | None,
-) -> np.ndarray:
-    """Boolean (k, t) matrix of repulsion candidates for anchor i."""
-    if variant is LossVariant.DYN_LOC_REP:
-        mask = np.zeros((n, n), dtype=bool)
-        mask[:, neighbor_row] = True
-        return mask
-    if variant is LossVariant.THRESHOLD:
-        mask = w_row[None, :] < w_row[:, None]
-        mask[:, i] = False
-        return mask
-    if variant is LossVariant.RANK_N_CONTRAST:
-        mask = label_gap_row[None, :] >= label_gap_row[:, None]
-        mask[:, i] = False
-        return mask
-    # yaware / exponential: everyone except the anchor and the partner
-    mask = ~np.eye(n, dtype=bool)
-    mask[:, i] = False
-    return mask
-
-
-def _evaluate(
     s: np.ndarray,
-    pair_weights: np.ndarray,
-    exponent_scaling: np.ndarray,
-    masks: list[np.ndarray] | None = None,
-    mask_for_anchor=None,
-    want_grad: bool = False,
-) -> tuple[float, np.ndarray | None]:
-    """Shared forward/backward core over the (a, b, M) parameterization.
+    w: np.ndarray | None,
+    gaps: np.ndarray | None,
+    neighbors: np.ndarray | None,
+) -> tuple[float, np.ndarray]:
+    """Total loss and dL/ds (rows indexed by anchors) for any variant.
 
-    Returns the total loss and, when requested, dL/ds as an (n, n) matrix
-    with rows indexed by anchors. Pairs whose candidate set is empty are
-    dropped (their weight is forced to 0), so no log of an empty sum is
-    ever taken.
+    ``w`` is needed by every variant but rnc, ``gaps`` (|y_i - y_t|) by
+    rnc and ``neighbors`` (n, count) by dynlocrep. Works in each anchor's
+    sorted order from the module docstring, with pairs indexed by the
+    partner's position in it.
     """
     n = s.shape[0]
-    total = 0.0
-    grad_s = np.zeros((n, n)) if want_grad else None
-    for i in range(n):
-        mask = masks[i] if masks is not None else mask_for_anchor(i)
-        a = pair_weights[i]
-        logits = np.where(mask, (exponent_scaling[i] * s[i])[None, :], -np.inf)
-        peak = logits.max(axis=1)
-        usable = np.isfinite(peak)
-        a = np.where(usable, a, 0.0)
-        shifted = np.exp(logits - np.where(usable, peak, 0.0)[:, None])
-        sums = shifted.sum(axis=1)
-        safe_sums = np.where(sums > 0.0, sums, 1.0)
-        log_denom = np.where(usable, peak, 0.0) + np.log(safe_sums)
-        total -= float(a @ (s[i] - log_denom))
-        if want_grad:
-            softmaxes = shifted / safe_sums[:, None]
-            grad_s[i] = -a + exponent_scaling[i] * (a @ softmaxes)
+    m = n - 1
+    if variant is LossVariant.RANK_N_CONTRAST:
+        keys = gaps
+    elif variant is LossVariant.THRESHOLD:
+        keys = w
+    else:
+        keys = np.ones((n, n))
+        if variant is LossVariant.DYN_LOC_REP:
+            np.put_along_axis(keys, neighbors, 0.0, axis=1)
+    # the anchor's own column sorts last and is cut off
+    keys = np.where(np.eye(n, dtype=bool), np.inf, keys)
+    order = np.argsort(keys, axis=1, kind="stable")[:, :m]
+
+    def by_order(values: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(values, order, axis=1)
+
+    empty_suffix = np.full((n, m), m)
+    if variant is LossVariant.DYN_LOC_REP:
+        c, e = np.full((n, m), neighbors.shape[1]), empty_suffix
+        a = by_order(_normalized_pair_weights(w))
+    elif variant is LossVariant.THRESHOLD:
+        w_sorted = by_order(w)
+        c, e = _tie_group_starts(w_sorted), empty_suffix
+        mass = np.hstack([np.zeros((n, 1)), np.cumsum(w_sorted, axis=1)])
+        mass = np.take_along_axis(mass, c, axis=1)
+        # an empty or near-empty candidate set drops the pair instead of
+        # blowing its weight up to ~1/underflow
+        a = np.where(mass >= WEIGHT_SUM_EPS, w_sorted / np.maximum(mass, WEIGHT_SUM_EPS), 0.0)
+    elif variant is LossVariant.RANK_N_CONTRAST:
+        c, e = np.zeros((n, m), dtype=int), _tie_group_starts(by_order(gaps))
+        a = np.ones((n, m))
+    else:
+        c = np.broadcast_to(np.arange(m), (n, m))
+        e = c + 1
+        a = by_order(_normalized_pair_weights(w))
+    if variant in (LossVariant.DYN_LOC_REP, LossVariant.EXPONENTIAL):
+        b = 1.0 - by_order(w)
+    else:
+        b = 1.0
+
+    s_sorted = by_order(s)
+    x = b * s_sorted
+    usable = (c > 0) | (e < m)
+    a = np.where(usable, a, 0.0)
+    log_denom = np.logaddexp(
+        np.take_along_axis(_log_cumsum(x), c, axis=1),
+        np.take_along_axis(_log_cumsum(x, reverse=True), e, axis=1),
+    )
+    log_denom = np.where(usable, log_denom, 0.0)
+    total = -float(np.sum(a * (s_sorted - log_denom)))
+
+    # dL/ds_it = -a_it + b_it * sum_k a_ik * exp(x_it - log_denom_ik) over
+    # the k whose candidate set holds t. With t at position j, and c and e
+    # never decreasing along the order, those k are the positions from
+    # #{k : c_ik <= j} on (t in the prefix) and the first #{k : e_ik <= j}
+    # positions (t in the suffix).
+    log_share = np.log(a, out=np.full((n, m), -np.inf), where=a > 0.0) - log_denom
+    in_prefix = np.take_along_axis(
+        _log_cumsum(log_share, reverse=True), _count_at_most(c), axis=1
+    )
+    in_suffix = np.take_along_axis(_log_cumsum(log_share), _count_at_most(e), axis=1)
+    grad_sorted = -a + b * np.exp(x + np.logaddexp(in_prefix, in_suffix))
+    grad_s = np.zeros((n, n))
+    np.put_along_axis(grad_s, order, grad_sorted, axis=1)
     return total, grad_s
 
 
@@ -215,36 +237,27 @@ def _check_square(name: str, values: np.ndarray, n: int) -> None:
         raise InputError(f"{name} must have shape ({n}, {n}), got {values.shape}")
 
 
-def dynlocrep_forward(
-    sim: SimilarityMatrix, weights: PositivenessMatrix, neighbors: NeighborSets
-) -> float:
+def dynlocrep_forward(sim: np.ndarray, weights: np.ndarray, neighbors: np.ndarray) -> float:
     """Total dynamic localized repulsion loss over all anchors.
 
-    The numerator sum runs over every partner k != i; only the repulsion
-    denominator is restricted to the anchor's neighbor set (which may
-    include k itself).
+    Takes the similarity matrix s, the positiveness matrix w and the
+    (n, count) neighbor indices. The numerator sum runs over every
+    partner k != i; only the repulsion denominator is restricted to the
+    anchor's neighbor set (which may include k itself).
     """
-    n = sim.n
-    _check_square("positiveness matrix", weights.weights, n)
-    if neighbors.n != n:
-        raise InputError(f"neighbor sets cover {neighbors.n} anchors, expected {n}")
-    if neighbors.count < 1:
+    n = sim.shape[0]
+    _check_square("positiveness matrix", weights, n)
+    if neighbors.shape[0] != n:
+        raise InputError(f"neighbor sets cover {neighbors.shape[0]} anchors, expected {n}")
+    if neighbors.shape[1] < 1:
         raise InputError("every anchor needs a non-empty neighbor set")
-    w = weights.weights
-    masks = [
-        _candidate_mask(LossVariant.DYN_LOC_REP, i, n, None, None, neighbors.indices[i])
-        for i in range(n)
-    ]
-    value, _ = _evaluate(
-        sim.values, _normalized_pair_weights(w), 1.0 - w, masks=masks
-    )
-    return value
+    return _loss_core(LossVariant.DYN_LOC_REP, sim, weights, None, neighbors)[0]
 
 
 def baseline_forward(
     variant: LossVariant,
-    sim: SimilarityMatrix,
-    weights: PositivenessMatrix | None = None,
+    sim: np.ndarray,
+    weights: np.ndarray | None = None,
     labels: np.ndarray | None = None,
 ) -> float:
     """Total loss for one of the four global (non-localized) baselines.
@@ -254,7 +267,8 @@ def baseline_forward(
     """
     if variant is LossVariant.DYN_LOC_REP:
         raise ConfigError("use dynlocrep_forward for the localized loss")
-    n = sim.n
+    n = sim.shape[0]
+    gaps = None
     if variant is LossVariant.RANK_N_CONTRAST:
         if labels is None:
             raise InputError("rank-n-contrast needs labels")
@@ -262,23 +276,11 @@ def baseline_forward(
         if labels.shape != (n,):
             raise InputError(f"labels must have shape ({n},), got {labels.shape}")
         gaps = np.abs(labels[:, None] - labels[None, :])
-        masks = [
-            _candidate_mask(variant, i, n, None, gaps[i], None) for i in range(n)
-        ]
-        w = None
     else:
         if weights is None:
             raise InputError(f"{variant.value} needs a positiveness matrix")
-        _check_square("positiveness matrix", weights.weights, n)
-        w = weights.weights
-        masks = [_candidate_mask(variant, i, n, w[i], None, None) for i in range(n)]
-    value, _ = _evaluate(
-        sim.values,
-        _pair_weights(variant, w, n),
-        _exponent_scaling(variant, w, n),
-        masks=masks,
-    )
-    return value
+        _check_square("positiveness matrix", weights, n)
+    return _loss_core(variant, sim, weights, gaps, None)[0]
 
 
 def loss_with_gradient(
@@ -304,17 +306,16 @@ def loss_with_gradient(
     if labels.shape != (n,):
         raise InputError(f"labels must have shape ({n},), got {labels.shape}")
 
-    sim = similarity_matrix(batch.unit, config.temperature)
-    s = sim.values
+    s = similarity_matrix(batch.unit, config.temperature)
     variant = config.variant
 
     w = None
     gaps = None
-    neighbor_rows = None
+    neighbors = None
     if variant is LossVariant.RANK_N_CONTRAST:
         gaps = np.abs(labels[:, None] - labels[None, :])
     else:
-        w = positiveness_matrix(labels, config.kernel).weights
+        w = positiveness_matrix(labels, config.kernel)
     if variant is LossVariant.DYN_LOC_REP:
         if neighbor_count is None:
             raise ConfigError("the localized variant needs a neighbor count")
@@ -329,25 +330,9 @@ def loss_with_gradient(
         else:
             points = batch.unit
         distances = distance_matrix(points, config.distance_norm)
-        neighbor_rows = select_neighbors(distances, neighbor_count).indices
+        neighbors = select_neighbors(distances, neighbor_count)
 
-    def mask_for_anchor(i: int) -> np.ndarray:
-        return _candidate_mask(
-            variant,
-            i,
-            n,
-            w[i] if w is not None else None,
-            gaps[i] if gaps is not None else None,
-            neighbor_rows[i] if neighbor_rows is not None else None,
-        )
-
-    value, grad_s = _evaluate(
-        s,
-        _pair_weights(variant, w, n),
-        _exponent_scaling(variant, w, n),
-        mask_for_anchor=mask_for_anchor,
-        want_grad=True,
-    )
+    value, grad_s = _loss_core(variant, s, w, gaps, neighbors)
 
     # Chain rule: s = U U^T / tau, then u = z / max(||z||, eps) per row.
     grad_unit = (grad_s + grad_s.T) @ batch.unit / config.temperature

@@ -46,14 +46,11 @@ class ScheduleConfig:
             raise ConfigError(f"step_size must be >= 1, got {self.step_size}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.step_size >= self.max_epochs:
+        if self.max_epochs < 2 * self.step_size:
+            # fewer than two decay steps leave the decrement undefined
             raise ConfigError(
-                f"step_size must be < max_epochs, got {self.step_size} >= {self.max_epochs}"
-            )
-        if self.max_epochs // self.step_size <= 1:
-            raise ConfigError(
-                "schedule needs at least two decay steps: "
-                f"floor({self.max_epochs}/{self.step_size}) <= 1 leaves the decrement undefined"
+                f"the localized loss needs epochs >= 2 * nn_step_size = {2 * self.step_size}, "
+                f"got epochs={self.max_epochs} with nn_step_size={self.step_size}"
             )
 
 

@@ -104,24 +104,24 @@ def test_criterion_2_brute_force_oracle_equivalence():
                 (
                     dynlocrep_forward(sim, weights, neighbors),
                     oracles.dynlocrep_loss(
-                        sim.values, weights.weights, [list(r) for r in neighbors.indices]
+                        sim, weights, [list(r) for r in neighbors]
                     ),
                 ),
                 (
                     baseline_forward(LossVariant.Y_AWARE, sim, weights=weights),
-                    oracles.yaware_loss(sim.values, weights.weights),
+                    oracles.yaware_loss(sim, weights),
                 ),
                 (
                     baseline_forward(LossVariant.THRESHOLD, sim, weights=weights),
-                    oracles.threshold_loss(sim.values, weights.weights),
+                    oracles.threshold_loss(sim, weights),
                 ),
                 (
                     baseline_forward(LossVariant.EXPONENTIAL, sim, weights=weights),
-                    oracles.exponential_loss(sim.values, weights.weights),
+                    oracles.exponential_loss(sim, weights),
                 ),
                 (
                     baseline_forward(LossVariant.RANK_N_CONTRAST, sim, labels=labels),
-                    oracles.rank_n_contrast_loss(sim.values, labels),
+                    oracles.rank_n_contrast_loss(sim, labels),
                 ),
             ]
             for got, expected in pairs:
@@ -142,7 +142,7 @@ def test_criterion_3_degeneration_identity():
             distance_matrix(batch.unit, DistanceNorm.EUCLIDEAN), n - 1
         )
         got = dynlocrep_forward(sim, weights, neighbors)
-        expected = oracles.exponential_full_denominator_loss(sim.values, weights.weights)
+        expected = oracles.exponential_full_denominator_loss(sim, weights)
         assert math.isclose(got, expected, rel_tol=1e-10, abs_tol=1e-10)
     _passed(3, "50 full-neighborhood batches match the global oracle within 1e-10")
 
@@ -292,7 +292,7 @@ def test_criterion_10_weight_normalization():
         rng = np.random.default_rng(7000 + trial)
         # a 14-year window keeps every anchor's weight mass above the guard
         labels = rng.uniform(30.0, 44.0, size=12)
-        weights = positiveness_matrix(labels, KERNEL).weights
+        weights = positiveness_matrix(labels, KERNEL)
         sums = _normalized_pair_weights(weights).sum(axis=1)
         worst = max(worst, float(np.max(np.abs(sums - 1.0))))
         assert np.all(np.abs(sums - 1.0) <= 1e-9)

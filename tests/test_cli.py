@@ -165,6 +165,18 @@ def test_unknown_loss_rejected(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_train_single_epoch_localized_names_the_flags(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_small_csv(data)
+    code = main(
+        ["train", "--data", str(data), "--out-dir", str(tmp_path / "r"), "--epochs", "1"]
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "epochs >= 2 * nn_step_size" in err
+    assert "got epochs=1 with nn_step_size=1" in err
+
+
 # ---------------------------------------------------------------------------
 # benchmark / ablate
 # ---------------------------------------------------------------------------
@@ -237,6 +249,17 @@ def test_ablate_single_norm_subset(tmp_path):
 
 def test_ablate_unknown_norm_rejected(tmp_path):
     assert main(["ablate", "--norms", "hamming", "--out", str(tmp_path / "r.json")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["benchmark", "ablate"])
+@pytest.mark.parametrize("seeds", ["-1", "0,-3"])
+def test_negative_seeds_rejected_at_the_flag(tmp_path, capsys, command, seeds):
+    out = tmp_path / "r.json"
+    assert main([command, "--seeds", seeds, "--out", str(out), *FAST_TRAIN]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "argument --seeds: must be >= 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

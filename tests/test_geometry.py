@@ -50,18 +50,18 @@ def test_normalize_produces_unit_rows(raw):
 
 def test_similarity_identical_rows():
     unit = np.array([[1.0, 0.0], [1.0, 0.0]])
-    s = similarity_matrix(unit, 0.1).values
+    s = similarity_matrix(unit, 0.1)
     assert s[0, 1] == pytest.approx(10.0, abs=1e-12)
 
 
 def test_similarity_orthogonal_rows():
     unit = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert similarity_matrix(unit, 0.1).values[0, 1] == 0.0
+    assert similarity_matrix(unit, 0.1)[0, 1] == 0.0
 
 
 def test_similarity_antipodal_rows():
     unit = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    assert similarity_matrix(unit, 0.1).values[0, 1] == pytest.approx(-10.0, abs=1e-12)
+    assert similarity_matrix(unit, 0.1)[0, 1] == pytest.approx(-10.0, abs=1e-12)
 
 
 def test_similarity_rejects_bad_temperature():
@@ -75,9 +75,9 @@ def test_similarity_symmetric_and_bounded():
     rng = np.random.default_rng(5)
     unit = l2_normalize(rng.normal(size=(12, 6)))
     sim = similarity_matrix(unit, 0.1)
-    assert np.array_equal(sim.values, sim.values.T)
-    assert np.all(np.abs(sim.values) <= 10.0 + 1e-9)
-    assert np.allclose(np.diag(sim.values), 10.0, atol=1e-9)
+    assert np.array_equal(sim, sim.T)
+    assert np.all(np.abs(sim) <= 10.0 + 1e-9)
+    assert np.allclose(np.diag(sim), 10.0, atol=1e-9)
 
 
 def test_distance_hand_computed_pair():
@@ -121,13 +121,13 @@ def test_full_neighborhood_is_all_other_indices():
     d = distance_matrix(rng.normal(size=(6, 3)), DistanceNorm.EUCLIDEAN)
     sets = select_neighbors(d, 5)
     for i in range(6):
-        assert sorted(sets.indices[i]) == [j for j in range(6) if j != i]
+        assert sorted(sets[i]) == [j for j in range(6) if j != i]
 
 
 def test_one_dimensional_nearest_neighbors():
     d = distance_matrix(np.array([[0.0], [1.0], [3.0]]), DistanceNorm.EUCLIDEAN)
     sets = select_neighbors(d, 1)
-    assert sets.indices.tolist() == [[1], [0], [1]]
+    assert sets.tolist() == [[1], [0], [1]]
 
 
 def test_tie_breaks_to_smaller_index():
@@ -136,7 +136,7 @@ def test_tie_breaks_to_smaller_index():
     d = distance_matrix(points, DistanceNorm.EUCLIDEAN)
     assert d[0, 2] == d[0, 5]
     sets = select_neighbors(d, 1)
-    assert sets.indices[0].tolist() == [2]
+    assert sets[0].tolist() == [2]
 
 
 def test_neighbor_count_bounds_enforced():
@@ -152,9 +152,9 @@ def test_neighbors_never_contain_anchor_and_share_cardinality():
     d = distance_matrix(rng.normal(size=(13, 4)), DistanceNorm.MANHATTAN)
     for count in (1, 4, 12):
         sets = select_neighbors(d, count)
-        assert sets.indices.shape == (13, count)
+        assert sets.shape == (13, count)
         for i in range(13):
-            assert i not in sets.indices[i]
+            assert i not in sets[i]
 
 
 def test_euclidean_and_cosine_agree_on_unit_rows():
@@ -168,5 +168,5 @@ def test_euclidean_and_cosine_agree_on_unit_rows():
     assert np.allclose(d_euc[off] ** 2, 2.0 * d_cos[off], atol=1e-9)
     for count in (1, 5, 19):
         assert np.array_equal(
-            select_neighbors(d_euc, count).indices, select_neighbors(d_cos, count).indices
+            select_neighbors(d_euc, count), select_neighbors(d_cos, count)
         )

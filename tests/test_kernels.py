@@ -69,19 +69,19 @@ def test_kernel_monotone_in_absolute_difference(d1, gap):
 
 
 def test_identical_labels_give_all_ones():
-    w = positiveness_matrix(np.array([30.0, 30.0, 30.0]), SIGMA2).weights
+    w = positiveness_matrix(np.array([30.0, 30.0, 30.0]), SIGMA2)
     assert np.array_equal(w, np.ones((3, 3)))
 
 
 def test_two_label_off_diagonal():
-    w = positiveness_matrix(np.array([20.0, 22.0]), SIGMA2).weights
+    w = positiveness_matrix(np.array([20.0, 22.0]), SIGMA2)
     assert w[0, 1] == pytest.approx(math.exp(-0.5), rel=1e-15)
     assert w[1, 0] == pytest.approx(math.exp(-0.5), rel=1e-15)
 
 
 def test_matrix_entries_match_scalar_kernel():
     labels = np.array([12.0, 40.5, 41.0, 77.7, 25.0])
-    w = positiveness_matrix(labels, SIGMA2).weights
+    w = positiveness_matrix(labels, SIGMA2)
     for i in range(5):
         for k in range(5):
             assert w[i, k] == pytest.approx(
@@ -92,7 +92,7 @@ def test_matrix_entries_match_scalar_kernel():
 def test_matrix_is_bitwise_symmetric_with_unit_diagonal():
     rng = np.random.default_rng(3)
     labels = rng.uniform(0.0, 90.0, size=17)
-    w = positiveness_matrix(labels, SIGMA2).weights
+    w = positiveness_matrix(labels, SIGMA2)
     assert np.array_equal(w, w.T)
     assert np.array_equal(np.diag(w), np.ones(17))
 

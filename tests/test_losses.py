@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from dynlocrep import (
@@ -79,7 +81,7 @@ def test_dynlocrep_forward_matches_loop_oracle(n, seed):
     sim, weights, neighbors = forward_pieces(batch, labels, neighbor_count=count)
     value = dynlocrep_forward(sim, weights, neighbors)
     expected = oracles.dynlocrep_loss(
-        sim.values, weights.weights, [list(row) for row in neighbors.indices]
+        sim, weights, [list(row) for row in neighbors]
     )
     assert math.isclose(value, expected, rel_tol=1e-10, abs_tol=1e-10)
 
@@ -91,7 +93,7 @@ def test_baseline_forwards_match_loop_oracles(variant, n, seed):
     batch, labels = random_batch(seed, n=n)
     sim, weights, _ = forward_pieces(batch, labels)
     value = baseline_forward(variant, sim, weights=weights, labels=labels)
-    expected = oracle_value(variant, sim.values, weights.weights, labels)
+    expected = oracle_value(variant, sim, weights, labels)
     assert math.isclose(value, expected, rel_tol=1e-10, abs_tol=1e-10)
 
 
@@ -103,11 +105,11 @@ def test_clustered_labels_against_oracles():
     sim, weights, neighbors = forward_pieces(batch, labels, neighbor_count=2)
     for variant in BASELINES:
         value = baseline_forward(variant, sim, weights=weights, labels=labels)
-        expected = oracle_value(variant, sim.values, weights.weights, labels)
+        expected = oracle_value(variant, sim, weights, labels)
         assert math.isclose(value, expected, rel_tol=1e-10, abs_tol=1e-10)
     value = dynlocrep_forward(sim, weights, neighbors)
     expected = oracles.dynlocrep_loss(
-        sim.values, weights.weights, [list(row) for row in neighbors.indices]
+        sim, weights, [list(row) for row in neighbors]
     )
     assert math.isclose(value, expected, rel_tol=1e-10, abs_tol=1e-10)
 
@@ -119,7 +121,7 @@ def test_full_neighborhood_degenerates_to_global_loss():
         batch, labels = random_batch(seed, n=6)
         sim, weights, neighbors = forward_pieces(batch, labels, neighbor_count=5)
         value = dynlocrep_forward(sim, weights, neighbors)
-        expected = oracles.exponential_full_denominator_loss(sim.values, weights.weights)
+        expected = oracles.exponential_full_denominator_loss(sim, weights)
         assert math.isclose(value, expected, rel_tol=1e-10, abs_tol=1e-10)
 
 
@@ -167,7 +169,7 @@ def test_rnc_with_identical_labels_is_uniform_softmax_loss():
     labels = np.full(3, 41.0)
     sim, _, _ = forward_pieces(batch, labels)
     value = baseline_forward(LossVariant.RANK_N_CONTRAST, sim, labels=labels)
-    s = sim.values
+    s = sim
     expected = 0.0
     for i in range(3):
         denom = sum(math.exp(s[i][t]) for t in range(3) if t != i)
@@ -182,7 +184,7 @@ def test_pair_weights_sum_to_one_per_anchor():
     kernel mass above the 1e-12 guard, so all weight rows normalize."""
     for seed in range(20):
         _, labels = random_batch(seed, n=10, label_range=(30.0, 44.0))
-        w = positiveness_matrix(labels, KERNEL).weights
+        w = positiveness_matrix(labels, KERNEL)
         sums = _normalized_pair_weights(w).sum(axis=1)
         assert np.all(np.abs(sums - 1.0) <= 1e-9)
 
@@ -190,7 +192,7 @@ def test_pair_weights_sum_to_one_per_anchor():
 def test_pair_weights_guard_zeroes_isolated_anchors():
     # an anchor ~40 sigma from everyone has off-diagonal mass below 1e-12
     labels = np.array([30.0, 30.5, 31.0, 130.0])
-    w = positiveness_matrix(labels, KERNEL).weights
+    w = positiveness_matrix(labels, KERNEL)
     sums = _normalized_pair_weights(w).sum(axis=1)
     assert np.allclose(sums[:3], 1.0, atol=1e-9)
     assert sums[3] == 0.0
@@ -205,7 +207,7 @@ def test_threshold_guard_keeps_near_empty_candidate_sets_finite():
     batch = EmbeddingBatch.from_raw(rng.normal(size=(3, 4)))
     sim, weights, _ = forward_pieces(batch, labels)
     value = baseline_forward(LossVariant.THRESHOLD, sim, weights=weights)
-    expected = oracles.threshold_loss(sim.values, weights.weights)
+    expected = oracles.threshold_loss(sim, weights)
     assert math.isfinite(value)
     assert abs(value) < 1e6
     assert math.isclose(value, expected, rel_tol=1e-10, abs_tol=1e-10)
@@ -339,8 +341,8 @@ def test_scaling_preserves_neighbor_sets():
     unit = EmbeddingBatch.from_raw(raw).unit
     scaled_unit = EmbeddingBatch.from_raw(raw * 17.0).unit
     for norm in DistanceNorm:
-        a = select_neighbors(distance_matrix(unit, norm), 3).indices
-        b = select_neighbors(distance_matrix(scaled_unit, norm), 3).indices
+        a = select_neighbors(distance_matrix(unit, norm), 3)
+        b = select_neighbors(distance_matrix(scaled_unit, norm), 3)
         assert np.array_equal(a, b)
 
 
@@ -366,6 +368,100 @@ def test_mean_reduction_divides_by_anchor_count():
     )
     assert mean.value == pytest.approx(total.value / 5.0, rel=1e-12)
     assert np.allclose(mean.grad_raw, total.grad_raw / 5.0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# tie and edge properties: tied integer labels, tau in [0.1, 1], a zero-norm
+# row, two-row batches
+# ---------------------------------------------------------------------------
+
+MAX_N = 6
+tied_labels = st.lists(st.integers(20, 24), min_size=MAX_N, max_size=MAX_N)
+edge_temperatures = st.floats(min_value=0.1, max_value=1.0)
+zero_rows = st.sampled_from([None, 0, 1])
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(2, MAX_N),
+    raw=arrays(np.float64, (MAX_N, 3), elements=st.floats(-10, 10, allow_nan=False)),
+    labels=tied_labels,
+    tau=edge_temperatures,
+    zero_row=zero_rows,
+    count=st.integers(1, MAX_N - 1),
+)
+@example(
+    n=2, raw=np.ones((MAX_N, 3)), labels=[20] * MAX_N, tau=0.1, zero_row=0, count=1
+)
+@example(
+    n=5,
+    raw=np.arange(3.0 * MAX_N).reshape(MAX_N, 3),
+    labels=[20, 20, 21, 21, 23, 24],
+    tau=0.1,
+    zero_row=1,
+    count=2,
+)
+def test_forwards_match_oracles_on_ties_and_edges(n, raw, labels, tau, zero_row, count):
+    raw = raw[:n].copy()
+    if zero_row is not None:
+        raw[zero_row] = 0.0
+    labels = np.array(labels[:n], dtype=np.float64)
+    batch = EmbeddingBatch.from_raw(raw)
+    sim = similarity_matrix(batch.unit, tau)
+    weights = positiveness_matrix(labels, KERNEL)
+    neighbors = select_neighbors(
+        distance_matrix(batch.unit, DistanceNorm.MANHATTAN), min(count, n - 1)
+    )
+    value = dynlocrep_forward(sim, weights, neighbors)
+    expected = oracles.dynlocrep_loss(
+        sim, weights, [list(row) for row in neighbors]
+    )
+    assert math.isclose(value, expected, rel_tol=1e-10, abs_tol=1e-10)
+    for variant in BASELINES:
+        value = baseline_forward(variant, sim, weights=weights, labels=labels)
+        expected = oracle_value(variant, sim, weights, labels)
+        assert math.isclose(value, expected, rel_tol=1e-10, abs_tol=1e-10), variant
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(
+    n=st.integers(2, 4),
+    seed=st.integers(0, 2**16),
+    labels=tied_labels,
+    tau=edge_temperatures,
+    zero_row=zero_rows,
+)
+@example(n=2, seed=0, labels=[20] * MAX_N, tau=0.1, zero_row=None)
+@example(n=3, seed=1, labels=[20, 20, 21, 24, 24, 24], tau=0.1, zero_row=0)
+def test_gradients_match_finite_differences_on_ties_and_edges(n, seed, labels, tau, zero_row):
+    """The zero-norm row itself is left out of the comparison: the
+    normalization jumps there, so its central differences are undefined."""
+    raw = np.random.default_rng(seed).normal(size=(n, 3))
+    if zero_row is not None:
+        raw[zero_row] = 0.0
+    labels = np.array(labels[:n], dtype=np.float64)
+    rows = [i for i in range(n) if i != zero_row]
+    step = 1e-5
+    for variant in LossVariant:
+        config = LossConfig(variant=variant, kernel=KERNEL, temperature=tau)
+        count = max(1, n - 2) if variant is LossVariant.DYN_LOC_REP else None
+        analytic = loss_with_gradient(
+            config, EmbeddingBatch.from_raw(raw), labels, neighbor_count=count
+        ).grad_raw[rows]
+        numeric = np.zeros_like(analytic)
+        for r, i in enumerate(rows):
+            for j in range(3):
+                up, down = raw.copy(), raw.copy()
+                up[i, j] += step
+                down[i, j] -= step
+                numeric[r, j] = (
+                    loss_value(config, up, labels, count)
+                    - loss_value(config, down, labels, count)
+                ) / (2.0 * step)
+        # a gradient that vanishes identically (yaware at n = 3 with equal
+        # labels) comes out as rounding noise, so the scale has a floor
+        scale = max(np.max(np.abs(numeric)), 1e-8)
+        assert np.max(np.abs(analytic - numeric)) / scale < 1e-4, variant
 
 
 # ---------------------------------------------------------------------------

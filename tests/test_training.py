@@ -134,6 +134,14 @@ def test_config_validation():
         train(tiny_dataset(), tiny_config(nn_final=8), OPT, ENC)
 
 
+def test_localized_schedule_too_short_names_epochs_and_step_size():
+    """The localized loss needs at least two decay steps; a baseline does not."""
+    with pytest.raises(ConfigError, match=r"epochs >= 2 \* nn_step_size = 4, got epochs=3"):
+        train(tiny_dataset(), tiny_config(epochs=3, nn_step_size=2), OPT, ENC)
+    baseline = tiny_config(epochs=1, variant=LossVariant.Y_AWARE)
+    assert len(train(tiny_dataset(), baseline, OPT, ENC).trace) == 1
+
+
 @pytest.mark.parametrize("variant", list(LossVariant))
 def test_every_variant_trains(variant):
     dataset = tiny_dataset()
