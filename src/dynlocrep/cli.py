@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, write_csv
+from .data import _write_text_atomic
 from .encoder import EncoderConfig, OptimConfig, save_checkpoint
 from .errors import (
     ConfigError,
@@ -531,7 +532,7 @@ def _write_embedding_export(path: Path, epoch: int, ids, labels, embeddings) -> 
         cells = [str(epoch), ids[i], repr(float(labels[i]))]
         cells.extend(repr(float(v)) for v in embeddings[i])
         lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -552,7 +553,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.jsonl"
-    trace_path.write_text("".join(json.dumps(entry) + "\n" for entry in result.trace))
+    _write_text_atomic(trace_path, "".join(json.dumps(entry) + "\n" for entry in result.trace))
     checkpoint_path = out_dir / "encoder.txt"
     save_checkpoint(result.encoder, checkpoint_path)
     for epoch, embeddings in sorted(result.exports.items()):
@@ -590,7 +591,7 @@ def _write_report(
     """Write the report to --out and print its per-entry MAE summary."""
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2) + "\n")
+    _write_text_atomic(out, json.dumps(report, indent=2) + "\n")
     print(f"{title} over seeds {args.seeds} on {report['dataset']['source']}")
     _summarize(report[entries_key], label)
     _summarize(report["baselines"], "baseline")

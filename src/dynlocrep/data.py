@@ -11,6 +11,7 @@ exact.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -148,6 +149,23 @@ def csv_header(feature_dim: int) -> str:
     return "id,y," + ",".join(f"f{j}" for j in range(feature_dim))
 
 
+def _write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text to a temp file beside path, then os.replace it into place.
+
+    A write that fails midway leaves any previous file at path intact and
+    removes the temp file.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w") as handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write the dataset in the documented ``id,y,f0,...`` format."""
     lines = [csv_header(dataset.feature_dim)]
@@ -155,7 +173,7 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
         row = [dataset.ids[i], repr(float(dataset.labels[i]))]
         row.extend(repr(float(v)) for v in dataset.features[i])
         lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_csv(path: str | Path) -> Dataset:

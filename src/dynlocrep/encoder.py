@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import _write_text_atomic
 from .errors import ConfigError, InputError, ParseError
 from .geometry import EmbeddingBatch
 
@@ -158,30 +159,39 @@ def init_encoder(config: EncoderConfig, seed: int) -> Encoder:
 
 
 class Adam:
-    """Adam with bias correction; the learning rate is supplied per step."""
+    """Adam with bias correction; the learning rate is supplied per step.
+
+    The moments of all parameters live in two flat buffers, in list order.
+    """
 
     def __init__(self, params: list[np.ndarray], config: OptimConfig):
         self.config = config
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self._sizes = [p.size for p in params]
+        self._m = np.zeros(sum(self._sizes))
+        self._v = np.zeros(sum(self._sizes))
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
         """Update params in place from grads plus the L2 weight-decay term."""
-        if len(params) != len(self.m) or len(grads) != len(self.m):
+        if len(params) != len(self._sizes) or len(grads) != len(self._sizes):
             raise InputError("parameter/gradient count does not match optimizer state")
         cfg = self.config
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - cfg.beta1**t
         bias2 = 1.0 - cfg.beta2**t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            g = g + cfg.weight_decay * p
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
+        flat = np.concatenate(params, axis=None)
+        g = np.concatenate(grads, axis=None) + cfg.weight_decay * flat
+        m, v = self._m, self._v
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        update = lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
+        start = 0
+        for p, size in zip(params, self._sizes):
+            p -= update[start : start + size].reshape(p.shape)
+            start += size
 
 
 def save_checkpoint(encoder: Encoder, path: str | Path) -> None:
@@ -199,7 +209,7 @@ def save_checkpoint(encoder: Encoder, path: str | Path) -> None:
         lines.extend(" ".join(repr(float(x)) for x in row) for row in w)
         lines.append(f"layer {idx} bias {b.shape[0]}")
         lines.append(" ".join(repr(float(x)) for x in b))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> Encoder:

@@ -30,6 +30,15 @@ are cumulative log-sum-exps (np.logaddexp.accumulate): nothing is
 exponentiated unshifted and no sum is formed by subtraction, which
 matters at temperatures as low as 0.1 where |s| reaches 10. The
 gradient's sums over k are cumulative log-sum-exps over the same order.
+Only the sides a variant has are evaluated: the prefix sums (and the
+gradient's suffix sums over k) for dynlocrep and threshold, the suffix
+sums (and the gradient's prefix sums) for rnc, both for yaware and
+exponential. Leaving out an empty side is exact, because
+logaddexp(x, -inf) == x bit for bit. The bounds c and e that do not
+depend on the data (dynlocrep's, yaware's and exponential's), their
+counts, the row offsets and the diagonal mask are cached per (variant,
+n, neighbor count). If the guards drop every pair weight of a batch,
+loss and gradient are exactly zero and ``LossOutput.weighted`` is False.
 Gradients treat the neighbor selection and all kernel weights as
 constants and are chained through the cosine similarity and the row
 normalization back to the raw embeddings.
@@ -38,6 +47,7 @@ normalization back to the raw embeddings.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,10 +110,15 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class LossOutput:
-    """Scalar loss plus its gradient with respect to the raw embeddings."""
+    """Scalar loss plus its gradient with respect to the raw embeddings.
+
+    ``weighted`` is False when the guards dropped every pair weight of the
+    batch; value and gradient are then exactly zero.
+    """
 
     value: float
     grad_raw: np.ndarray = field(repr=False)
+    weighted: bool
 
 
 def _normalized_pair_weights(w: np.ndarray) -> np.ndarray:
@@ -144,10 +159,53 @@ def _log_cumsum(x: np.ndarray, reverse: bool = False) -> np.ndarray:
     Column j holds the log-sum-exp of the first j entries, or with
     ``reverse`` of the entries from j on; an empty sum is -inf.
     """
-    pad = np.full((x.shape[0], 1), -np.inf)
+    n, m = x.shape
+    out = np.full((n, m + 1), -np.inf)
     if reverse:
-        return np.hstack([np.logaddexp.accumulate(x[:, ::-1], axis=1)[:, ::-1], pad])
-    return np.hstack([pad, np.logaddexp.accumulate(x, axis=1)])
+        np.logaddexp.accumulate(x[:, ::-1], axis=1, out=out[:, m - 1 :: -1])
+    else:
+        np.logaddexp.accumulate(x, axis=1, out=out[:, 1:])
+    return out
+
+
+def _log_sum_outside(x: np.ndarray, row_starts: np.ndarray, before, start) -> np.ndarray:
+    """Per entry, log-sum-exp of its row's x before position ``before``
+    plus from position ``start`` on; a side given as None is left out."""
+    if start is None:
+        return _log_cumsum(x).take(before + row_starts)
+    tail = _log_cumsum(x, reverse=True).take(start + row_starts)
+    if before is None:
+        return tail
+    return np.logaddexp(_log_cumsum(x).take(before + row_starts), tail)
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(variant: LossVariant, n: int, count: int) -> tuple:
+    """The part of ``_loss_core`` that depends only on (variant, n, count):
+    row_starts (flat offset of each row of an (n, n) array, which also fits
+    the (n, m + 1) cumulative sums), the diagonal mask, and (1, m) rows c,
+    c_count, e, e_count, usable. An entry is None where it depends on the
+    data or the variant has no such side. Shared by every call: read-only.
+    """
+    m = n - 1
+    c = c_count = e = e_count = None
+    usable = np.ones((1, m), dtype=bool)
+    if variant is LossVariant.DYN_LOC_REP:
+        c = np.full((1, m), count)
+    elif variant in (LossVariant.Y_AWARE, LossVariant.EXPONENTIAL):
+        c = np.arange(m)[None, :]
+        e = c + 1
+        e_count = _count_at_most(e)
+        usable = (c > 0) | (e < m)
+    elif variant is LossVariant.THRESHOLD:
+        usable = None
+    if c is not None:
+        c_count = _count_at_most(c)
+    layout = (n * np.arange(n)[:, None], np.eye(n, dtype=bool), c, c_count, e, e_count, usable)
+    for array in layout:
+        if array is not None:
+            array.setflags(write=False)
+    return layout
 
 
 def _loss_core(
@@ -156,8 +214,9 @@ def _loss_core(
     w: np.ndarray | None,
     gaps: np.ndarray | None,
     neighbors: np.ndarray | None,
-) -> tuple[float, np.ndarray]:
-    """Total loss and dL/ds (rows indexed by anchors) for any variant.
+) -> tuple[float, np.ndarray, bool]:
+    """Total loss, dL/ds (rows indexed by anchors) and whether any pair
+    kept a weight, for any variant.
 
     ``w`` is needed by every variant but rnc, ``gaps`` (|y_i - y_t|) by
     rnc and ``neighbors`` (n, count) by dynlocrep. Works in each anchor's
@@ -166,54 +225,49 @@ def _loss_core(
     """
     n = s.shape[0]
     m = n - 1
+    localized = variant is LossVariant.DYN_LOC_REP
+    row_starts, diagonal, c, c_count, e, e_count, usable = _layout(
+        variant, n, neighbors.shape[1] if localized else 0
+    )
     if variant is LossVariant.RANK_N_CONTRAST:
         keys = gaps
     elif variant is LossVariant.THRESHOLD:
         keys = w
     else:
-        keys = np.ones((n, n))
-        if variant is LossVariant.DYN_LOC_REP:
-            np.put_along_axis(keys, neighbors, 0.0, axis=1)
+        keys = np.ones(n * n)
+        if localized:
+            keys[neighbors + row_starts] = 0.0
+        keys = keys.reshape(n, n)
     # the anchor's own column sorts last and is cut off
-    keys = np.where(np.eye(n, dtype=bool), np.inf, keys)
-    order = np.argsort(keys, axis=1, kind="stable")[:, :m]
+    keys = np.where(diagonal, np.inf, keys)
+    at = np.argsort(keys, axis=1, kind="stable")[:, :m] + row_starts
 
-    def by_order(values: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(values, order, axis=1)
-
-    empty_suffix = np.full((n, m), m)
-    if variant is LossVariant.DYN_LOC_REP:
-        c, e = np.full((n, m), neighbors.shape[1]), empty_suffix
-        a = by_order(_normalized_pair_weights(w))
-    elif variant is LossVariant.THRESHOLD:
-        w_sorted = by_order(w)
-        c, e = _tie_group_starts(w_sorted), empty_suffix
-        mass = np.hstack([np.zeros((n, 1)), np.cumsum(w_sorted, axis=1)])
-        mass = np.take_along_axis(mass, c, axis=1)
+    w_sorted = None if w is None else w.take(at)
+    if variant is LossVariant.THRESHOLD:
+        c = _tie_group_starts(w_sorted)
+        c_count = _count_at_most(c)
+        usable = c > 0
+        mass = np.zeros((n, n))
+        np.cumsum(w_sorted, axis=1, out=mass[:, 1:])
+        mass = mass.take(c + row_starts)
         # an empty or near-empty candidate set drops the pair instead of
         # blowing its weight up to ~1/underflow
         a = np.where(mass >= WEIGHT_SUM_EPS, w_sorted / np.maximum(mass, WEIGHT_SUM_EPS), 0.0)
     elif variant is LossVariant.RANK_N_CONTRAST:
-        c, e = np.zeros((n, m), dtype=int), _tie_group_starts(by_order(gaps))
+        e = _tie_group_starts(gaps.take(at))
+        e_count = _count_at_most(e)
         a = np.ones((n, m))
     else:
-        c = np.broadcast_to(np.arange(m), (n, m))
-        e = c + 1
-        a = by_order(_normalized_pair_weights(w))
+        a = _normalized_pair_weights(w).take(at)
     if variant in (LossVariant.DYN_LOC_REP, LossVariant.EXPONENTIAL):
-        b = 1.0 - by_order(w)
+        b = 1.0 - w_sorted
     else:
         b = 1.0
 
-    s_sorted = by_order(s)
+    s_sorted = s.take(at)
     x = b * s_sorted
-    usable = (c > 0) | (e < m)
     a = np.where(usable, a, 0.0)
-    log_denom = np.logaddexp(
-        np.take_along_axis(_log_cumsum(x), c, axis=1),
-        np.take_along_axis(_log_cumsum(x, reverse=True), e, axis=1),
-    )
-    log_denom = np.where(usable, log_denom, 0.0)
+    log_denom = np.where(usable, _log_sum_outside(x, row_starts, c, e), 0.0)
     total = -float(np.sum(a * (s_sorted - log_denom)))
 
     # dL/ds_it = -a_it + b_it * sum_k a_ik * exp(x_it - log_denom_ik) over
@@ -221,15 +275,12 @@ def _loss_core(
     # never decreasing along the order, those k are the positions from
     # #{k : c_ik <= j} on (t in the prefix) and the first #{k : e_ik <= j}
     # positions (t in the suffix).
-    log_share = np.log(a, out=np.full((n, m), -np.inf), where=a > 0.0) - log_denom
-    in_prefix = np.take_along_axis(
-        _log_cumsum(log_share, reverse=True), _count_at_most(c), axis=1
-    )
-    in_suffix = np.take_along_axis(_log_cumsum(log_share), _count_at_most(e), axis=1)
-    grad_sorted = -a + b * np.exp(x + np.logaddexp(in_prefix, in_suffix))
-    grad_s = np.zeros((n, n))
-    np.put_along_axis(grad_s, order, grad_sorted, axis=1)
-    return total, grad_s
+    weighted = a > 0.0
+    log_share = np.log(a, out=np.full((n, m), -np.inf), where=weighted) - log_denom
+    grad_sorted = -a + b * np.exp(x + _log_sum_outside(log_share, row_starts, e_count, c_count))
+    grad_s = np.zeros(n * n)
+    grad_s[at] = grad_sorted
+    return total, grad_s.reshape(n, n), bool(weighted.any())
 
 
 def _check_square(name: str, values: np.ndarray, n: int) -> None:
@@ -332,18 +383,15 @@ def loss_with_gradient(
         distances = distance_matrix(points, config.distance_norm)
         neighbors = select_neighbors(distances, neighbor_count)
 
-    value, grad_s = _loss_core(variant, s, w, gaps, neighbors)
+    value, grad_s, weighted = _loss_core(variant, s, w, gaps, neighbors)
 
     # Chain rule: s = U U^T / tau, then u = z / max(||z||, eps) per row.
     grad_unit = (grad_s + grad_s.T) @ batch.unit / config.temperature
-    norms = np.linalg.norm(batch.raw, axis=1, keepdims=True)
-    divisor = np.maximum(norms, NORM_EPS)
+    norms = np.sqrt(np.sum(batch.raw * batch.raw, axis=1, keepdims=True))
     radial = (grad_unit * batch.unit).sum(axis=1, keepdims=True)
     grad_raw = np.where(
-        norms > NORM_EPS,
-        (grad_unit - radial * batch.unit) / divisor,
-        grad_unit / divisor,
-    )
+        norms > NORM_EPS, grad_unit - radial * batch.unit, grad_unit
+    ) / np.maximum(norms, NORM_EPS)
 
     if config.reduction is Reduction.MEAN:
         value /= n
@@ -351,4 +399,4 @@ def loss_with_gradient(
 
     if not np.isfinite(value) or not np.all(np.isfinite(grad_raw)):
         raise NumericalError(f"{variant.value} loss produced non-finite output")
-    return LossOutput(value=value, grad_raw=grad_raw)
+    return LossOutput(value=value, grad_raw=grad_raw, weighted=weighted)

@@ -100,7 +100,9 @@ def train(
     Per epoch: shuffle, split into batches, clamp the scheduled neighbor
     count to each batch's size minus one, take one Adam step per batch at
     the epoch's decayed learning rate. Raises NumericalError naming the
-    epoch if a loss turns non-finite.
+    epoch if a loss turns non-finite, and ConfigError if the guards drop
+    every pair weight of an epoch (the kernel bandwidth does not fit the
+    labels).
     """
     if dataset.feature_dim != encoder_config.input_dim:
         raise ConfigError(
@@ -122,6 +124,7 @@ def train(
         lr = optim.learning_rate_at_epoch(epoch)
         nn_count = neighbors_at_epoch(schedule, epoch) if schedule is not None else None
         batch_losses = []
+        weighted = False
         for rows in _epoch_batches(dataset.n, config.batch_size, config.seed, epoch):
             features = dataset.features[rows]
             batch = encoder.forward(features)
@@ -137,6 +140,14 @@ def train(
                 raise NumericalError(f"epoch {epoch}: {exc}") from exc
             adam.step(encoder.parameters(), encoder.backward(out.grad_raw), lr)
             batch_losses.append(out.value)
+            weighted = weighted or out.weighted
+        if not weighted:
+            raise ConfigError(
+                f"epoch {epoch}: every pair weight of the {config.variant.value} loss was "
+                "dropped, so it would train on a loss of exactly 0; the kernel bandwidth "
+                f"{config.kernel.bandwidth:g} does not fit the label spread "
+                f"{np.ptp(dataset.labels):g} (max - min of the training labels)"
+            )
         trace.append(
             {
                 "epoch": epoch,

@@ -4,6 +4,7 @@ The help goldens pin flag names and defaults; regenerate after an
 intentional interface change with UPDATE_GOLDEN=1 pytest tests/test_cli.py.
 """
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -175,6 +176,19 @@ def test_train_single_epoch_localized_names_the_flags(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "epochs >= 2 * nn_step_size" in err
     assert "got epochs=1 with nn_step_size=1" in err
+
+
+def test_train_on_labels_the_kernel_cannot_resolve_exits_64(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    ds = generate_synthetic(SyntheticSpec(n=40, feature_dim=6, informative_dims=3), 0)
+    write_csv(dataclasses.replace(ds, labels=ds.labels * 1e6), data)
+    out_dir = tmp_path / "r"
+    code = main(["train", "--data", str(data), "--out-dir", str(out_dir), *FAST_TRAIN])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "every pair weight of the dynlocrep loss was dropped" in err
+    assert "kernel bandwidth 6 does not fit the label spread" in err
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

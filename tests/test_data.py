@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dynlocrep.data as data_module
 from dynlocrep import (
     ConfigError,
     InputError,
@@ -135,6 +136,43 @@ def test_bad_header_is_rejected(tmp_path):
     path.write_text("idx,y,f0\na,30.0,0.1\n")
     with pytest.raises(ParseError, match="line 1"):
         load_csv(path)
+
+
+def test_written_csv_matches_a_plain_text_write(tmp_path):
+    ds = generate_synthetic(SyntheticSpec(n=5, feature_dim=3, informative_dims=2), seed=2)
+    path = tmp_path / "data.csv"
+    write_csv(ds, path)
+    plain = tmp_path / "plain.csv"
+    plain.write_text(path.read_text())
+    assert path.read_bytes() == plain.read_bytes()
+    assert path.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "plain.csv"]
+
+
+def test_failed_write_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("previous\n")
+    # a lone surrogate cannot be encoded, so the write raises after the
+    # temp file was opened
+    with pytest.raises(UnicodeEncodeError):
+        data_module._write_text_atomic(path, "x" * 100_000 + "\udc80")
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_failed_replace_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_text("previous\n")
+
+    def refuse(source, target):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(data_module.os, "replace", refuse)
+    ds = generate_synthetic(SyntheticSpec(n=5, feature_dim=3, informative_dims=2), seed=2)
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(ds, path)
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
 
 def test_split_sizes_and_partition():

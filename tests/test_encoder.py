@@ -144,6 +144,46 @@ def test_adam_step_reduces_a_quadratic():
     assert np.allclose(param, target, atol=1e-2)
 
 
+def reference_adam_steps(params, grad_steps, lrs, config):
+    """Adam as a loop over parameters, one moment pair each."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, (grads, lr) in enumerate(zip(grad_steps, lrs), start=1):
+        bias1 = 1.0 - config.beta1**t
+        bias2 = 1.0 - config.beta2**t
+        for p, g, m_p, v_p in zip(params, grads, m, v):
+            g = g + config.weight_decay * p
+            m_p *= config.beta1
+            m_p += (1.0 - config.beta1) * g
+            v_p *= config.beta2
+            v_p += (1.0 - config.beta2) * (g * g)
+            p -= lr * (m_p / bias1) / (np.sqrt(v_p / bias2) + config.eps)
+
+
+def test_adam_matches_per_parameter_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    shapes = [(3, 4), (4,), (2, 3, 2), (1,), (5, 1)]
+    params = [rng.normal(size=shape) for shape in shapes]
+    expected = [p.copy() for p in params]
+    grad_steps = [[rng.normal(scale=0.1, size=shape) for shape in shapes] for _ in range(5)]
+    lrs = [1e-2, 1e-2, 5e-3, 1e-3, 1e-3]
+    config = OptimConfig(weight_decay=1e-2)
+    optim = Adam(params, config)
+    for grads, lr in zip(grad_steps, lrs):
+        optim.step(params, grads, lr)
+    reference_adam_steps(expected, grad_steps, lrs, config)
+    for p, q in zip(params, expected):
+        assert p.shape == q.shape
+        assert p.tobytes() == q.tobytes()
+
+
+def test_adam_rejects_a_parameter_count_it_was_not_built_for():
+    params = [np.zeros(3), np.zeros((2, 2))]
+    optim = Adam(params, OptimConfig())
+    with pytest.raises(InputError):
+        optim.step(params[:1], [np.zeros(3)], 1e-3)
+
+
 def test_learning_rate_decay_is_exact_power():
     optim = OptimConfig(learning_rate=1e-4, decay_factor=0.9, decay_every=10)
     for epoch in range(60):

@@ -26,7 +26,7 @@ from dynlocrep import (
     select_neighbors,
     similarity_matrix,
 )
-from dynlocrep.losses import _normalized_pair_weights
+from dynlocrep.losses import _layout, _normalized_pair_weights
 
 KERNEL = KernelSpec(bandwidth=2.0)
 TAU = 0.1
@@ -462,6 +462,46 @@ def test_gradients_match_finite_differences_on_ties_and_edges(n, seed, labels, t
         # labels) comes out as rounding noise, so the scale has a floor
         scale = max(np.max(np.abs(numeric)), 1e-8)
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-4, variant
+
+
+@pytest.mark.parametrize("variant", list(LossVariant))
+def test_cached_layout_is_read_only(variant):
+    layout = _layout(variant, 6, 2 if variant is LossVariant.DYN_LOC_REP else 0)
+    arrays = [array for array in layout if array is not None]
+    assert len(arrays) >= 2
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+
+
+def test_calls_alternating_batch_size_and_neighbor_count_match_oracles():
+    """Layouts are cached per (variant, n, count): revisiting a size with
+    another count, or a count with another size, must not reuse a layout."""
+    for step, (n, count) in enumerate([(6, 1), (6, 4), (4, 1), (6, 1), (5, 4), (4, 3), (6, 4)]):
+        batch, labels = random_batch(step, n=n)
+        sim, weights, neighbors = forward_pieces(batch, labels, neighbor_count=count)
+        value = dynlocrep_forward(sim, weights, neighbors)
+        expected = oracles.dynlocrep_loss(sim, weights, [list(row) for row in neighbors])
+        assert math.isclose(value, expected, rel_tol=1e-10, abs_tol=1e-10), (n, count)
+        for variant in BASELINES:
+            value = baseline_forward(variant, sim, weights=weights, labels=labels)
+            expected = oracle_value(variant, sim, weights, labels)
+            assert math.isclose(value, expected, rel_tol=1e-10, abs_tol=1e-10), (variant, n)
+
+
+def test_weighted_is_false_exactly_when_the_guards_drop_every_pair():
+    batch, labels = random_batch(3, n=5, label_range=(20.0, 30.0))
+    spread_out = labels * 1e6
+    for variant in LossVariant:
+        config = LossConfig(variant=variant, kernel=KernelSpec(6.0), temperature=TAU)
+        count = 2 if variant is LossVariant.DYN_LOC_REP else None
+        assert loss_with_gradient(config, batch, labels, neighbor_count=count).weighted
+        out = loss_with_gradient(config, batch, spread_out, neighbor_count=count)
+        assert out.weighted is (variant is LossVariant.RANK_N_CONTRAST)
+        if not out.weighted:
+            assert out.value == 0.0
+            assert not np.any(out.grad_raw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Training loop: determinism, trace contents, schedule wiring, progress."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dynlocrep import (
     ConfigError,
     EncoderConfig,
+    KernelSpec,
     LossVariant,
     OptimConfig,
     ScheduleConfig,
@@ -149,6 +152,36 @@ def test_every_variant_trains(variant):
     result = train(dataset, config, OPT, ENC)
     assert len(result.trace) == 4
     assert all(np.isfinite(e["mean_loss"]) for e in result.trace)
+
+
+@pytest.mark.parametrize(
+    "variant, scale",
+    [
+        (LossVariant.DYN_LOC_REP, 1e6),
+        (LossVariant.Y_AWARE, 1e6),
+        (LossVariant.THRESHOLD, 1e6),
+        (LossVariant.EXPONENTIAL, 1e6),
+        (LossVariant.THRESHOLD, 0.0),
+    ],
+)
+def test_degenerate_supervision_fails_loudly(variant, scale):
+    """Labels x 1e6 underflow every gaussian weight at bandwidth 6, and
+    constant labels leave threshold no lighter candidate: the guards drop
+    every pair weight, so training would run on a loss of exactly 0."""
+    dataset = tiny_dataset()
+    dataset = dataclasses.replace(dataset, labels=dataset.labels * scale + 3.0)
+    spread = np.ptp(dataset.labels)
+    config = tiny_config(variant=variant, kernel=KernelSpec(bandwidth=6.0))
+    with pytest.raises(ConfigError, match="epoch 0") as failure:
+        train(dataset, config, OPT, ENC)
+    assert f"kernel bandwidth 6 does not fit the label spread {spread:g}" in str(failure.value)
+
+
+def test_rank_n_contrast_trains_on_labels_the_kernel_cannot_resolve():
+    dataset = tiny_dataset()
+    dataset = dataclasses.replace(dataset, labels=dataset.labels * 1e6)
+    result = train(dataset, tiny_config(variant=LossVariant.RANK_N_CONTRAST), OPT, ENC)
+    assert all(e["mean_loss"] > 0.0 for e in result.trace)
 
 
 def test_loss_trends_down_on_separable_clusters():
