@@ -3,6 +3,13 @@
 The encoder is an affine/ReLU stack whose final layer is linear. Raw
 outputs are what the optimizer differentiates through (the normalization
 Jacobian lives in the loss module); the unit rows feed the similarities.
+
+All parameters live in one flat float64 vector, ``Encoder.params``: for
+each layer its weight matrix (row-major) and then its bias. The per-layer
+``weights`` and ``biases`` are views into that vector, ``backward``
+returns one gradient in the same layout, and ``Adam`` updates the vector
+in place, so an optimizer step moves the layers without any copy.
+
 Checkpoints use a versioned plain-text format so runs can be inspected
 and reloaded without pickle.
 """
@@ -76,11 +83,14 @@ class OptimConfig:
 
 
 class Encoder:
-    """Mutable weights/biases plus cached activations for the backward pass."""
+    """One flat parameter vector, per-layer views of it, and cached activations."""
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
-        self.weights = weights
-        self.biases = biases
+        pieces = [p for pair in zip(weights, biases) for p in pair]
+        self.params = np.concatenate(pieces, axis=None, dtype=np.float64)
+        flat = np.split(self.params, np.cumsum([np.size(p) for p in pieces])[:-1])
+        views = [view.reshape(np.shape(p)) for view, p in zip(flat, pieces)]
+        self.weights, self.biases = views[0::2], views[1::2]
         self._inputs: list[np.ndarray] | None = None
         self._pre_activations: list[np.ndarray] | None = None
 
@@ -91,13 +101,6 @@ class Encoder:
     @property
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
-
-    def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list in a fixed order (weights then bias per layer)."""
-        params: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend((w, b))
-        return params
 
     def forward(self, features: np.ndarray) -> EmbeddingBatch:
         """Run the stack and cache every layer input and pre-activation."""
@@ -119,11 +122,10 @@ class Encoder:
         self._pre_activations = pre
         return EmbeddingBatch.from_raw(h)
 
-    def backward(self, grad_raw: np.ndarray) -> list[np.ndarray]:
-        """Parameter gradients for the most recent forward pass.
+    def backward(self, grad_raw: np.ndarray) -> np.ndarray:
+        """Gradient of the most recent forward pass, laid out like ``params``.
 
-        Returns gradients in the same order as parameters(). The ReLU
-        derivative at exactly 0 is taken as 0.
+        The ReLU derivative at exactly 0 is taken as 0.
         """
         if self._inputs is None:
             raise InputError("backward called before forward")
@@ -133,16 +135,12 @@ class Encoder:
         for layer in range(last, -1, -1):
             if layer != last:
                 g = g * (self._pre_activations[layer] > 0.0)
-            grads.append(self._inputs[layer].T @ g)
             grads.append(g.sum(axis=0))
+            grads.append(self._inputs[layer].T @ g)
             if layer > 0:
                 g = g @ self.weights[layer].T
-        # collected (w, b) pairs from the top; flip to parameters() order
-        grads.reverse()
-        ordered: list[np.ndarray] = []
-        for layer in range(len(self.weights)):
-            ordered.extend((grads[2 * layer + 1], grads[2 * layer]))
-        return ordered
+        # collected (bias, weight) from the top layer down; reversed it is params order
+        return np.concatenate(grads[::-1], axis=None)
 
 
 def init_encoder(config: EncoderConfig, seed: int) -> Encoder:
@@ -161,37 +159,33 @@ def init_encoder(config: EncoderConfig, seed: int) -> Encoder:
 class Adam:
     """Adam with bias correction; the learning rate is supplied per step.
 
-    The moments of all parameters live in two flat buffers, in list order.
+    It updates one parameter array in place and keeps its moments in two
+    buffers of the same shape.
     """
 
-    def __init__(self, params: list[np.ndarray], config: OptimConfig):
+    def __init__(self, params: np.ndarray, config: OptimConfig):
+        self.params = params
         self.config = config
         self.step_count = 0
-        self._sizes = [p.size for p in params]
-        self._m = np.zeros(sum(self._sizes))
-        self._v = np.zeros(sum(self._sizes))
+        self._m = np.zeros_like(params)
+        self._v = np.zeros_like(params)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
-        """Update params in place from grads plus the L2 weight-decay term."""
-        if len(params) != len(self._sizes) or len(grads) != len(self._sizes):
-            raise InputError("parameter/gradient count does not match optimizer state")
+    def step(self, grad: np.ndarray, lr: float) -> None:
+        """Update params in place from grad plus the L2 weight-decay term."""
+        if np.shape(grad) != self.params.shape:
+            raise InputError(f"gradient shape {np.shape(grad)} != parameters {self.params.shape}")
         cfg = self.config
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - cfg.beta1**t
         bias2 = 1.0 - cfg.beta2**t
-        flat = np.concatenate(params, axis=None)
-        g = np.concatenate(grads, axis=None) + cfg.weight_decay * flat
+        g = grad + cfg.weight_decay * self.params
         m, v = self._m, self._v
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
         v += (1.0 - cfg.beta2) * (g * g)
-        update = lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
-        start = 0
-        for p, size in zip(params, self._sizes):
-            p -= update[start : start + size].reshape(p.shape)
-            start += size
+        self.params -= lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
 
 
 def save_checkpoint(encoder: Encoder, path: str | Path) -> None:
@@ -226,8 +220,8 @@ def load_checkpoint(path: str | Path) -> Encoder:
         dims = [int(tok) for tok in lines[1].split()[1:]]
     except ValueError as exc:
         raise ParseError(f"{path}: line 2: bad layer_dims entry: {exc}") from exc
-    if len(dims) < 2:
-        raise ParseError(f"{path}: line 2: need at least two layer dims")
+    if len(dims) < 2 or min(dims) < 1:
+        raise ParseError(f"{path}: line 2: need at least two layer dims, each >= 1, got {dims}")
 
     weights: list[np.ndarray] = []
     biases: list[np.ndarray] = []
@@ -245,9 +239,12 @@ def load_checkpoint(path: str | Path) -> Encoder:
         if len(tokens) != width:
             raise ParseError(f"{path}: line {cursor}: expected {width} values, got {len(tokens)}")
         try:
-            return np.array([float(tok) for tok in tokens])
+            values = np.array([float(tok) for tok in tokens])
         except ValueError as exc:
             raise ParseError(f"{path}: line {cursor}: bad value: {exc}") from exc
+        if not np.isfinite(values).all():
+            raise ParseError(f"{path}: line {cursor}: non-finite value")
+        return values
 
     for idx, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         header = _take("a weight header")

@@ -257,13 +257,18 @@ def _run_grid(
 
     Each cell is a named training config; entries are grouped per cell name
     in (cell, seed) order, and a failing run aborts with its identity
-    attached.
+    attached. Repeated seeds or cell names are rejected: they would enter
+    one run's result into the aggregates twice.
     """
     if not seeds:
         raise ConfigError("need at least one seed")
+    names = [name for name, _ in cells]
+    for what, values in (("seeds", seeds), (entries_key, names)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"duplicate {what} in {values}: each would count one run twice")
     started = time.perf_counter()
-    grouped: dict[str, list[dict]] = {name: [] for name, _ in cells}
-    seconds: dict[str, list[float]] = {name: [] for name, _ in cells}
+    grouped: dict[str, list[dict]] = {name: [] for name in names}
+    seconds: dict[str, list[float]] = {name: [] for name in names}
     for name, config in cells:
         for seed in seeds:
             try:

@@ -98,11 +98,14 @@ def distance_matrix(points: np.ndarray, norm: DistanceNorm) -> np.ndarray:
         d = np.triu(d, 1)
         d = np.maximum(d + d.T, 0.0)
         return d
-    diff = np.abs(points[:, None, :] - points[None, :, :])
+    # one (n, n, d) transient, reused in place for |diff| and diff**2
+    diff = points[:, None, :] - points[None, :, :]
+    np.abs(diff, out=diff)
     if norm is DistanceNorm.MANHATTAN:
         return diff.sum(axis=-1)
     if norm is DistanceNorm.EUCLIDEAN:
-        return np.sqrt((diff * diff).sum(axis=-1))
+        diff *= diff
+        return np.sqrt(diff.sum(axis=-1))
     if norm is DistanceNorm.CHEBYSHEV:
         return diff.max(axis=-1)
     raise ConfigError(f"unknown distance norm: {norm!r}")

@@ -113,7 +113,7 @@ def train(
         raise InputError(f"need at least 2 samples to train, got {dataset.n}")
 
     encoder = init_encoder(encoder_config, config.seed)
-    adam = Adam(encoder.parameters(), optim)
+    adam = Adam(encoder.params, optim)
     loss_config = config.loss_config()
     localized = config.variant is LossVariant.DYN_LOC_REP
     schedule = config.schedule_config() if localized and config.epochs > 0 else None
@@ -138,7 +138,7 @@ def train(
                 )
             except NumericalError as exc:
                 raise NumericalError(f"epoch {epoch}: {exc}") from exc
-            adam.step(encoder.parameters(), encoder.backward(out.grad_raw), lr)
+            adam.step(encoder.backward(out.grad_raw), lr)
             batch_losses.append(out.value)
             weighted = weighted or out.weighted
         if not weighted:

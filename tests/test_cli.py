@@ -217,6 +217,15 @@ def test_benchmark_empty_variants_rejected(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags", [["--variants", "rnc,rnc"], ["--seeds", "0,0"]])
+def test_benchmark_duplicate_variants_or_seeds_exit_64_without_a_report(tmp_path, capsys, flags):
+    out = tmp_path / "r.json"
+    # flags go last: argparse keeps the last --seeds, and FAST_PROTOCOL sets one
+    assert main(["benchmark", "--out", str(out), *FAST_PROTOCOL, *flags]) == EXIT_USAGE
+    assert "duplicate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_benchmark_missing_data_exits_66(tmp_path):
     code = main(
         ["benchmark", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "r.json")]

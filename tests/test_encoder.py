@@ -22,8 +22,7 @@ CONFIG = EncoderConfig(input_dim=6, hidden_dims=(16, 16), output_dim=8)
 def test_init_is_deterministic():
     a = init_encoder(CONFIG, seed=42)
     b = init_encoder(CONFIG, seed=42)
-    for wa, wb in zip(a.parameters(), b.parameters()):
-        assert np.array_equal(wa, wb)
+    assert np.array_equal(a.params, b.params)
 
 
 def test_init_seeds_differ():
@@ -90,22 +89,24 @@ def test_backward_matches_finite_differences():
     encoder = init_encoder(CONFIG, seed=7)
     x = rng.normal(size=(9, 6))
     batch = encoder.forward(x)
-    grads = encoder.backward(np.ones_like(batch.raw))
+    grad = encoder.backward(np.ones_like(batch.raw))
+    assert grad.shape == encoder.params.shape
     step = 1e-6
-    for param, grad in zip(encoder.parameters(), grads):
-        flat = param.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for idx in range(flat.size):
-            keep = flat[idx]
-            flat[idx] = keep + step
+    start = 0
+    for param in [p for pair in zip(encoder.weights, encoder.biases) for p in pair]:
+        numeric = np.zeros(param.size)
+        for offset in range(param.size):
+            idx = start + offset
+            keep = encoder.params[idx]
+            encoder.params[idx] = keep + step
             up = encoder.forward(x).raw.sum()
-            flat[idx] = keep - step
+            encoder.params[idx] = keep - step
             down = encoder.forward(x).raw.sum()
-            flat[idx] = keep
-            numeric[idx] = (up - down) / (2.0 * step)
-        numeric = numeric.reshape(param.shape)
+            encoder.params[idx] = keep
+            numeric[offset] = (up - down) / (2.0 * step)
         scale = max(np.max(np.abs(numeric)), 1e-12)
-        assert np.max(np.abs(grad - numeric)) / scale < 1e-5
+        assert np.max(np.abs(grad[start : start + param.size] - numeric)) / scale < 1e-5
+        start += param.size
 
 
 def test_backward_before_forward_rejected():
@@ -116,31 +117,30 @@ def test_backward_before_forward_rejected():
 
 def test_adam_zero_gradient_is_exact_noop_without_weight_decay():
     encoder = init_encoder(CONFIG, seed=9)
-    before = [p.copy() for p in encoder.parameters()]
-    optim = Adam(encoder.parameters(), OptimConfig(weight_decay=0.0))
-    optim.step(encoder.parameters(), [np.zeros_like(p) for p in encoder.parameters()], 1e-3)
-    for p, q in zip(encoder.parameters(), before):
-        assert np.array_equal(p, q)
+    before = encoder.params.copy()
+    optim = Adam(encoder.params, OptimConfig(weight_decay=0.0))
+    optim.step(np.zeros_like(encoder.params), 1e-3)
+    assert np.array_equal(encoder.params, before)
 
 
 def test_adam_zero_gradient_moves_weights_only_through_decay():
     encoder = init_encoder(CONFIG, seed=10)
-    before = [p.copy() for p in encoder.parameters()]
-    optim = Adam(encoder.parameters(), OptimConfig(weight_decay=5e-5))
-    optim.step(encoder.parameters(), [np.zeros_like(p) for p in encoder.parameters()], 1e-3)
-    for p, q in zip(encoder.parameters(), before):
-        nonzero = q != 0
-        assert np.all(p[nonzero] != q[nonzero])  # every nonzero weight shrinks
-        assert np.array_equal(p[~nonzero], q[~nonzero])  # zeros stay put
+    before = encoder.params.copy()
+    optim = Adam(encoder.params, OptimConfig(weight_decay=5e-5))
+    optim.step(np.zeros_like(encoder.params), 1e-3)
+    p, q = encoder.params, before
+    nonzero = q != 0
+    assert np.all(p[nonzero] != q[nonzero])  # every nonzero weight shrinks
+    assert np.array_equal(p[~nonzero], q[~nonzero])  # zeros stay put
 
 
 def test_adam_step_reduces_a_quadratic():
     target = np.array([3.0, -2.0])
     param = np.zeros(2)
-    optim = Adam([param], OptimConfig(weight_decay=0.0, learning_rate=0.1))
+    optim = Adam(param, OptimConfig(weight_decay=0.0, learning_rate=0.1))
     for _ in range(500):
         grad = 2.0 * (param - target)
-        optim.step([param], [grad], 0.1)
+        optim.step(grad, 0.1)
     assert np.allclose(param, target, atol=1e-2)
 
 
@@ -168,20 +168,46 @@ def test_adam_matches_per_parameter_reference_bit_for_bit():
     grad_steps = [[rng.normal(scale=0.1, size=shape) for shape in shapes] for _ in range(5)]
     lrs = [1e-2, 1e-2, 5e-3, 1e-3, 1e-3]
     config = OptimConfig(weight_decay=1e-2)
-    optim = Adam(params, config)
+    flat = np.concatenate(params, axis=None)
+    optim = Adam(flat, config)
     for grads, lr in zip(grad_steps, lrs):
-        optim.step(params, grads, lr)
+        optim.step(np.concatenate(grads, axis=None), lr)
     reference_adam_steps(expected, grad_steps, lrs, config)
-    for p, q in zip(params, expected):
+    bounds = np.cumsum([0, *(np.prod(shape) for shape in shapes)])
+    for shape, start, stop, q in zip(shapes, bounds, bounds[1:], expected):
+        p = flat[start:stop].reshape(shape)
         assert p.shape == q.shape
         assert p.tobytes() == q.tobytes()
 
 
-def test_adam_rejects_a_parameter_count_it_was_not_built_for():
-    params = [np.zeros(3), np.zeros((2, 2))]
+def test_adam_rejects_a_gradient_shape_it_was_not_built_for():
+    params = np.zeros(7)
     optim = Adam(params, OptimConfig())
     with pytest.raises(InputError):
-        optim.step(params[:1], [np.zeros(3)], 1e-3)
+        optim.step(np.zeros(3), 1e-3)
+    with pytest.raises(InputError):
+        optim.step(np.zeros((7, 1)), 1e-3)
+
+
+def test_layers_are_views_of_the_flat_parameter_vector():
+    rng = np.random.default_rng(14)
+    encoder = init_encoder(CONFIG, seed=14)
+    dims = CONFIG.layer_dims
+    assert encoder.params.shape == (sum(a * b + b for a, b in zip(dims[:-1], dims[1:])),)
+    for layer in (*encoder.weights, *encoder.biases):
+        assert np.shares_memory(layer, encoder.params)
+    x = rng.normal(size=(5, 6))
+    before = encoder.forward(x).raw
+    Adam(encoder.params, OptimConfig()).step(encoder.backward(np.ones_like(before)), 1e-2)
+    assert not np.array_equal(encoder.forward(x).raw, before)
+
+
+def test_encoder_copies_its_constructor_arrays():
+    weight, bias = np.eye(3), np.zeros(3)
+    encoder = Encoder([weight], [bias])
+    encoder.params += 1.0
+    assert np.array_equal(weight, np.eye(3))
+    assert np.array_equal(bias, np.zeros(3))
 
 
 def test_learning_rate_decay_is_exact_power():
@@ -207,8 +233,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     save_checkpoint(encoder, path)
     loaded = load_checkpoint(path)
     assert loaded.layer_dims == encoder.layer_dims
-    for a, b in zip(encoder.parameters(), loaded.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(encoder.params, loaded.params)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -235,4 +260,43 @@ def test_checkpoint_rejects_truncation(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(ParseError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_checkpoint_rejects_non_finite_values_naming_the_line(tmp_path, value):
+    encoder = init_encoder(CONFIG, seed=15)
+    path = tmp_path / "encoder.txt"
+    save_checkpoint(encoder, path)
+    lines = path.read_text().splitlines()
+    row = lines[4].split()  # line 5: the second row of layer 0's weight
+    row[2] = value
+    lines[4] = " ".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="line 5: non-finite"):
+        load_checkpoint(path)
+
+
+def checkpoint_text(dims):
+    """A well-formed checkpoint body for the given layer widths, all values 0.5."""
+    lines = ["dynlocrep-encoder-checkpoint v1", "layer_dims " + " ".join(map(str, dims))]
+    for idx, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        lines.append(f"layer {idx} weight {fan_in} {fan_out}")
+        lines.extend(" ".join(["0.5"] * fan_out) for _ in range(fan_in))
+        lines.append(f"layer {idx} bias {fan_out}")
+        lines.append(" ".join(["0.5"] * fan_out))
+    return "\n".join(lines) + "\n"
+
+
+def test_checkpoint_text_helper_loads_for_valid_widths(tmp_path):
+    path = tmp_path / "encoder.txt"
+    path.write_text(checkpoint_text((3, 2)))
+    assert np.array_equal(load_checkpoint(path).forward(np.ones((1, 3))).raw, [[2.0, 2.0]])
+
+
+@pytest.mark.parametrize("dims", [(2, 0), (0, 2), (3, 0, 2)], ids=["2-0", "0-2", "3-0-2"])
+def test_checkpoint_rejects_layer_widths_below_one(tmp_path, dims):
+    path = tmp_path / "encoder.txt"
+    path.write_text(checkpoint_text(dims))
+    with pytest.raises(ParseError, match="line 2: .*>= 1"):
         load_checkpoint(path)

@@ -175,6 +175,14 @@ def test_empty_variant_or_seed_lists_rejected():
         benchmark(small_dataset(), [], [0], **SMALL, dataset_source="test")
     with pytest.raises(ConfigError):
         benchmark(small_dataset(), [LossVariant.Y_AWARE], [], **SMALL, dataset_source="test")
+    with pytest.raises(ConfigError, match="duplicate seeds"):
+        benchmark(small_dataset(), [LossVariant.Y_AWARE], [0, 0], **SMALL, dataset_source="test")
+    with pytest.raises(ConfigError, match="duplicate variants"):
+        benchmark(small_dataset(), [LossVariant.RANK_N_CONTRAST] * 2, [0], **SMALL, dataset_source="test")
+    with pytest.raises(ConfigError, match="duplicate norms"):
+        ablate_norms(
+            small_dataset(), [DistanceNorm.MANHATTAN] * 2, [0], **SMALL, dataset_source="test"
+        )
 
 
 def test_ablation_report_structure_and_reference_values():
