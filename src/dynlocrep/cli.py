@@ -4,12 +4,21 @@ Flags may also be supplied through a flat ``key = value`` config file
 (``--config``); explicit flags override file values. Exit codes: 0
 success, 2 refusal to overwrite, 64 usage or configuration error, 66
 missing input file, 70 numerical failure.
+
+argparse only parses: ints, floats and comma lists. The library configs
+(``TrainConfig``, ``OptimConfig``, ``EncoderConfig``, ``SyntheticSpec``
+and the rest) check every range, and they check the effective value, the
+file's value overridden by flags with the last flag winning; a value that
+is overridden or unused is not checked. Three flags keep a check of their
+own, on every occurrence: ``--epochs`` >= 1 (the library accepts 0
+epochs), ``--nn-final`` >= 1 and ``--seeds`` >= 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import enum
 import json
 import sys
 from pathlib import Path
@@ -71,103 +80,42 @@ def _formatter(prog):
 
 
 def _positive_int(text: str) -> int:
+    """An int >= 1, checked at the flag because the library accepts 0 epochs
+    and because every --nn-final occurrence must be >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _list(convert):
+    """Comma-separated values, each passed through ``convert``; an empty text
+    gives []. An enum ``convert`` lists its valid names when one is unknown."""
 
+    def parse(text: str) -> list:
+        if not text.strip():
+            return []
+        values = []
+        for token in (tok.strip() for tok in text.split(",")):
+            try:
+                values.append(convert(token))
+            except ValueError:
+                choices = ""
+                if isinstance(convert, enum.EnumMeta):
+                    choices = f"; choose from {', '.join(member.value for member in convert)}"
+                raise argparse.ArgumentTypeError(
+                    f"invalid {convert.__name__} {token!r}{choices}"
+                ) from None
+        return values
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {value}")
-    return value
-
-
-def _int_list(text: str) -> list[int]:
-    if not text.strip():
-        raise argparse.ArgumentTypeError("list must not be empty")
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return parse
 
 
 def _seed_list(text: str) -> list[int]:
-    values = _int_list(text)
-    if min(values) < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {min(values)}")
-    return values
-
-
-def _epoch_list(text: str) -> list[int]:
-    if not text.strip():
-        return []
-    values = _int_list(text)
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("export epochs are 1-based and must be >= 1")
-    return values
-
-
-def _dims(text: str) -> list[int]:
-    values = _int_list(text)
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("layer widths must be >= 1")
-    return values
-
-
-def _float_list(text: str) -> list[float]:
-    if not text.strip():
-        raise argparse.ArgumentTypeError("list must not be empty")
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _variant_list(text: str) -> list[str]:
-    names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not names:
-        raise argparse.ArgumentTypeError("need at least one loss variant")
-    for name in names:
-        if name not in _VARIANT_NAMES:
-            raise argparse.ArgumentTypeError(
-                f"unknown loss {name!r}; choose from {', '.join(_VARIANT_NAMES)}"
-            )
-    return names
-
-
-def _norm_list(text: str) -> list[str]:
-    names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not names:
-        raise argparse.ArgumentTypeError("need at least one distance norm")
-    for name in names:
-        if name not in _NORM_NAMES:
-            raise argparse.ArgumentTypeError(
-                f"unknown norm {name!r}; choose from {', '.join(_NORM_NAMES)}"
-            )
-    return names
+    seeds = _list(int)(text)
+    if seeds and min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {min(seeds)}")
+    return seeds
 
 
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
@@ -181,31 +129,20 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=_positive_int, default=50, help="training epochs")
-    parser.add_argument("--batch-size", type=_positive_int, default=32, help="samples per batch")
-    parser.add_argument("--lr", type=_positive_float, default=1e-4, help="initial learning rate")
+    parser.add_argument("--batch-size", type=int, default=32, help="samples per batch")
+    parser.add_argument("--lr", type=float, default=1e-4, help="initial learning rate")
+    parser.add_argument("--lr-decay", type=float, default=0.9, help="learning-rate decay factor")
+    parser.add_argument("--lr-decay-every", type=int, default=10, help="epochs between decays")
+    parser.add_argument("--weight-decay", type=float, default=5e-5, help="L2 weight decay")
     parser.add_argument(
-        "--lr-decay", type=_positive_float, default=0.9, help="learning-rate decay factor"
+        "--kernel-sigma", type=float, default=6.0, help="gaussian kernel bandwidth in label units"
     )
-    parser.add_argument(
-        "--lr-decay-every", type=_positive_int, default=10, help="epochs between decays"
-    )
-    parser.add_argument(
-        "--weight-decay", type=_nonnegative_float, default=5e-5, help="L2 weight decay"
-    )
-    parser.add_argument(
-        "--kernel-sigma",
-        type=_positive_float,
-        default=6.0,
-        help="gaussian kernel bandwidth in label units",
-    )
-    parser.add_argument(
-        "--temperature", type=_positive_float, default=0.5, help="similarity temperature"
-    )
+    parser.add_argument("--temperature", type=float, default=0.5, help="similarity temperature")
     parser.add_argument(
         "--nn-final", type=_positive_int, default=14, help="final neighbor count of the schedule"
     )
     parser.add_argument(
-        "--nn-step-size", type=_positive_int, default=1, help="epochs between schedule steps"
+        "--nn-step-size", type=int, default=1, help="epochs between schedule steps"
     )
     parser.add_argument(
         "--nn-space",
@@ -220,11 +157,9 @@ def _add_training_flags(parser: argparse.ArgumentParser) -> None:
         help="loss reduction over anchors",
     )
     parser.add_argument(
-        "--hidden-dims", type=_dims, default=[64, 64], help="encoder hidden widths"
+        "--hidden-dims", type=_list(int), default=[64, 64], help="encoder hidden widths"
     )
-    parser.add_argument(
-        "--embed-dim", type=_positive_int, default=32, help="encoder output dimension"
-    )
+    parser.add_argument("--embed-dim", type=int, default=32, help="encoder output dimension")
 
 
 def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
@@ -232,14 +167,9 @@ def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
         "--data", default=None, metavar="CSV", help="input dataset; omit to use synthetic data"
     )
     parser.add_argument(
-        "--synthetic-n",
-        type=_positive_int,
-        default=500,
-        help="synthetic dataset size when --data is omitted",
+        "--synthetic-n", type=int, default=500, help="synthetic dataset size when --data is omitted"
     )
-    parser.add_argument(
-        "--data-seed", type=_nonnegative_int, default=0, help="synthetic dataset seed"
-    )
+    parser.add_argument("--data-seed", type=int, default=0, help="synthetic dataset seed")
 
 
 def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
@@ -247,11 +177,9 @@ def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
         "--seeds", type=_seed_list, default=[0, 1, 2, 3, 4], help="comma-separated run seeds"
     )
     parser.add_argument(
-        "--test-fraction", type=_fraction, default=0.2, help="held-out fraction per split"
+        "--test-fraction", type=float, default=0.2, help="held-out fraction per split"
     )
-    parser.add_argument(
-        "--ridge-lambda", type=_nonnegative_float, default=1.0, help="ridge regularization"
-    )
+    parser.add_argument("--ridge-lambda", type=float, default=1.0, help="ridge regularization")
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -273,34 +201,28 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         formatter_class=_formatter,
     )
     _add_config_flag(gen)
-    gen.add_argument("--n", type=_positive_int, default=500, help="number of samples")
-    gen.add_argument("--seed", type=_nonnegative_int, default=0, help="generator seed")
+    gen.add_argument("--n", type=int, default=500, help="number of samples")
+    gen.add_argument("--seed", type=int, default=0, help="generator seed")
     gen.add_argument("--out", default=None, metavar="CSV", help="output path (required)")
     gen.add_argument(
         "--force", action="store_true", help="overwrite an existing output file"
     )
-    gen.add_argument("--feature-dim", type=_positive_int, default=16, help="feature count")
+    gen.add_argument("--feature-dim", type=int, default=16, help="feature count")
     gen.add_argument(
-        "--informative-dims",
-        type=_nonnegative_int,
-        default=8,
-        help="label-dependent feature count",
+        "--informative-dims", type=int, default=8, help="label-dependent feature count"
     )
     gen.add_argument(
-        "--noise-std",
-        type=_nonnegative_float,
-        default=0.1,
-        help="observation noise on informative features",
+        "--noise-std", type=float, default=0.1, help="observation noise on informative features"
     )
     gen.add_argument(
-        "--mix-means", type=_float_list, default=[25.0, 68.0], help="label component means"
+        "--mix-means", type=_list(float), default=[25.0, 68.0], help="label component means"
     )
     gen.add_argument(
-        "--mix-stds", type=_float_list, default=[5.0, 6.0], help="label component stds"
+        "--mix-stds", type=_list(float), default=[5.0, 6.0], help="label component stds"
     )
     gen.add_argument(
         "--mix-weights",
-        type=_float_list,
+        type=_list(float),
         default=[0.5, 0.5],
         help="label component weights (sum to 1)",
     )
@@ -322,7 +244,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     tr.add_argument(
         "--loss", choices=_VARIANT_NAMES, default=LossVariant.DYN_LOC_REP.value, help="loss variant"
     )
-    tr.add_argument("--seed", type=_nonnegative_int, default=0, help="run seed")
+    tr.add_argument("--seed", type=int, default=0, help="run seed")
     tr.add_argument(
         "--distance-norm",
         choices=_NORM_NAMES,
@@ -331,7 +253,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     tr.add_argument(
         "--export-epochs",
-        type=_epoch_list,
+        type=_list(int),
         default=[],
         help="1-based epochs after which to export train-set embeddings (e.g. 1,6,21,30,40,50)",
     )
@@ -354,7 +276,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_protocol_flags(bm)
     bm.add_argument(
         "--variants",
-        type=_variant_list,
+        type=_list(LossVariant),
         default=_VARIANT_NAMES,
         help="comma-separated loss variants",
     )
@@ -384,7 +306,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_dataset_flags(ab)
     _add_protocol_flags(ab)
     ab.add_argument(
-        "--norms", type=_norm_list, default=_NORM_NAMES, help="comma-separated distance norms"
+        "--norms",
+        type=_list(DistanceNorm),
+        default=_NORM_NAMES,
+        help="comma-separated distance norms",
     )
     ab.add_argument(
         "--out", default="ablation_report.json", metavar="JSON", help="report path"
@@ -421,8 +346,8 @@ def _config_tokens(argv: list[str], commands: dict[str, _Parser]) -> list[str]:
     """Return argv with the invoked command's config file spliced in.
 
     Each ``key = value`` entry becomes a ``--key=value`` token right after
-    the command name, so argparse converts and checks file values like
-    flags, and its last-wins rule lets explicit flags override them. Keys
+    the command name, so argparse parses file values like flags, and its
+    last-wins rule lets explicit flags override them. Keys
     must name a long flag exactly (argparse alone would accept 'epoch' for
     --epochs); a switch key takes a boolean and becomes the bare flag or
     nothing.

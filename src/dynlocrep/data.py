@@ -81,6 +81,10 @@ class SyntheticSpec:
             self.mixture_weights
         ):
             raise ConfigError("mixture means, stds and weights must have equal length")
+        for name in ("mixture_means", "mixture_stds", "mixture_weights"):
+            values = getattr(self, name)
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"{name} must be finite, got {values}")
         if any(s <= 0 for s in self.mixture_stds):
             raise ConfigError(f"mixture stds must be positive, got {self.mixture_stds}")
         if any(w < 0 for w in self.mixture_weights):
@@ -92,8 +96,8 @@ class SyntheticSpec:
                 f"informative_dims must lie in [0, {self.feature_dim}], "
                 f"got {self.informative_dims}"
             )
-        if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
     @property
     def mixture_mean(self) -> float:
@@ -124,6 +128,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     coefficients drawn once from the seeded generator, plus gaussian
     observation noise; the remaining dimensions are standard normal noise.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     means = np.array(spec.mixture_means)
     stds = np.array(spec.mixture_stds)
@@ -235,6 +241,8 @@ def split(dataset: Dataset, test_fraction: float = 0.2, seed: int = 0) -> tuple[
     """
     if not 0 < test_fraction < 1:
         raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     n = dataset.n
     n_test = int(math.floor(n * test_fraction + 0.5))
     n_train = n - n_test

@@ -31,13 +31,16 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Layer widths of the encoder; all layers are ReLU except the last."""
+    """Layer widths of the encoder, with at least one hidden layer; all layers
+    are ReLU except the last."""
 
     input_dim: int
     hidden_dims: tuple[int, ...] = (64, 64)
     output_dim: int = 32
 
     def __post_init__(self) -> None:
+        if not self.hidden_dims:
+            raise ConfigError("the encoder needs at least one hidden width")
         widths = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(int(v) != v or v < 1 for v in widths):
             raise ConfigError(f"all layer widths must be integers >= 1, got {widths}")
@@ -70,11 +73,11 @@ class OptimConfig:
             raise ConfigError(f"decay_factor must lie in (0, 1], got {self.decay_factor}")
         if self.decay_every < 1:
             raise ConfigError(f"decay_every must be >= 1, got {self.decay_every}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("moment coefficients must lie in [0, 1)")
-        if self.eps <= 0:
+        if not (np.isfinite(self.eps) and self.eps > 0):
             raise ConfigError(f"eps must be positive, got {self.eps}")
 
     def learning_rate_at_epoch(self, epoch: int) -> float:

@@ -262,6 +262,8 @@ def _run_grid(
     """
     if not seeds:
         raise ConfigError("need at least one seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {min(seeds)}")
     names = [name for name, _ in cells]
     for what, values in (("seeds", seeds), (entries_key, names)):
         if len(set(values)) != len(values):

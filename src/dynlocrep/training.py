@@ -42,8 +42,17 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 4:
             raise ConfigError(f"batch_size must be >= 4, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # every variant checks the schedule fields, though only the localized
+        # loss reads them, so a config is valid or not whatever its variant
+        if self.nn_final < 1:
+            raise ConfigError(f"nn_final must be >= 1, got {self.nn_final}")
+        if self.nn_step_size < 1:
+            raise ConfigError(f"nn_step_size must be >= 1, got {self.nn_step_size}")
         if any(e < 1 for e in self.export_epochs):
             raise ConfigError("export epochs are 1-based and must be >= 1")
+        self.loss_config()  # LossConfig owns the temperature range
 
     def loss_config(self) -> LossConfig:
         return LossConfig(

@@ -286,6 +286,137 @@ def test_negative_seeds_rejected_at_the_flag(tmp_path, capsys, command, seeds):
 
 
 # ---------------------------------------------------------------------------
+# range checks: argparse parses, the library configs check the effective value
+# ---------------------------------------------------------------------------
+
+# One bad value for every flag that once had its own range-checking type
+# function, including NaN and inf where they reach a range. The flag under
+# test appears exactly once on the command line, so no later occurrence
+# can mask it.
+BAD_VALUES = [
+    ("generate", "--n", "0"),
+    ("generate", "--seed", "-1"),
+    ("generate", "--feature-dim", "0"),
+    ("generate", "--informative-dims", "-1"),
+    ("generate", "--noise-std", "-0.1"),
+    ("generate", "--noise-std", "nan"),
+    ("generate", "--mix-means", ""),
+    ("generate", "--mix-means", "nan,68"),
+    ("generate", "--mix-stds", "5,x"),
+    ("generate", "--mix-weights", "0.5,-0.5"),
+    ("train", "--epochs", "0"),
+    ("train", "--batch-size", "0"),
+    ("train", "--lr", "0"),
+    ("train", "--lr", "inf"),
+    ("train", "--lr-decay", "0"),
+    ("train", "--lr-decay", "nan"),
+    ("train", "--lr-decay-every", "0"),
+    ("train", "--weight-decay", "-1"),
+    ("train", "--kernel-sigma", "-6"),
+    ("train", "--temperature", "0"),
+    ("train", "--temperature", "nan"),
+    ("train", "--nn-final", "0"),
+    ("train", "--nn-step-size", "0"),
+    ("train", "--hidden-dims", ""),
+    ("train", "--hidden-dims", "8,0"),
+    ("train", "--embed-dim", "0"),
+    ("train", "--seed", "-1"),
+    ("train", "--export-epochs", "0,4"),
+    ("train", "--export-epochs", "1,x"),
+    ("benchmark", "--synthetic-n", "0"),
+    ("benchmark", "--data-seed", "-1"),
+    ("benchmark", "--seeds", "0,x"),
+    ("benchmark", "--seeds", ""),
+    ("benchmark", "--test-fraction", "1"),
+    ("benchmark", "--ridge-lambda", "-1"),
+    ("benchmark", "--variants", "bogus"),
+    ("benchmark", "--batch-size", "2"),
+    ("ablate", "--norms", "hamming"),
+    ("ablate", "--norms", ""),
+    ("ablate", "--test-fraction", "nan"),
+    ("ablate", "--ridge-lambda", "inf"),
+]
+
+
+@pytest.mark.parametrize(("command", "flag", "value"), BAD_VALUES)
+def test_bad_value_exits_64_without_artifact(tmp_path, capsys, command, flag, value):
+    fast = dict(zip(FAST_TRAIN[::2], FAST_TRAIN[1::2]))
+    if command == "generate":
+        artifact = tmp_path / "data.csv"
+        flags = {"--n": "30", "--out": str(artifact)}
+    elif command == "train":
+        write_small_csv(tmp_path / "data.csv")
+        artifact = tmp_path / "run"
+        flags = {"--data": str(tmp_path / "data.csv"), "--out-dir": str(artifact), **fast}
+    else:
+        artifact = tmp_path / "report.json"
+        flags = {"--synthetic-n": "60", "--seeds": "0", "--out": str(artifact), **fast}
+    flags[flag] = value
+    argv = [command, *(token for pair in flags.items() for token in pair)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not artifact.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_weight_decay_exits_64_before_training(tmp_path, capsys, monkeypatch, value):
+    import dynlocrep.cli as cli_module
+
+    def must_not_train(*args, **kwargs):
+        pytest.fail("training started with a non-finite weight decay")
+
+    monkeypatch.setattr(cli_module, "train", must_not_train)
+    data = tmp_path / "data.csv"
+    write_small_csv(data)
+    out_dir = tmp_path / "run"
+    argv = ["train", "--data", str(data), "--out-dir", str(out_dir), "--weight-decay", value]
+    assert main([*argv, *FAST_TRAIN]) == EXIT_USAGE
+    assert f"weight_decay must be finite and >= 0, got {value}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_non_finite_mixture_weights_exit_64(tmp_path, capsys):
+    out = tmp_path / "data.csv"
+    assert main(["generate", "--mix-weights", "nan,nan", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "mixture_weights must be finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unknown_names_list_the_choices(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["benchmark", "--variants", "rnc,bogus", "--out", str(out)]) == EXIT_USAGE
+    assert "'bogus'; choose from dynlocrep, yaware, threshold, exponential, rnc" in (
+        capsys.readouterr().err
+    )
+    assert main(["ablate", "--norms", "hamming", "--out", str(out)]) == EXIT_USAGE
+    assert "'hamming'; choose from manhattan, euclidean, chebyshev, cosine" in (
+        capsys.readouterr().err
+    )
+
+
+def test_only_the_effective_value_is_checked(tmp_path):
+    """Explicit flags override file values and the last flag wins; a value
+    that is overridden is never used, so it is not checked. Nor are the
+    synthetic-data flags when --data makes them unused."""
+    data = tmp_path / "data.csv"
+    write_small_csv(data)
+    config = tmp_path / "run.conf"
+    config.write_text("lr = 0\n")
+    argv = ["train", "--config", str(config), "--data", str(data), "--out-dir",
+            str(tmp_path / "run"), "--lr", "1e-3", "--batch-size", "0", *FAST_TRAIN]
+    assert main(argv) == EXIT_OK
+    out = tmp_path / "r.json"
+    argv = ["benchmark", "--data", str(data), "--data-seed", "-1", "--synthetic-n", "0",
+            "--variants", "yaware", "--seeds", "0", "--out", str(out), *FAST_TRAIN]
+    assert main(argv) == EXIT_OK
+    assert out.exists()
+
+
+# ---------------------------------------------------------------------------
 # config file
 # ---------------------------------------------------------------------------
 

@@ -75,6 +75,28 @@ def test_spec_validation():
         SyntheticSpec(n=10, noise_std=-0.1)
 
 
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("mixture_means", (float("nan"), 68.0)),
+        ("mixture_stds", (5.0, float("inf"))),
+        ("mixture_weights", (float("nan"), float("nan"))),
+        ("noise_std", float("nan")),
+        ("noise_std", float("inf")),
+    ],
+)
+def test_spec_rejects_non_finite_values(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        SyntheticSpec(n=10, **{field: value})
+
+
+def test_negative_seeds_rejected():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        generate_synthetic(DEFAULT, seed=-1)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -2"):
+        split(generate_synthetic(DEFAULT, seed=0), seed=-2)
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     ds = generate_synthetic(SyntheticSpec(n=23, feature_dim=5, informative_dims=3), seed=11)
     path = tmp_path / "data.csv"

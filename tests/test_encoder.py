@@ -82,6 +82,11 @@ def test_invalid_widths_rejected():
         EncoderConfig(input_dim=4, hidden_dims=(0,), output_dim=2)
 
 
+def test_encoder_needs_a_hidden_layer():
+    with pytest.raises(ConfigError, match="at least one hidden width"):
+        EncoderConfig(input_dim=4, hidden_dims=(), output_dim=2)
+
+
 def test_backward_matches_finite_differences():
     """With loss = sum of raw outputs, parameter gradients check against
     central differences to 1e-5 relative error."""
@@ -225,6 +230,14 @@ def test_optimizer_config_validation():
         OptimConfig(decay_factor=1.5)
     with pytest.raises(ConfigError):
         OptimConfig(weight_decay=-1e-5)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_weight_decay_or_eps_rejected(value):
+    with pytest.raises(ConfigError, match="weight_decay must be finite and >= 0"):
+        OptimConfig(weight_decay=value)
+    with pytest.raises(ConfigError, match="eps must be positive"):
+        OptimConfig(eps=value)
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):

@@ -185,6 +185,17 @@ def test_empty_variant_or_seed_lists_rejected():
         )
 
 
+def test_negative_seed_rejected_before_any_run(monkeypatch):
+    import dynlocrep.evaluation as evaluation_module
+
+    def must_not_train(*args, **kwargs):
+        pytest.fail("a run started although a seed is negative")
+
+    monkeypatch.setattr(evaluation_module, "train", must_not_train)
+    with pytest.raises(ConfigError, match="seeds must be >= 0, got -3"):
+        benchmark(small_dataset(), [LossVariant.Y_AWARE], [0, -3], **SMALL, dataset_source="test")
+
+
 def test_ablation_report_structure_and_reference_values():
     report = ablate_norms(
         small_dataset(),

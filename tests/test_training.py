@@ -134,6 +134,21 @@ def test_config_validation():
         train(tiny_dataset(), tiny_config(nn_final=8), OPT, ENC)
 
 
+@pytest.mark.parametrize(
+    ("overrides", "message"),
+    [
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(variant=LossVariant.RANK_N_CONTRAST, nn_final=0), "nn_final must be >= 1, got 0"),
+        (dict(variant=LossVariant.Y_AWARE, nn_step_size=0), "nn_step_size must be >= 1, got 0"),
+        (dict(variant=LossVariant.THRESHOLD, temperature=0.0), "temperature must be positive"),
+    ],
+)
+def test_config_bounds_hold_for_every_variant(overrides, message):
+    """Checked when the config is built, not when a loss first reads them."""
+    with pytest.raises(ConfigError, match=message):
+        tiny_config(**overrides)
+
+
 def test_localized_schedule_too_short_names_epochs_and_step_size():
     """The localized loss needs at least two decay steps; a baseline does not."""
     with pytest.raises(ConfigError, match=r"epochs >= 2 \* nn_step_size = 4, got epochs=3"):
