@@ -1,7 +1,7 @@
 """Frozen-encoder evaluation: ridge readout, MAE, and multi-seed reports.
 
-A benchmark run trains one encoder per (loss variant, seed) pair on a
-fresh 80:20 split, fits a ridge regressor on the frozen unit embeddings
+A benchmark run trains one encoder per (loss variant, seed) pair on the
+seed's 80:20 split, fits a ridge regressor on the frozen unit embeddings
 of the training side, and scores mean absolute error on the test side.
 Two non-contrastive baselines anchor the numbers: ridge on the raw
 features and ridge on the embeddings of an untrained encoder. All
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, split
-from .encoder import EncoderConfig, OptimConfig, init_encoder
+from .encoder import Encoder, EncoderConfig, OptimConfig, init_encoder
 from .errors import ConfigError, DynLocRepError, InputError, NumericalError
 from .geometry import DistanceNorm
 from .losses import LossVariant
@@ -107,17 +107,6 @@ def _label_summary(labels: np.ndarray, bin_range: tuple[float, float]) -> dict:
     }
 
 
-def _readout_mae(
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    test_x: np.ndarray,
-    test_y: np.ndarray,
-    ridge: RidgeConfig,
-) -> float:
-    readout = ridge_fit(train_x, train_y, ridge)
-    return mae(readout.predict(test_x), test_y)
-
-
 def _aggregate(runs: list[dict]) -> dict:
     maes = [run["mae"] for run in runs]
     return {
@@ -128,82 +117,39 @@ def _aggregate(runs: list[dict]) -> dict:
     }
 
 
-def _contrastive_run(
-    dataset: Dataset,
+def _run_record(
+    name: str,
     seed: int,
-    base: TrainConfig,
-    optim: OptimConfig,
-    encoder_config: EncoderConfig,
+    train_ds: Dataset,
+    test_ds: Dataset,
+    test_labels: dict,
     ridge: RidgeConfig,
-    test_fraction: float,
-) -> tuple[dict, float]:
-    started = time.perf_counter()
-    train_ds, test_ds = split(dataset, test_fraction, seed)
-    config = replace(base, seed=seed)
-    result = train(train_ds, config, optim, encoder_config)
-    train_emb = result.encoder.forward(train_ds.features).unit
-    test_emb = result.encoder.forward(test_ds.features).unit
-    run_mae = _readout_mae(train_emb, train_ds.labels, test_emb, test_ds.labels, ridge)
-    label_range = (float(dataset.labels.min()), float(dataset.labels.max()))
-    record = {
-        "seed": seed,
-        "mae": run_mae,
-        "final_mean_loss": result.trace[-1]["mean_loss"] if result.trace else None,
-        "test_labels": _label_summary(test_ds.labels, label_range),
-    }
-    return record, time.perf_counter() - started
-
-
-def _baseline_runs(
-    dataset: Dataset,
-    seeds: list[int],
-    encoder_config: EncoderConfig,
-    ridge: RidgeConfig,
-    test_fraction: float,
+    encoder: Encoder | None = None,
+    training: tuple[TrainConfig, OptimConfig, EncoderConfig] | None = None,
 ) -> dict:
-    label_range = (float(dataset.labels.min()), float(dataset.labels.max()))
-    raw_runs = []
-    untrained_runs = []
-    for seed in seeds:
-        train_ds, test_ds = split(dataset, test_fraction, seed)
-        summary = _label_summary(test_ds.labels, label_range)
-        raw_runs.append(
-            {
-                "seed": seed,
-                "mae": _readout_mae(
-                    train_ds.features, train_ds.labels, test_ds.features, test_ds.labels, ridge
-                ),
-                "test_labels": summary,
-            }
+    """Score one run: ridge on the training side's unit embeddings (its raw
+    features when there is no encoder), MAE on the test side. With
+    ``training``, the encoder is trained first and its final mean loss is
+    recorded. An error is re-raised with the run's identity attached.
+    """
+    trace = None
+    try:
+        if training is not None:
+            result = train(train_ds, *training)
+            encoder, trace = result.encoder, result.trace
+        train_x, test_x = (
+            ds.features if encoder is None else encoder.forward(ds.features).unit
+            for ds in (train_ds, test_ds)
         )
-        frozen = init_encoder(encoder_config, seed)
-        untrained_runs.append(
-            {
-                "seed": seed,
-                "mae": _readout_mae(
-                    frozen.forward(train_ds.features).unit,
-                    train_ds.labels,
-                    frozen.forward(test_ds.features).unit,
-                    test_ds.labels,
-                    ridge,
-                ),
-                "test_labels": summary,
-            }
-        )
-    return {
-        "raw_features": _aggregate(raw_runs),
-        "untrained_encoder": _aggregate(untrained_runs),
-    }
-
-
-def _dataset_summary(dataset: Dataset, source: str) -> dict:
-    return {
-        "source": source,
-        "n": dataset.n,
-        "feature_dim": dataset.feature_dim,
-        "label_mean": float(dataset.labels.mean()),
-        "label_std": float(dataset.labels.std()),
-    }
+        readout = ridge_fit(train_x, train_ds.labels, ridge)
+        record = {"seed": seed, "mae": mae(readout.predict(test_x), test_ds.labels)}
+    except DynLocRepError as exc:
+        # keep the subtype so callers can still map it to an exit code
+        raise type(exc)(f"run ({name}, seed {seed}) failed: {exc}") from exc
+    if trace is not None:
+        record["final_mean_loss"] = trace[-1]["mean_loss"] if trace else None
+    record["test_labels"] = test_labels
+    return record
 
 
 def _protocol_summary(
@@ -257,8 +203,9 @@ def _run_grid(
 
     Each cell is a named training config; entries are grouped per cell name
     in (cell, seed) order, and a failing run aborts with its identity
-    attached. Repeated seeds or cell names are rejected: they would enter
-    one run's result into the aggregates twice.
+    attached. Splits and schedules are checked before any run: each seed is
+    split once, for every cell and both baselines. Repeated seeds or cell
+    names are rejected: they would count one run's result twice.
     """
     if not seeds:
         raise ConfigError("need at least one seed")
@@ -269,26 +216,39 @@ def _run_grid(
         if len(set(values)) != len(values):
             raise ConfigError(f"duplicate {what} in {values}: each would count one run twice")
     started = time.perf_counter()
+    for _, config in cells:
+        config.schedule_config()  # its range errors surface before any run
+    label_range = (float(dataset.labels.min()), float(dataset.labels.max()))
+    sides = {}
+    for seed in seeds:
+        train_ds, test_ds = split(dataset, test_fraction, seed)
+        sides[seed] = (train_ds, test_ds, _label_summary(test_ds.labels, label_range))
     grouped: dict[str, list[dict]] = {name: [] for name in names}
     seconds: dict[str, list[float]] = {name: [] for name in names}
     for name, config in cells:
         for seed in seeds:
-            try:
-                record, elapsed = _contrastive_run(
-                    dataset, seed, config, optim, encoder_config, ridge, test_fraction
-                )
-            except DynLocRepError as exc:
-                # keep the subtype so callers can still map it to an exit code
-                raise type(exc)(f"run ({name}, seed {seed}) failed: {exc}") from exc
-            grouped[name].append(record)
-            seconds[name].append(round(elapsed, 3))
+            run_started = time.perf_counter()
+            training = (replace(config, seed=seed), optim, encoder_config)
+            grouped[name].append(_run_record(name, seed, *sides[seed], ridge, training=training))
+            seconds[name].append(round(time.perf_counter() - run_started, 3))
+    baselines: dict[str, list[dict]] = {"raw_features": [], "untrained_encoder": []}
+    for seed in seeds:
+        frozen = init_encoder(encoder_config, seed)
+        for name, encoder in (("raw_features", None), ("untrained_encoder", frozen)):
+            baselines[name].append(_run_record(name, seed, *sides[seed], ridge, encoder))
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "protocol": _protocol_summary(base, optim, encoder_config, ridge, seeds, test_fraction),
-        "dataset": _dataset_summary(dataset, dataset_source),
+        "dataset": {
+            "source": dataset_source,
+            "n": dataset.n,
+            "feature_dim": dataset.feature_dim,
+            "label_mean": float(dataset.labels.mean()),
+            "label_std": float(dataset.labels.std()),
+        },
         entries_key: {name: _aggregate(records) for name, records in grouped.items()},
-        "baselines": _baseline_runs(dataset, seeds, encoder_config, ridge, test_fraction),
+        "baselines": {name: _aggregate(records) for name, records in baselines.items()},
         "timing": {
             "per_run_seconds": seconds,
             "total_seconds": round(time.perf_counter() - started, 3),

@@ -73,11 +73,12 @@ def similarity_matrix(unit: np.ndarray, temperature: float) -> np.ndarray:
     """
     if not (np.isfinite(temperature) and temperature > 0):
         raise ConfigError(f"temperature must be positive, got {temperature}")
-    unit = np.asarray(unit, dtype=np.float64)
-    s = (unit @ unit.T) / temperature
-    # BLAS may round the two triangles differently; mirror the upper one
-    # so s is exactly symmetric.
-    return np.triu(s) + np.triu(s, 1).T
+    # NumPy evaluates a BLAS-ready array times its own transpose as one
+    # symmetric product (syrk) and copies one triangle into the other, so s
+    # is exactly symmetric without a mirror. A column-strided view would
+    # take a general product instead, whose triangles may round apart.
+    unit = np.ascontiguousarray(unit, dtype=np.float64)
+    return (unit @ unit.T) / temperature
 
 
 def distance_matrix(points: np.ndarray, norm: DistanceNorm) -> np.ndarray:
@@ -92,12 +93,12 @@ def distance_matrix(points: np.ndarray, norm: DistanceNorm) -> np.ndarray:
     if points.ndim != 2 or points.shape[0] < 2:
         raise InputError(f"need an n x m matrix with n >= 2, got shape {points.shape}")
     if norm is DistanceNorm.COSINE:
-        g = points @ points.T
+        points = np.ascontiguousarray(points)
+        g = points @ points.T  # exactly symmetric, as in similarity_matrix
         norms = np.maximum(np.sqrt(np.diag(g)), NORM_EPS)
         d = 1.0 - g / np.outer(norms, norms)
-        d = np.triu(d, 1)
-        d = np.maximum(d + d.T, 0.0)
-        return d
+        np.fill_diagonal(d, 0.0)
+        return np.maximum(d, 0.0)
     # one (n, n, d) transient, reused in place for |diff| and diff**2
     diff = points[:, None, :] - points[None, :, :]
     np.abs(diff, out=diff)

@@ -52,6 +52,10 @@ class TrainConfig:
             raise ConfigError(f"nn_step_size must be >= 1, got {self.nn_step_size}")
         if any(e < 1 for e in self.export_epochs):
             raise ConfigError("export epochs are 1-based and must be >= 1")
+        if any(e > self.epochs for e in self.export_epochs):
+            raise ConfigError(
+                f"export epochs must be <= epochs = {self.epochs}, got {max(self.export_epochs)}"
+            )
         self.loss_config()  # LossConfig owns the temperature range
 
     def loss_config(self) -> LossConfig:
@@ -64,7 +68,11 @@ class TrainConfig:
             reduction=self.reduction,
         )
 
-    def schedule_config(self) -> ScheduleConfig:
+    def schedule_config(self) -> ScheduleConfig | None:
+        """The neighbor schedule, or None where no epoch reads one: the
+        global baselines ignore it, and zero epochs never step it."""
+        if self.variant is not LossVariant.DYN_LOC_REP or self.epochs == 0:
+            return None
         return ScheduleConfig(
             batch_size=self.batch_size,
             nn_final=self.nn_final,
@@ -124,8 +132,7 @@ def train(
     encoder = init_encoder(encoder_config, config.seed)
     adam = Adam(encoder.params, optim)
     loss_config = config.loss_config()
-    localized = config.variant is LossVariant.DYN_LOC_REP
-    schedule = config.schedule_config() if localized and config.epochs > 0 else None
+    schedule = config.schedule_config()
 
     trace: list[dict] = []
     exports: dict[int, np.ndarray] = {}
@@ -142,7 +149,7 @@ def train(
                     loss_config,
                     batch,
                     dataset.labels[rows],
-                    neighbor_count=min(nn_count, len(rows) - 1) if localized else None,
+                    neighbor_count=None if nn_count is None else min(nn_count, len(rows) - 1),
                     input_features=features,
                 )
             except NumericalError as exc:
