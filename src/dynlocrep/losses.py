@@ -4,50 +4,44 @@ Five variants share one algebraic skeleton. For anchor i with pair
 weights a_{i,k}, exponent scalings b_{i,t} and a per-pair candidate set
 M(i, k), the total loss is
 
-    L = -sum_i sum_{k != i} a_{i,k} * [ s_{i,k} - log sum_{t in M(i,k)} exp(s_{i,t} * b_{i,t}) ]
+    L = -sum_i sum_{k != i} a_{i,k} * [ s_{i,k} - log sum_{t in M(i,k)} exp(x_{i,t}) ]
 
-where s is the temperature-scaled cosine similarity matrix. Each anchor
-i sorts the other n - 1 samples once, stably by a per-variant key, and
-every M(i, k) is a prefix [0, c_{i,k}) plus a suffix [e_{i,k}, n - 1) of
-that order. The variants differ only in (a, b, key, c, e):
+where s is the temperature-scaled cosine similarity matrix and x = b * s.
+The variants differ in (a, b, M), and the shape of M picks the evaluator:
 
-  dynlocrep    a = w_{i,k} / sum_{t != i} w_{i,t}; b = 1 - w; key: the
-               anchor's current nearest neighbors first; c = the neighbor
-               count, empty suffix (M is the same for every k).
-  yaware       same a; b = 1; key: sample index; c = position of k,
-               e = c + 1 (everyone but k).
-  exponential  as yaware, but b = 1 - w.
-  threshold    a = w_{i,k} / (sum of w over M(i,k)); b = 1; key: w
-               ascending; c = start of k's tie group, empty suffix, so
+  dynlocrep    a = w_{i,k} / sum_{t != i} w_{i,t}; b = 1 - w; M = the
+               anchor's current nearest neighbors, the same for every k.
+               One masked, max-shifted log-sum-exp per anchor; the
+               gradient's sum over k is the row sum of a.
+  yaware       same a; b = 1; M = {t : t != i, k} (everyone but the
+               partner).
+  exponential  as yaware, but b = 1 - w. Both work on whole rows with
+               x_{i,i} = -inf and a_{i,i} = 0: every denominator, and
+               every sum over k in the gradient, is the log-sum-exp of the
+               rest of a row, from cumulative log-sum-exps before and
+               after the entry in index order.
+  threshold    a = w_{i,k} / (sum of w over M(i,k)); b = 1;
                M = {t : w_{i,t} < w_{i,k}}.
-  rnc          a = 1; b = 1; key: |y_i - y_t| ascending; empty prefix,
-               e = start of k's tie group, so M = {t != i : |y_i - y_t|
-               >= |y_i - y_k|} (k is always a member, never empty).
+  rnc          a = 1; b = 1; M = {t != i : |y_i - y_t| >= |y_i - y_k|}
+               (k is always a member, never empty). Here the data set the
+               order: each anchor sorts the other n - 1 samples stably, by
+               w or by label gap ascending, and M is the prefix before k's
+               tie group (threshold) or the suffix from it on (rnc), summed
+               by cumulative log-sum-exps along that order.
 
 Anchors never pair with themselves: every sum over k and t excludes i.
-Pairs with an empty candidate set are dropped. Prefix and suffix sums
-are cumulative log-sum-exps (np.logaddexp.accumulate): nothing is
-exponentiated unshifted and no sum is formed by subtraction, which
-matters at temperatures as low as 0.1 where |s| reaches 10. The
-gradient's sums over k are cumulative log-sum-exps over the same order.
-Only the sides a variant has are evaluated: the prefix sums (and the
-gradient's suffix sums over k) for dynlocrep and threshold, the suffix
-sums (and the gradient's prefix sums) for rnc, both for yaware and
-exponential. Leaving out an empty side is exact, because
-logaddexp(x, -inf) == x bit for bit. The bounds c and e that do not
-depend on the data (dynlocrep's, yaware's and exponential's), their
-counts, the row offsets and the diagonal mask are cached per (variant,
-n, neighbor count). If the guards drop every pair weight of a batch,
-loss and gradient are exactly zero and ``LossOutput.weighted`` is False.
-Gradients treat the neighbor selection and all kernel weights as
-constants and are chained through the cosine similarity and the row
-normalization back to the raw embeddings.
+Pairs with an empty candidate set are dropped. Nothing is exponentiated
+unshifted and no sum is formed by subtraction, which keeps the losses
+finite at temperatures as low as 0.001, where |s| reaches 1000. If the
+guards drop every pair weight of a batch, loss and gradient are exactly
+zero and ``LossOutput.weighted`` is False. Gradients treat the neighbor
+selection and all kernel weights as constants and are chained through the
+cosine similarity and the row normalization back to the raw embeddings.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,44 +162,10 @@ def _log_cumsum(x: np.ndarray, reverse: bool = False) -> np.ndarray:
     return out
 
 
-def _log_sum_outside(x: np.ndarray, row_starts: np.ndarray, before, start) -> np.ndarray:
-    """Per entry, log-sum-exp of its row's x before position ``before``
-    plus from position ``start`` on; a side given as None is left out."""
-    if start is None:
-        return _log_cumsum(x).take(before + row_starts)
-    tail = _log_cumsum(x, reverse=True).take(start + row_starts)
-    if before is None:
-        return tail
-    return np.logaddexp(_log_cumsum(x).take(before + row_starts), tail)
-
-
-@functools.lru_cache(maxsize=16)
-def _layout(variant: LossVariant, n: int, count: int) -> tuple:
-    """The part of ``_loss_core`` that depends only on (variant, n, count):
-    row_starts (flat offset of each row of an (n, n) array, which also fits
-    the (n, m + 1) cumulative sums), the diagonal mask, and (1, m) rows c,
-    c_count, e, e_count, usable. An entry is None where it depends on the
-    data or the variant has no such side. Shared by every call: read-only.
-    """
-    m = n - 1
-    c = c_count = e = e_count = None
-    usable = np.ones((1, m), dtype=bool)
-    if variant is LossVariant.DYN_LOC_REP:
-        c = np.full((1, m), count)
-    elif variant in (LossVariant.Y_AWARE, LossVariant.EXPONENTIAL):
-        c = np.arange(m)[None, :]
-        e = c + 1
-        e_count = _count_at_most(e)
-        usable = (c > 0) | (e < m)
-    elif variant is LossVariant.THRESHOLD:
-        usable = None
-    if c is not None:
-        c_count = _count_at_most(c)
-    layout = (n * np.arange(n)[:, None], np.eye(n, dtype=bool), c, c_count, e, e_count, usable)
-    for array in layout:
-        if array is not None:
-            array.setflags(write=False)
-    return layout
+def _log_sum_all_but(x: np.ndarray) -> np.ndarray:
+    """Per entry, the log-sum-exp of the rest of its row: the cumulative
+    log-sum-exps before it and after it, in index order."""
+    return np.logaddexp(_log_cumsum(x)[:, :-1], _log_cumsum(x, reverse=True)[:, 1:])
 
 
 def _loss_core(
@@ -219,65 +179,77 @@ def _loss_core(
     kept a weight, for any variant.
 
     ``w`` is needed by every variant but rnc, ``gaps`` (|y_i - y_t|) by
-    rnc and ``neighbors`` (n, count) by dynlocrep. Works in each anchor's
-    sorted order from the module docstring, with pairs indexed by the
-    partner's position in it.
+    rnc and ``neighbors`` (n, count) by dynlocrep. Each shape of candidate
+    set in the module docstring has its own branch.
     """
     n = s.shape[0]
-    m = n - 1
-    localized = variant is LossVariant.DYN_LOC_REP
-    row_starts, diagonal, c, c_count, e, e_count, usable = _layout(
-        variant, n, neighbors.shape[1] if localized else 0
-    )
-    if variant is LossVariant.RANK_N_CONTRAST:
-        keys = gaps
-    elif variant is LossVariant.THRESHOLD:
-        keys = w
-    else:
-        keys = np.ones(n * n)
-        if localized:
-            keys[neighbors + row_starts] = 0.0
-        keys = keys.reshape(n, n)
-    # the anchor's own column sorts last and is cut off
-    keys = np.where(diagonal, np.inf, keys)
-    at = np.argsort(keys, axis=1, kind="stable")[:, :m] + row_starts
+    if variant is LossVariant.DYN_LOC_REP:
+        # one candidate set per anchor: its neighbors, whatever the partner
+        a = _normalized_pair_weights(w)
+        b = 1.0 - w
+        x = b * s
+        in_set = np.zeros((n, n), dtype=bool)
+        in_set[np.arange(n)[:, None], neighbors] = True
+        peak = np.max(x, axis=1, keepdims=True, initial=-np.inf, where=in_set)
+        terms = np.exp(x - peak, out=np.zeros((n, n)), where=in_set)
+        mass = terms.sum(axis=1, keepdims=True)
+        total = -float(np.sum(a * (s - (peak + np.log(mass)))))
+        # dL/ds_it = -a_it + b_it * softmax over the neighbor set * sum_k a_ik
+        grad_s = -a + b * terms * (a.sum(axis=1, keepdims=True) / mass)
+        return total, grad_s, bool((a > 0.0).any())
 
-    w_sorted = None if w is None else w.take(at)
-    if variant is LossVariant.THRESHOLD:
-        c = _tie_group_starts(w_sorted)
-        c_count = _count_at_most(c)
-        usable = c > 0
-        mass = np.zeros((n, n))
-        np.cumsum(w_sorted, axis=1, out=mass[:, 1:])
-        mass = mass.take(c + row_starts)
-        # an empty or near-empty candidate set drops the pair instead of
-        # blowing its weight up to ~1/underflow
-        a = np.where(mass >= WEIGHT_SUM_EPS, w_sorted / np.maximum(mass, WEIGHT_SUM_EPS), 0.0)
-    elif variant is LossVariant.RANK_N_CONTRAST:
-        e = _tie_group_starts(gaps.take(at))
-        e_count = _count_at_most(e)
-        a = np.ones((n, m))
-    else:
-        a = _normalized_pair_weights(w).take(at)
-    if variant in (LossVariant.DYN_LOC_REP, LossVariant.EXPONENTIAL):
-        b = 1.0 - w_sorted
-    else:
+    row_starts = n * np.arange(n)[:, None]
+    at = None
+    if variant is LossVariant.THRESHOLD or variant is LossVariant.RANK_N_CONTRAST:
+        # the anchor's own column sorts last and is cut off
+        suffix = variant is LossVariant.RANK_N_CONTRAST
+        keys = np.where(np.eye(n, dtype=bool), np.inf, gaps if suffix else w)
+        at = np.argsort(keys, axis=1, kind="stable")[:, : n - 1] + row_starts
+        sorted_keys = keys.take(at)
+        # threshold's M is the prefix before k's tie group, rnc's the
+        # suffix from it on
+        bound = _tie_group_starts(sorted_keys)
+        if suffix:
+            a = np.ones((n, n - 1))
+        else:
+            mass = np.zeros((n, n))
+            np.cumsum(sorted_keys, axis=1, out=mass[:, 1:])
+            mass = mass.take(bound + row_starts)
+            # an empty or near-empty candidate set drops the pair instead of
+            # blowing its weight up to ~1/underflow
+            a = np.where(
+                mass >= WEIGHT_SUM_EPS, sorted_keys / np.maximum(mass, WEIGHT_SUM_EPS), 0.0
+            )
         b = 1.0
+        # from here on, pairs are indexed by the partner's sorted position
+        s = x = s.take(at)
+        log_denom = _log_cumsum(x, reverse=suffix).take(bound + row_starts)
+    else:
+        # everyone but the partner, on whole rows
+        a = _normalized_pair_weights(w)
+        b = 1.0 if variant is LossVariant.Y_AWARE else 1.0 - w
+        x = b * s
+        np.fill_diagonal(x, -np.inf)
+        log_denom = _log_sum_all_but(x)
 
-    s_sorted = s.take(at)
-    x = b * s_sorted
+    # an empty candidate set (log_denom = -inf) drops the pair
+    usable = log_denom > -np.inf
     a = np.where(usable, a, 0.0)
-    log_denom = np.where(usable, _log_sum_outside(x, row_starts, c, e), 0.0)
-    total = -float(np.sum(a * (s_sorted - log_denom)))
+    log_denom = np.where(usable, log_denom, 0.0)
+    total = -float(np.sum(a * (s - log_denom)))
 
     # dL/ds_it = -a_it + b_it * sum_k a_ik * exp(x_it - log_denom_ik) over
-    # the k whose candidate set holds t. With t at position j, and c and e
-    # never decreasing along the order, those k are the positions from
-    # #{k : c_ik <= j} on (t in the prefix) and the first #{k : e_ik <= j}
-    # positions (t in the suffix).
+    # the k whose candidate set holds t: for yaware and exponential every k
+    # but t (a_ii = 0 leaves out i). Along the sorted order, where the
+    # bounds never decrease, t at position j is in the prefix of the k from
+    # #{k : bound_ik <= j} on (threshold) and in the suffix of the first
+    # #{k : bound_ik <= j} (rnc).
     weighted = a > 0.0
-    log_share = np.log(a, out=np.full((n, m), -np.inf), where=weighted) - log_denom
-    grad_sorted = -a + b * np.exp(x + _log_sum_outside(log_share, row_starts, e_count, c_count))
+    log_share = np.log(a, out=np.full(a.shape, -np.inf), where=weighted) - log_denom
+    if at is None:
+        return total, -a + b * np.exp(x + _log_sum_all_but(log_share)), bool(weighted.any())
+    counts = _count_at_most(bound) + row_starts
+    grad_sorted = -a + np.exp(x + _log_cumsum(log_share, reverse=not suffix).take(counts))
     grad_s = np.zeros(n * n)
     grad_s[at] = grad_sorted
     return total, grad_s.reshape(n, n), bool(weighted.any())
@@ -288,20 +260,43 @@ def _check_square(name: str, values: np.ndarray, n: int) -> None:
         raise InputError(f"{name} must have shape ({n}, {n}), got {values.shape}")
 
 
+def _checked_labels(labels: np.ndarray, n: int) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.float64)
+    if labels.shape != (n,):
+        raise InputError(f"labels must have shape ({n},), got {labels.shape}")
+    if not np.all(np.isfinite(labels)):
+        raise InputError("labels contain non-finite values")
+    return labels
+
+
 def dynlocrep_forward(sim: np.ndarray, weights: np.ndarray, neighbors: np.ndarray) -> float:
     """Total dynamic localized repulsion loss over all anchors.
 
     Takes the similarity matrix s, the positiveness matrix w and the
-    (n, count) neighbor indices. The numerator sum runs over every
-    partner k != i; only the repulsion denominator is restricted to the
-    anchor's neighbor set (which may include k itself).
+    (n, count) neighbor indices: per row, distinct integers in [0, n)
+    other than the anchor. The numerator sum runs over every partner
+    k != i; only the repulsion denominator is restricted to the anchor's
+    neighbor set (which may include k itself).
     """
     n = sim.shape[0]
+    _check_square("similarity matrix", sim, n)
     _check_square("positiveness matrix", weights, n)
-    if neighbors.shape[0] != n:
-        raise InputError(f"neighbor sets cover {neighbors.shape[0]} anchors, expected {n}")
+    neighbors = np.asarray(neighbors)
+    if neighbors.ndim != 2 or neighbors.shape[0] != n:
+        raise InputError(f"neighbor sets must have shape ({n}, count), got {neighbors.shape}")
     if neighbors.shape[1] < 1:
         raise InputError("every anchor needs a non-empty neighbor set")
+    ordered = np.sort(neighbors, axis=1)
+    if (
+        not np.issubdtype(neighbors.dtype, np.integer)
+        or ordered[:, 0].min() < 0
+        or ordered[:, -1].max() >= n
+        or np.any(ordered[:, 1:] == ordered[:, :-1])
+        or np.any(neighbors == np.arange(n)[:, None])
+    ):
+        raise InputError(
+            f"neighbor indices must be distinct integers in [0, {n}) other than their anchor"
+        )
     return _loss_core(LossVariant.DYN_LOC_REP, sim, weights, None, neighbors)[0]
 
 
@@ -319,13 +314,12 @@ def baseline_forward(
     if variant is LossVariant.DYN_LOC_REP:
         raise ConfigError("use dynlocrep_forward for the localized loss")
     n = sim.shape[0]
+    _check_square("similarity matrix", sim, n)
     gaps = None
     if variant is LossVariant.RANK_N_CONTRAST:
         if labels is None:
             raise InputError("rank-n-contrast needs labels")
-        labels = np.asarray(labels, dtype=np.float64)
-        if labels.shape != (n,):
-            raise InputError(f"labels must have shape ({n},), got {labels.shape}")
+        labels = _checked_labels(labels, n)
         gaps = np.abs(labels[:, None] - labels[None, :])
     else:
         if weights is None:
@@ -353,9 +347,7 @@ def loss_with_gradient(
     n = batch.n
     if n < 2:
         raise InputError(f"need a batch of at least 2 samples, got {n}")
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.shape != (n,):
-        raise InputError(f"labels must have shape ({n},), got {labels.shape}")
+    labels = _checked_labels(labels, n)
 
     s = similarity_matrix(batch.unit, config.temperature)
     variant = config.variant

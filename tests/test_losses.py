@@ -26,7 +26,7 @@ from dynlocrep import (
     select_neighbors,
     similarity_matrix,
 )
-from dynlocrep.losses import _layout, _normalized_pair_weights
+from dynlocrep.losses import _normalized_pair_weights
 
 KERNEL = KernelSpec(bandwidth=2.0)
 TAU = 0.1
@@ -112,6 +112,21 @@ def test_clustered_labels_against_oracles():
         sim, weights, [list(row) for row in neighbors]
     )
     assert math.isclose(value, expected, rel_tol=1e-10, abs_tol=1e-10)
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_forwards_match_oracles_on_larger_tied_batches(n):
+    rng = np.random.default_rng(n)
+    batch = EmbeddingBatch.from_raw(rng.normal(size=(n, 8)))
+    labels = rng.integers(20, 30, size=n).astype(np.float64)
+    sim, weights, neighbors = forward_pieces(batch, labels, neighbor_count=n // 3)
+    value = dynlocrep_forward(sim, weights, neighbors)
+    expected = oracles.dynlocrep_loss(sim, weights, [list(row) for row in neighbors])
+    assert math.isclose(value, expected, rel_tol=1e-10, abs_tol=1e-10)
+    for variant in BASELINES:
+        value = baseline_forward(variant, sim, weights=weights, labels=labels)
+        expected = oracle_value(variant, sim, weights, labels)
+        assert math.isclose(value, expected, rel_tol=1e-10, abs_tol=1e-10), variant
 
 
 def test_full_neighborhood_degenerates_to_global_loss():
@@ -217,6 +232,20 @@ def test_threshold_guard_keeps_near_empty_candidate_sets_finite():
         labels,
     )
     assert np.max(np.abs(out.grad_raw)) < 1e6
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", list(LossVariant))
+@pytest.mark.parametrize("n", [2, 3, 32])
+def test_lowest_temperature_stays_finite_without_warnings(variant, n):
+    rng = np.random.default_rng(n)
+    batch = EmbeddingBatch.from_raw(rng.normal(size=(n, 4)))
+    labels = rng.integers(20, 25, size=n).astype(np.float64)
+    config = LossConfig(variant=variant, kernel=KERNEL, temperature=0.001)
+    count = max(1, n // 3) if variant is LossVariant.DYN_LOC_REP else None
+    out = loss_with_gradient(config, batch, labels, neighbor_count=count)
+    assert math.isfinite(out.value)
+    assert np.all(np.isfinite(out.grad_raw))
 
 
 # ---------------------------------------------------------------------------
@@ -464,20 +493,9 @@ def test_gradients_match_finite_differences_on_ties_and_edges(n, seed, labels, t
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-4, variant
 
 
-@pytest.mark.parametrize("variant", list(LossVariant))
-def test_cached_layout_is_read_only(variant):
-    layout = _layout(variant, 6, 2 if variant is LossVariant.DYN_LOC_REP else 0)
-    arrays = [array for array in layout if array is not None]
-    assert len(arrays) >= 2
-    for array in arrays:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[(0,) * array.ndim] = 0
-
-
 def test_calls_alternating_batch_size_and_neighbor_count_match_oracles():
-    """Layouts are cached per (variant, n, count): revisiting a size with
-    another count, or a count with another size, must not reuse a layout."""
+    """Revisiting a batch size with another neighbor count, or a count with
+    another size, gives the same values as a fresh call would."""
     for step, (n, count) in enumerate([(6, 1), (6, 4), (4, 1), (6, 1), (5, 4), (4, 3), (6, 4)]):
         batch, labels = random_batch(step, n=n)
         sim, weights, neighbors = forward_pieces(batch, labels, neighbor_count=count)
@@ -550,3 +568,38 @@ def test_single_sample_batch_rejected():
     batch = EmbeddingBatch.from_raw(np.array([[1.0, 2.0]]))
     with pytest.raises(InputError):
         loss_with_gradient(LossConfig(), batch, np.array([30.0]), neighbor_count=1)
+
+
+@pytest.mark.parametrize(
+    "row, column, index",
+    [(0, 0, 5), (1, 0, -1), (0, 0, 0), (2, 1, None)],
+    ids=["beyond-n", "negative", "anchor", "repeated"],
+)
+def test_dynlocrep_forward_rejects_invalid_neighbor_indices(row, column, index):
+    batch, labels = random_batch(8, n=5)
+    sim, weights, neighbors = forward_pieces(batch, labels, neighbor_count=2)
+    neighbors = neighbors.copy()
+    neighbors[row, column] = neighbors[row, 1 - column] if index is None else index
+    with pytest.raises(InputError):
+        dynlocrep_forward(sim, weights, neighbors)
+
+
+def test_forwards_reject_a_non_square_similarity_matrix():
+    batch, labels = random_batch(9, n=5)
+    sim, weights, neighbors = forward_pieces(batch, labels, neighbor_count=2)
+    with pytest.raises(InputError):
+        dynlocrep_forward(sim[:, :4], weights, neighbors)
+    for variant in BASELINES:
+        with pytest.raises(InputError):
+            baseline_forward(variant, sim[:, :4], weights=weights, labels=labels)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rnc_rejects_non_finite_labels(bad):
+    batch, labels = random_batch(10, n=5)
+    sim, _, _ = forward_pieces(batch, labels)
+    labels[2] = bad
+    with pytest.raises(InputError):
+        baseline_forward(LossVariant.RANK_N_CONTRAST, sim, labels=labels)
+    with pytest.raises(InputError):
+        loss_with_gradient(LossConfig(variant=LossVariant.RANK_N_CONTRAST), batch, labels)
