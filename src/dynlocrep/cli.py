@@ -3,7 +3,11 @@
 Flags may also be supplied through a flat ``key = value`` config file
 (``--config``); explicit flags override file values. Exit codes: 0
 success, 2 refusal to overwrite, 64 usage or configuration error, 66
-missing input file, 70 numerical failure.
+missing input file, 70 numerical failure, 73 any other operating-system
+error, such as an output location that cannot be created or written. The
+output directory, or the parent of ``--out``, is created before anything
+is generated, trained or benchmarked, so such a location fails at once; a
+command that fails removes the directories it made.
 
 argparse only parses: ints, floats and comma lists. The library configs
 (``TrainConfig``, ``OptimConfig``, ``EncoderConfig``, ``SyntheticSpec``
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import enum
 import json
 import sys
@@ -44,6 +49,7 @@ EXIT_OVERWRITE = 2
 EXIT_USAGE = 64
 EXIT_MISSING_INPUT = 66
 EXIT_NUMERICAL = 70
+EXIT_CANT_CREATE = 73
 
 PROG = "dynlocrep"
 
@@ -429,6 +435,23 @@ def _encoder_config(args: argparse.Namespace, input_dim: int) -> EncoderConfig:
     )
 
 
+@contextlib.contextmanager
+def _output_dir(path: Path):
+    """Create directory ``path`` and its missing parents before the work
+    that writes into it, so that an unusable location fails before any
+    work. If the work fails, the directories made here that are still
+    empty are removed again: a failed command leaves no artifact."""
+    made = [p for p in (path, *path.parents) if not p.exists()]
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     out = Path(_require("generate", args, "out", "--out"))
     if out.exists() and not args.force:
@@ -443,9 +466,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         informative_dims=args.informative_dims,
         noise_std=args.noise_std,
     )
-    dataset = generate_synthetic(spec, args.seed)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(dataset, out)
+    with _output_dir(out.parent):
+        dataset = generate_synthetic(spec, args.seed)
+        write_csv(dataset, out)
     print(f"wrote {dataset.n} samples x {dataset.feature_dim} features to {out}")
     return EXIT_OK
 
@@ -473,18 +496,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
         distance_norm=DistanceNorm(args.distance_norm),
         export_epochs=tuple(args.export_epochs),
     )
-    result = train(
-        dataset, config, _optim_config(args), _encoder_config(args, dataset.feature_dim)
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
+    optim, encoder_config = _optim_config(args), _encoder_config(args, dataset.feature_dim)
     trace_path = out_dir / "trace.jsonl"
-    _write_text_atomic(trace_path, "".join(json.dumps(entry) + "\n" for entry in result.trace))
     checkpoint_path = out_dir / "encoder.txt"
-    save_checkpoint(result.encoder, checkpoint_path)
-    for epoch, embeddings in sorted(result.exports.items()):
-        _write_embedding_export(
-            out_dir / f"embeddings_epoch{epoch}.csv", epoch, dataset.ids, dataset.labels, embeddings
-        )
+    with _output_dir(out_dir):
+        result = train(dataset, config, optim, encoder_config)
+        trace = "".join(json.dumps(entry) + "\n" for entry in result.trace)
+        _write_text_atomic(trace_path, trace)
+        save_checkpoint(result.encoder, checkpoint_path)
+        for epoch, embeddings in sorted(result.exports.items()):
+            export = out_dir / f"embeddings_epoch{epoch}.csv"
+            _write_embedding_export(export, epoch, dataset.ids, dataset.labels, embeddings)
     final_loss = result.trace[-1]["mean_loss"] if result.trace else float("nan")
     print(f"trained {config.variant.value} for {config.epochs} epochs on {dataset.n} samples")
     print(f"final mean batch loss {final_loss:.6f}")
@@ -515,7 +537,6 @@ def _write_report(
 ) -> int:
     """Write the report to --out and print its per-entry MAE summary."""
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     _write_text_atomic(out, json.dumps(report, indent=2) + "\n")
     print(f"{title} over seeds {args.seeds} on {report['dataset']['source']}")
     _summarize(report[entries_key], label)
@@ -526,26 +547,23 @@ def _write_report(
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     dataset, source = _load_dataset(args)
-    report = benchmark(
-        dataset,
-        [LossVariant(name) for name in args.variants],
-        args.seeds,
-        _train_config(args, distance_norm=DistanceNorm(args.distance_norm)),
-        **_protocol_configs(args, dataset, source),
-    )
-    return _write_report(args, report, "benchmark", "variants", "variant")
+    config = _train_config(args, distance_norm=DistanceNorm(args.distance_norm))
+    protocol = _protocol_configs(args, dataset, source)
+    with _output_dir(Path(args.out).parent):
+        report = benchmark(
+            dataset, [LossVariant(name) for name in args.variants], args.seeds, config, **protocol
+        )
+        return _write_report(args, report, "benchmark", "variants", "variant")
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     dataset, source = _load_dataset(args)
-    report = ablate_norms(
-        dataset,
-        [DistanceNorm(name) for name in args.norms],
-        args.seeds,
-        _train_config(args),
-        **_protocol_configs(args, dataset, source),
-    )
-    return _write_report(args, report, "distance-norm ablation", "norms", "norm")
+    config, protocol = _train_config(args), _protocol_configs(args, dataset, source)
+    with _output_dir(Path(args.out).parent):
+        report = ablate_norms(
+            dataset, [DistanceNorm(name) for name in args.norms], args.seeds, config, **protocol
+        )
+        return _write_report(args, report, "distance-norm ablation", "norms", "norm")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -568,6 +586,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
+    except OSError as exc:
+        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        return EXIT_CANT_CREATE
     except NumericalError as exc:
         print(f"{PROG}: error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -186,8 +186,8 @@ def load_csv(path: str | Path) -> Dataset:
     """Parse a dataset CSV, preserving row order.
 
     Raises ParseError naming the offending 1-based line for a malformed
-    header, a wrong cell count, a non-numeric or non-finite cell, or a
-    duplicate id.
+    header, a wrong cell count, a non-numeric (digit separators included)
+    or non-finite cell, or a duplicate id.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -216,6 +216,9 @@ def load_csv(path: str | Path) -> Dataset:
             raise ParseError(f"{path}: line {lineno}: duplicate id {row_id!r}")
         seen.add(row_id)
         try:
+            # float() would also read PEP 515 digit separators: "1_0" as 10.0
+            if line.find("_", len(row_id)) >= 0:
+                raise ValueError
             values = [float(c) for c in cells[1:]]
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-numeric cell") from None

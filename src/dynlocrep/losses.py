@@ -18,8 +18,7 @@ The variants differ in (a, b, M), and the shape of M picks the evaluator:
   exponential  as yaware, but b = 1 - w. Both work on whole rows with
                x_{i,i} = -inf and a_{i,i} = 0: every denominator, and
                every sum over k in the gradient, is the log-sum-exp of the
-               rest of a row, from cumulative log-sum-exps before and
-               after the entry in index order.
+               rest of a row, from one peak-shifted sum per row.
   threshold    a = w_{i,k} / (sum of w over M(i,k)); b = 1;
                M = {t : w_{i,t} < w_{i,k}}.
   rnc          a = 1; b = 1; M = {t != i : |y_i - y_t| >= |y_i - y_k|}
@@ -31,12 +30,19 @@ The variants differ in (a, b, M), and the shape of M picks the evaluator:
 
 Anchors never pair with themselves: every sum over k and t excludes i.
 Pairs with an empty candidate set are dropped. Nothing is exponentiated
-unshifted and no sum is formed by subtraction, which keeps the losses
-finite at temperatures as low as 0.001, where |s| reaches 1000. If the
-guards drop every pair weight of a batch, loss and gradient are exactly
-zero and ``LossOutput.weighted`` is False. Gradients treat the neighbor
-selection and all kernel weights as constants and are chained through the
-cosine similarity and the row normalization back to the raw embeddings.
+unshifted: every log-sum-exp shifts its terms by the peak of their row, so
+each term is at most 1, which keeps the losses finite at temperatures as
+low as 0.001, where |s| reaches 1000. One subtraction is allowed: the rest
+of a row's non-peak entry j is the peak's term 1 plus the sum of all
+non-peak terms minus j's own term. That removes one term of at most 1
+from a sum that still holds the peak's 1, so it cannot cancel. Cumulative
+sums run in linear space; only a row whose finite entries span more than
+LOG_CUMSUM_SPAN, where small terms would underflow, is accumulated with
+np.logaddexp instead. If the guards drop every pair weight of a batch,
+loss and gradient are exactly zero and ``LossOutput.weighted`` is False.
+Gradients treat the neighbor selection and all kernel weights as
+constants and are chained through the cosine similarity and the row
+normalization back to the raw embeddings.
 """
 
 from __future__ import annotations
@@ -60,6 +66,12 @@ from .kernels import KernelSpec, positiveness_matrix
 # An anchor whose off-diagonal kernel weights sum below this contributes 0
 # instead of dividing by ~0. Unreachable with a gaussian kernel.
 WEIGHT_SUM_EPS = 1e-12
+
+# The widest span of finite entries a row may have for _log_cumsum to sum
+# it in linear space after shifting by the row's peak: exp(-600) is still a
+# normal double, so no term underflows. x spans at most 2/tau, so only
+# tau below about 1/300, or extreme kernel weights in the gradient, reach it.
+LOG_CUMSUM_SPAN = 600.0
 
 
 class LossVariant(str, enum.Enum):
@@ -151,21 +163,63 @@ def _log_cumsum(x: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Row-wise cumulative log-sum-exp, padded to m + 1 columns.
 
     Column j holds the log-sum-exp of the first j entries, or with
-    ``reverse`` of the entries from j on; an empty sum is -inf.
+    ``reverse`` of the entries from j on; an empty sum is -inf. Each row
+    is shifted by its peak, exponentiated and summed in linear space,
+    where every term is at most 1 and nothing is subtracted. A row whose
+    finite entries span more than LOG_CUMSUM_SPAN would lose its smallest
+    terms to underflow and is accumulated with np.logaddexp instead.
     """
     n, m = x.shape
-    out = np.full((n, m + 1), -np.inf)
+    out = np.empty((n, m + 1))
     if reverse:
-        np.logaddexp.accumulate(x[:, ::-1], axis=1, out=out[:, m - 1 :: -1])
+        x, sums, empty = x[:, ::-1], out[:, m - 1 :: -1], out[:, m]
     else:
-        np.logaddexp.accumulate(x, axis=1, out=out[:, 1:])
+        sums, empty = out[:, 1:], out[:, 0]
+    empty[:] = -np.inf
+    peak = x.max(axis=1, keepdims=True, initial=-np.inf)
+    np.subtract(x, np.where(peak > -np.inf, peak, 0.0), out=sums)
+    lowest = sums.min(initial=0.0, where=sums > -np.inf)
+    np.exp(sums, out=sums)
+    sums.cumsum(axis=1, out=sums)
+    # a prefix of -inf entries sums to 0, whose log is the -inf it stands for
+    with np.errstate(divide="ignore"):
+        np.log(sums, out=sums)
+    sums += peak
+    if lowest < -LOG_CUMSUM_SPAN:
+        low = x.min(axis=1, keepdims=True, initial=np.inf, where=x > -np.inf)
+        wide = (peak - low > LOG_CUMSUM_SPAN)[:, 0]
+        sums[wide] = np.logaddexp.accumulate(x[wide], axis=1)
     return out
 
 
 def _log_sum_all_but(x: np.ndarray) -> np.ndarray:
-    """Per entry, the log-sum-exp of the rest of its row: the cumulative
-    log-sum-exps before it and after it, in index order."""
-    return np.logaddexp(_log_cumsum(x)[:, :-1], _log_cumsum(x, reverse=True)[:, 1:])
+    """Per entry, the log-sum-exp of the rest of its row.
+
+    Rows are shifted by their peak p. The rest of a non-peak entry j is
+    p + log1p(R - e_j), with e the shifted terms and R their sum over the
+    non-peak entries: that rest still holds the peak's own term 1, and the
+    subtraction removes one term of at most 1, so nothing cancels. The
+    peak's own rest is summed directly, shifted by the runner-up. A row
+    with no finite entry gives -inf everywhere, and one with a single
+    finite entry gives -inf at it.
+    """
+    rows = np.arange(x.shape[0])
+    top = np.argmax(x, axis=1)
+    peak = x[rows, top][:, None]
+    terms = x.copy()
+    terms[rows, top] = -np.inf
+    runner = terms.max(axis=1, keepdims=True, initial=-np.inf)
+    shifted = np.subtract(terms, np.where(runner > -np.inf, runner, 0.0))
+    runner_mass = np.exp(shifted, out=shifted).sum(axis=1)
+    np.subtract(terms, np.where(peak > -np.inf, peak, 0.0), out=terms)
+    np.exp(terms, out=terms)
+    out = np.subtract(terms.sum(axis=1, keepdims=True), terms, out=terms)
+    np.log1p(out, out=out)
+    out += peak
+    out[rows, top] = runner[:, 0] + np.log(
+        runner_mass, out=np.full(runner_mass.shape, -np.inf), where=runner_mass > 0.0
+    )
+    return out
 
 
 def _loss_core(

@@ -13,6 +13,7 @@ import pytest
 
 from dynlocrep import SyntheticSpec, generate_synthetic, load_csv, write_csv
 from dynlocrep.cli import (
+    EXIT_CANT_CREATE,
     EXIT_MISSING_INPUT,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -231,6 +232,41 @@ def test_benchmark_missing_data_exits_66(tmp_path):
         ["benchmark", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "r.json")]
     )
     assert code == EXIT_MISSING_INPUT
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("train", ["--out-dir", "{blocker}"]),
+        ("train", ["--out-dir", "{blocker}/run"]),
+        ("benchmark", ["--out", "{blocker}/r.json", "--variants", "rnc", "--seeds", "0"]),
+        ("ablate", ["--out", "{blocker}/r.json", "--norms", "cosine", "--seeds", "0"]),
+        ("generate", ["--out", "{blocker}/x.csv"]),
+    ],
+)
+def test_unwritable_output_exits_73_before_any_work(tmp_path, capsys, monkeypatch, command, flags):
+    """A regular file where the output directory should be fails at once,
+    not after training, and without a traceback."""
+    import dynlocrep.cli as cli_module
+    import dynlocrep.evaluation as evaluation_module
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail("work started although the output location cannot be created")
+
+    for module, name in ((cli_module, "train"), (evaluation_module, "train"),
+                         (cli_module, "generate_synthetic")):
+        monkeypatch.setattr(module, name, must_not_run)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    data = tmp_path / "data.csv"
+    write_small_csv(data)
+    inputs = [] if command == "generate" else ["--data", str(data), *FAST_TRAIN]
+    code = main([command, *inputs, *(f.format(blocker=blocker) for f in flags)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CANT_CREATE
+    assert err.startswith("dynlocrep: error: ")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "a regular file\n"
 
 
 def test_benchmark_is_byte_identical_excluding_timing(tmp_path):

@@ -139,6 +139,17 @@ def test_non_numeric_cell_is_rejected_with_line_number(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("row", ["a,1_0,0.1", "a,10.0,0_1", "a,10.0,1e1_0"])
+def test_digit_separators_are_non_numeric(tmp_path, row):
+    """float() accepts PEP 515 separators ("1_0" is 10.0); the loader must not."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"id,y,f0\nok_1,30.0,0.1\n{row}\n")
+    with pytest.raises(ParseError, match=r"line 3: non-numeric cell$"):
+        load_csv(path)
+    path.write_text("id,y,f0\nok_1,30.0,0.1\n")
+    assert load_csv(path).ids == ("ok_1",)
+
+
 def test_duplicate_id_is_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,y,f0\na,30.0,0.1\na,40.0,0.2\n")

@@ -26,7 +26,7 @@ from dynlocrep import (
     select_neighbors,
     similarity_matrix,
 )
-from dynlocrep.losses import _normalized_pair_weights
+from dynlocrep.losses import _log_cumsum, _log_sum_all_but, _normalized_pair_weights
 
 KERNEL = KernelSpec(bandwidth=2.0)
 TAU = 0.1
@@ -114,7 +114,7 @@ def test_clustered_labels_against_oracles():
     assert math.isclose(value, expected, rel_tol=1e-10, abs_tol=1e-10)
 
 
-@pytest.mark.parametrize("n", [32, 33])
+@pytest.mark.parametrize("n", [32, 33, 64])
 def test_forwards_match_oracles_on_larger_tied_batches(n):
     rng = np.random.default_rng(n)
     batch = EmbeddingBatch.from_raw(rng.normal(size=(n, 8)))
@@ -236,7 +236,7 @@ def test_threshold_guard_keeps_near_empty_candidate_sets_finite():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("variant", list(LossVariant))
-@pytest.mark.parametrize("n", [2, 3, 32])
+@pytest.mark.parametrize("n", [2, 3, 32, 256])
 def test_lowest_temperature_stays_finite_without_warnings(variant, n):
     rng = np.random.default_rng(n)
     batch = EmbeddingBatch.from_raw(rng.normal(size=(n, 4)))
@@ -246,6 +246,61 @@ def test_lowest_temperature_stays_finite_without_warnings(variant, n):
     out = loss_with_gradient(config, batch, labels, neighbor_count=count)
     assert math.isfinite(out.value)
     assert np.all(np.isfinite(out.grad_raw))
+
+
+INF = math.inf
+LOG_SUM_ROWS = np.array(
+    [
+        [-1000.0, -750.0, 3.0, 0.0, 1.5, -2.0, -720.0],  # spans more than 708
+        [5.0, 5.0, 1.0, -INF, 5.0, -3.0, 0.5],  # tied peaks
+        [-INF, 2.0, -INF, -INF, -INF, -INF, -INF],  # one finite entry
+        [-INF, -INF, -INF, -INF, -INF, -INF, -INF],
+        [-INF, -650.0, 4.0, -INF, 2.5, -INF, -0.3],  # scattered -inf, span 654
+        [-1000.0, 1000.0, 999.5, 0.0, 500.0, 1000.0, -999.0],  # |s| at tau 0.001
+        [-INF, 0.001, 300.0, -299.0, 17.0, 299.999, -INF],  # sums near 0 beside 300
+        [0.3, -1.2, 0.8, 2.2, -0.4, 1.1, -2.9],
+    ]
+)
+
+
+def fsum_log_sum_exp(values):
+    """log(sum(exp(values))) by math.fsum after shifting by the peak."""
+    finite = [v for v in values if v > -INF]
+    if not finite:
+        return -INF
+    peak = max(finite)
+    return peak + math.log(math.fsum(math.exp(v - peak) for v in finite))
+
+
+def assert_log_sums_close(got, expected, rows):
+    """-inf exactly where the reference has it, elsewhere within a few ulps
+    of the largest magnitude in the row."""
+    eps = np.finfo(np.float64).eps
+    for i, row in enumerate(rows):
+        scale = 1.0 + max((abs(v) for v in row if v > -INF), default=0.0)
+        for j, want in enumerate(expected[i]):
+            if want == -INF:
+                assert got[i, j] == -INF, (i, j)
+            else:
+                assert abs(got[i, j] - want) <= 16 * eps * scale, (i, j, got[i, j], want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_sum_helpers_match_an_fsum_reference():
+    rows = [list(row) for row in LOG_SUM_ROWS]
+    m = len(rows[0])
+    all_but = _log_sum_all_but(LOG_SUM_ROWS)
+    prefix = _log_cumsum(LOG_SUM_ROWS)
+    suffix = _log_cumsum(LOG_SUM_ROWS, reverse=True)
+    assert all_but.shape == LOG_SUM_ROWS.shape
+    assert prefix.shape == suffix.shape == (len(rows), m + 1)
+    assert_log_sums_close(
+        all_but, [[fsum_log_sum_exp(r[:j] + r[j + 1 :]) for j in range(m)] for r in rows], rows
+    )
+    prefix_sums = [[fsum_log_sum_exp(r[:j]) for j in range(m + 1)] for r in rows]
+    assert_log_sums_close(prefix, prefix_sums, rows)
+    suffix_sums = [[fsum_log_sum_exp(r[j:]) for j in range(m + 1)] for r in rows]
+    assert_log_sums_close(suffix, suffix_sums, rows)
 
 
 # ---------------------------------------------------------------------------
