@@ -3,8 +3,9 @@
 Flags may also be supplied through a flat ``key = value`` config file
 (``--config``); explicit flags override file values. Exit codes: 0
 success, 2 refusal to overwrite, 64 usage or configuration error, 66
-missing input file, 70 numerical failure, 73 any other operating-system
-error, such as an output location that cannot be created or written. The
+input file (dataset or ``--config``) missing or unreadable, 70 numerical
+failure, 73 any other operating-system error, such as an output location
+that cannot be created or written. The
 output directory, or the parent of ``--out``, is created before anything
 is generated, trained or benchmarked, so such a location fails at once; a
 command that fails removes the directories it made.
@@ -327,11 +328,23 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, commands
 
 
+class _UnreadableInput(Exception):
+    """An input file that is missing or cannot be read (exit 66)."""
+
+
+def _read_input(what: str, path: str | Path, read):
+    """``read(path)``, with any OS error it raises reported as an
+    unreadable input: every input is read before the first output is
+    made, so the input side is known here."""
+    try:
+        return read(Path(path))
+    except OSError as exc:
+        raise _UnreadableInput(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+
+
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Parse a flat ``key = value`` file with ``#`` comments."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file {path} does not exist")
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -372,7 +385,7 @@ def _config_tokens(argv: list[str], commands: dict[str, _Parser]) -> list[str]:
         return argv
     flags = commands[argv[0]].long_flags
     tokens = []
-    for key, text in read_config_file(config_path).items():
+    for key, text in _read_input("config file", config_path, read_config_file).items():
         if key in ("config", "help") or key not in flags:
             raise ConfigError(f"unknown config key {key!r} for command {argv[0]!r}")
         if not flags[key]:
@@ -395,10 +408,7 @@ def _require(parser_name: str, args: argparse.Namespace, attr: str, flag: str):
 
 def _load_dataset(args: argparse.Namespace) -> tuple:
     if args.data is not None:
-        path = Path(args.data)
-        if not path.exists():
-            raise FileNotFoundError(f"dataset {path} does not exist")
-        return load_csv(path), str(path)
+        return _read_input("dataset", args.data, load_csv), str(Path(args.data))
     spec = SyntheticSpec(n=args.synthetic_n)
     return generate_synthetic(spec, args.data_seed), f"synthetic(n={spec.n}, seed={args.data_seed})"
 
@@ -484,11 +494,9 @@ def _write_embedding_export(path: Path, epoch: int, ids, labels, embeddings) -> 
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    data_path = Path(_require("train", args, "data", "--data"))
-    if not data_path.exists():
-        raise FileNotFoundError(f"dataset {data_path} does not exist")
+    data_path = _require("train", args, "data", "--data")
     out_dir = Path(_require("train", args, "out_dir", "--out-dir"))
-    dataset = load_csv(data_path)
+    dataset = _read_input("dataset", data_path, load_csv)
     config = _train_config(
         args,
         seed=args.seed,
@@ -583,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, InputError, ParseError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except _UnreadableInput as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except OSError as exc:

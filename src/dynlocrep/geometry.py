@@ -113,12 +113,17 @@ def distance_matrix(points: np.ndarray, norm: DistanceNorm) -> np.ndarray:
 
 
 def select_neighbors(distances: np.ndarray, count: int) -> np.ndarray:
-    """Each anchor's ``count`` nearest other samples as (n, count) indices.
+    """Each anchor's set of ``count`` nearest other samples, as (n, count)
+    indices.
 
-    Rows run ascending by distance. Sorting is stable on (distance, index):
-    equal distances resolve to the smaller index, making the result
-    deterministic and seed-stable.
-    Callers must clamp ``count`` into [1, n - 1] beforehand.
+    Row i is a set, not a ranking: every sample closer to i than the
+    count-th smallest distance, then as many of the samples at exactly
+    that distance as fit, lowest index first. Ties thus go to the smaller
+    index, making the set deterministic and seed-stable; it is the prefix
+    of a stable sort on (distance, index). Each row lists its set in
+    ascending index order. The diagonal is ignored; a non-finite distance
+    anywhere else raises InputError. Callers must clamp ``count`` into
+    [1, n - 1] beforehand.
     """
     distances = np.asarray(distances, dtype=np.float64)
     n = distances.shape[0]
@@ -128,5 +133,16 @@ def select_neighbors(distances: np.ndarray, count: int) -> np.ndarray:
         raise ConfigError(f"neighbor count must lie in [1, {n - 1}], got {count}")
     masked = distances.copy()
     np.fill_diagonal(masked, np.inf)
-    order = np.argsort(masked, axis=1, kind="stable")
-    return order[:, :count]
+    if np.count_nonzero(np.isfinite(masked)) != n * (n - 1):
+        raise InputError("distances contain non-finite values off the diagonal")
+    # O(n^2): everything up to the count-th smallest distance of its row,
+    # less the highest-index ties at that distance where there are too many
+    kth = np.partition(masked, count - 1, axis=1)[:, count - 1 : count]
+    chosen = masked <= kth
+    surplus = chosen.sum(axis=1) - count
+    tied = np.flatnonzero(surplus)
+    if tied.size:
+        at_kth = masked[tied] == kth[tied]
+        ties_from_here = np.cumsum(at_kth[:, ::-1], axis=1)[:, ::-1]
+        chosen[tied] &= ~(at_kth & (ties_from_here <= surplus[tied, None]))
+    return (np.flatnonzero(chosen) % n).reshape(n, count)

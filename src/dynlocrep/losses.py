@@ -12,7 +12,9 @@ The variants differ in (a, b, M), and the shape of M picks the evaluator:
   dynlocrep    a = w_{i,k} / sum_{t != i} w_{i,t}; b = 1 - w; M = the
                anchor's current nearest neighbors, the same for every k.
                One masked, max-shifted log-sum-exp per anchor; the
-               gradient's sum over k is the row sum of a.
+               gradient's sum over k is the row sum of a. The neighbors
+               are read as a set, in no order; at count n - 1 (everyone
+               but the anchor) no distance is computed and none selected.
   yaware       same a; b = 1; M = {t : t != i, k} (everyone but the
                partner).
   exponential  as yaware, but b = 1 - w. Both work on whole rows with
@@ -23,10 +25,13 @@ The variants differ in (a, b, M), and the shape of M picks the evaluator:
                M = {t : w_{i,t} < w_{i,k}}.
   rnc          a = 1; b = 1; M = {t != i : |y_i - y_t| >= |y_i - y_k|}
                (k is always a member, never empty). Here the data set the
-               order: each anchor sorts the other n - 1 samples stably, by
-               w or by label gap ascending, and M is the prefix before k's
-               tie group (threshold) or the suffix from it on (rnc), summed
-               by cumulative log-sum-exps along that order.
+               order: each anchor sorts the other n - 1 samples by w or by
+               label gap ascending, and M is the prefix before k's tie
+               group (threshold) or the suffix from it on (rnc), summed by
+               cumulative log-sum-exps along that order. The sort is not
+               stable: equal keys stay adjacent, and every cumulative sum
+               is read only at a tie group's start, so the order within a
+               group moves the result by float rounding only.
 
 Anchors never pair with themselves: every sum over k and t excludes i.
 Pairs with an empty candidate set are dropped. Nothing is exponentiated
@@ -233,8 +238,9 @@ def _loss_core(
     kept a weight, for any variant.
 
     ``w`` is needed by every variant but rnc, ``gaps`` (|y_i - y_t|) by
-    rnc and ``neighbors`` (n, count) by dynlocrep. Each shape of candidate
-    set in the module docstring has its own branch.
+    rnc and ``neighbors`` (n, count) by dynlocrep, where None stands for
+    everyone but the anchor. Each shape of candidate set in the module
+    docstring has its own branch.
     """
     n = s.shape[0]
     if variant is LossVariant.DYN_LOC_REP:
@@ -242,8 +248,11 @@ def _loss_core(
         a = _normalized_pair_weights(w)
         b = 1.0 - w
         x = b * s
-        in_set = np.zeros((n, n), dtype=bool)
-        in_set[np.arange(n)[:, None], neighbors] = True
+        if neighbors is None:
+            in_set = ~np.eye(n, dtype=bool)
+        else:
+            in_set = np.zeros((n, n), dtype=bool)
+            in_set[np.arange(n)[:, None], neighbors] = True
         peak = np.max(x, axis=1, keepdims=True, initial=-np.inf, where=in_set)
         terms = np.exp(x - peak, out=np.zeros((n, n)), where=in_set)
         mass = terms.sum(axis=1, keepdims=True)
@@ -258,7 +267,7 @@ def _loss_core(
         # the anchor's own column sorts last and is cut off
         suffix = variant is LossVariant.RANK_N_CONTRAST
         keys = np.where(np.eye(n, dtype=bool), np.inf, gaps if suffix else w)
-        at = np.argsort(keys, axis=1, kind="stable")[:, : n - 1] + row_starts
+        at = np.argsort(keys, axis=1)[:, : n - 1] + row_starts
         sorted_keys = keys.take(at)
         # threshold's M is the prefix before k's tie group, rnc's the
         # suffix from it on
@@ -394,14 +403,17 @@ def loss_with_gradient(
     Neighbor selection (for the localized variant) and the kernel weights
     are constants of the differentiation; the similarity and normalization
     Jacobians are applied analytically. ``neighbor_count`` is required for
-    the localized variant and must already be clamped into [1, n - 1];
-    ``input_features`` is required when neighbors are selected in input
-    space.
+    the localized variant and must already be clamped into [1, n - 1]; at
+    n - 1 no distance is computed. ``input_features`` is required when
+    neighbors are selected in input space. Non-finite embeddings raise
+    NumericalError before anything is computed from them.
     """
     n = batch.n
     if n < 2:
         raise InputError(f"need a batch of at least 2 samples, got {n}")
     labels = _checked_labels(labels, n)
+    if not np.all(np.isfinite(batch.raw)):
+        raise NumericalError("embeddings contain non-finite values")
 
     s = similarity_matrix(batch.unit, config.temperature)
     variant = config.variant
@@ -426,8 +438,11 @@ def loss_with_gradient(
                 )
         else:
             points = batch.unit
-        distances = distance_matrix(points, config.distance_norm)
-        neighbors = select_neighbors(distances, neighbor_count)
+        # count n - 1 is everyone but the anchor (None); any other count,
+        # out-of-range ones included, goes through select_neighbors
+        if neighbor_count != n - 1:
+            distances = distance_matrix(points, config.distance_norm)
+            neighbors = select_neighbors(distances, neighbor_count)
 
     value, grad_s, weighted = _loss_core(variant, s, w, gaps, neighbors)
 

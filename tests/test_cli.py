@@ -9,6 +9,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dynlocrep import SyntheticSpec, generate_synthetic, load_csv, write_csv
@@ -151,6 +152,31 @@ def test_train_numerical_failure_exits_70(tmp_path, monkeypatch, capsys):
     assert "epoch 3" in capsys.readouterr().err
 
 
+def test_train_on_non_finite_embeddings_exits_70_naming_the_epoch(tmp_path, monkeypatch, capsys):
+    """From epoch 1 on the neighbor count is below the batch, so selection
+    would run on the NaN embeddings; the loss rejects them first."""
+    from dynlocrep import EmbeddingBatch
+    from dynlocrep.encoder import Encoder
+
+    forward, calls = Encoder.forward, []
+
+    def nan_after_the_first_epoch(self, features):
+        batch = forward(self, features)
+        calls.append(None)
+        if len(calls) <= 5:  # 40 rows in batches of 8
+            return batch
+        nan = np.full_like(batch.raw, np.nan)
+        return EmbeddingBatch(raw=nan, unit=nan)
+
+    monkeypatch.setattr(Encoder, "forward", nan_after_the_first_epoch)
+    data = tmp_path / "data.csv"
+    write_small_csv(data)
+    code = main(["train", "--data", str(data), "--out-dir", str(tmp_path / "r"), *FAST_TRAIN])
+    assert code == EXIT_NUMERICAL
+    assert "epoch 1: embeddings contain non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_malformed_csv_exits_64(tmp_path):
     data = tmp_path / "bad.csv"
     data.write_text("id,y,f0\na,30.0,NaN\n")
@@ -232,6 +258,28 @@ def test_benchmark_missing_data_exits_66(tmp_path):
         ["benchmark", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "r.json")]
     )
     assert code == EXIT_MISSING_INPUT
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--data", "{dir}", "--out-dir", "{tmp}/r"],
+        ["benchmark", "--data", "{dir}", "--out", "{tmp}/r.json"],
+        ["train", "--config", "{dir}", "--data", "{tmp}/data.csv", "--out-dir", "{tmp}/r"],
+    ],
+)
+def test_unreadable_input_exits_66(tmp_path, capsys, argv):
+    """An input that exists but cannot be read is a missing input, not an
+    output-location failure."""
+    directory = tmp_path / "somedir"
+    directory.mkdir()
+    write_small_csv(tmp_path / "data.csv")
+    code = main([a.format(dir=directory, tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_MISSING_INPUT
+    assert err.startswith("dynlocrep: error: cannot read ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "somedir"]
 
 
 @pytest.mark.parametrize(
