@@ -1,7 +1,10 @@
 """Command-line entry point: generate, train, benchmark, ablate.
 
 Flags may also be supplied through a flat ``key = value`` config file
-(``--config``); explicit flags override file values. Exit codes: 0
+(``--config``); explicit flags override file values. argparse resolves
+``--config`` like any other flag, so an unambiguous prefix such as
+``--conf`` works, and argv errors are reported before the file is read.
+File keys must still name a long flag exactly. Exit codes: 0
 success, 2 refusal to overwrite, 64 usage or configuration error, 66
 input file (dataset or ``--config``) missing or unreadable, 70 numerical
 failure, 73 any other operating-system error, such as an output location
@@ -59,23 +62,7 @@ _NORM_NAMES = [n.value for n in DistanceNorm]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 64.
-
-    Each parser also records its long flags, mapped to whether the flag is
-    a switch, so that config-file keys can be matched exactly.
-    """
-
-    def __init__(self, *args, **kwargs):
-        # set first: the base constructor adds --help through add_argument
-        self.long_flags: dict[str, bool] = {}
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        for option in action.option_strings:
-            if option.startswith("--"):
-                self.long_flags[option[2:]] = action.nargs == 0
-        return action
+    """argparse with usage errors mapped to exit code 64."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -361,33 +348,27 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
-def _config_tokens(argv: list[str], commands: dict[str, _Parser]) -> list[str]:
-    """Return argv with the invoked command's config file spliced in.
+def _config_tokens(argv: list[str], args: argparse.Namespace) -> list[str]:
+    """Return argv with the config file named by ``args.config`` spliced in.
 
-    Each ``key = value`` entry becomes a ``--key=value`` token right after
-    the command name, so argparse parses file values like flags, and its
-    last-wins rule lets explicit flags override them. Keys
-    must name a long flag exactly (argparse alone would accept 'epoch' for
-    --epochs); a switch key takes a boolean and becomes the bare flag or
-    nothing.
+    ``args`` is argv as argparse parsed it, which has already resolved
+    ``--config`` like any other flag. Each ``key = value`` entry becomes a
+    ``--key=value`` token right after the command name, so argparse parses
+    file values like flags, and its last-wins rule lets explicit flags
+    override them. Keys must name a long flag of the command exactly
+    (argparse alone would accept 'epoch' for --epochs): the valid keys are
+    the namespace's destinations with '_' read as '-'. A switch, whose
+    value is a bool, takes a boolean and becomes the bare flag or nothing.
     """
-    if not argv or argv[0] not in commands:
-        return argv
-    config_path = None
-    for idx, token in enumerate(argv):
-        if token == "--config":
-            if idx + 1 >= len(argv):
-                return argv  # parser will report the missing value
-            config_path = argv[idx + 1]
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-    if config_path is None:
-        return argv
-    flags = commands[argv[0]].long_flags
+    flags = {
+        dest.replace("_", "-"): isinstance(value, bool)
+        for dest, value in vars(args).items()
+        if dest not in ("command", "handler", "config")
+    }
     tokens = []
-    for key, text in _read_input("config file", config_path, read_config_file).items():
-        if key in ("config", "help") or key not in flags:
-            raise ConfigError(f"unknown config key {key!r} for command {argv[0]!r}")
+    for key, text in _read_input("config file", args.config, read_config_file).items():
+        if key not in flags:
+            raise ConfigError(f"unknown config key {key!r} for command {args.command!r}")
         if not flags[key]:
             tokens.append(f"--{key}={text}")
             continue
@@ -396,7 +377,8 @@ def _config_tokens(argv: list[str], commands: dict[str, _Parser]) -> list[str]:
             raise ConfigError(f"config key {key!r} expects a boolean, got {text!r}")
         if switch:
             tokens.append(f"--{key}")
-    return [argv[0], *tokens, *argv[1:]]
+    at = argv.index(args.command) + 1
+    return [*argv[:at], *tokens, *argv[at:]]
 
 
 def _require(parser_name: str, args: argparse.Namespace, attr: str, flag: str):
@@ -577,11 +559,13 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        parser, commands = build_parser()
-        args = parser.parse_args(_config_tokens(argv, commands))
+        parser, _ = build_parser()
+        args = parser.parse_args(argv)
         if getattr(args, "handler", None) is None:
             parser.print_help()
             return EXIT_USAGE
+        if args.config is not None:
+            args = parser.parse_args(_config_tokens(argv, args))
         return args.handler(args)
     except SystemExit as exc:
         code = exc.code

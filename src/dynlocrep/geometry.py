@@ -42,10 +42,6 @@ class EmbeddingBatch:
     def n(self) -> int:
         return self.raw.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.raw.shape[1]
-
     @classmethod
     def from_raw(cls, raw: np.ndarray) -> "EmbeddingBatch":
         raw = np.asarray(raw, dtype=np.float64)

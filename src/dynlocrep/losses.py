@@ -153,17 +153,6 @@ def _tie_group_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.where(new_run, positions, 0), axis=1)
 
 
-def _count_at_most(bounds: np.ndarray) -> np.ndarray:
-    """Entry (i, j) is how many of row i's bounds are <= j, for j < m.
-
-    Bounds are integers in [0, m], where m = bounds.shape[1].
-    """
-    rows, m = bounds.shape
-    flat = (bounds + (m + 1) * np.arange(rows)[:, None]).ravel()
-    histogram = np.bincount(flat, minlength=rows * (m + 1)).reshape(rows, m + 1)
-    return np.cumsum(histogram, axis=1)[:, :m]
-
-
 def _log_cumsum(x: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Row-wise cumulative log-sum-exp, padded to m + 1 columns.
 
@@ -311,7 +300,8 @@ def _loss_core(
     log_share = np.log(a, out=np.full(a.shape, -np.inf), where=weighted) - log_denom
     if at is None:
         return total, -a + b * np.exp(x + _log_sum_all_but(log_share)), bool(weighted.any())
-    counts = _count_at_most(bound) + row_starts
+    # #{k : bound_ik <= j} is one past the end of j's own tie group
+    counts = n - 1 - _tie_group_starts(sorted_keys[:, ::-1])[:, ::-1] + row_starts
     grad_sorted = -a + np.exp(x + _log_cumsum(log_share, reverse=not suffix).take(counts))
     grad_s = np.zeros(n * n)
     grad_s[at] = grad_sorted

@@ -541,6 +541,8 @@ def test_config_file_unknown_key_rejected(tmp_path, monkeypatch):
         ("generate", "zebra = 1", ["--out", "x.csv"]),
         ("generate", "config = other.conf", ["--out", "x.csv"]),
         ("train", "epoch = 3", train_args),
+        ("train", "handler = x", train_args),
+        ("train", "command = train", train_args),
     ):
         config.write_text(line + "\n")
         assert main([command, "--config", str(config), *args]) == EXIT_USAGE, line
@@ -567,6 +569,42 @@ def test_config_file_choice_validated(tmp_path, monkeypatch):
 def test_config_file_missing_exits_66(tmp_path):
     code = main(["generate", "--config", str(tmp_path / "nope.conf"), "--out", "x.csv"])
     assert code == EXIT_MISSING_INPUT
+
+
+def test_config_flag_prefix_applies_the_file(tmp_path):
+    """argparse resolves --config, so its unambiguous prefix --conf, spelled
+    either way, applies the file exactly as --config does."""
+    data = tmp_path / "data.csv"
+    write_small_csv(data)
+    config = tmp_path / "run.conf"
+    config.write_text("epochs = 2\nseed = 3\n")
+    artifacts = []
+    for index, spelling in enumerate(
+        (["--config", str(config)], ["--conf", str(config)], [f"--conf={config}"])
+    ):
+        out_dir = tmp_path / f"run{index}"
+        argv = ["train", *spelling, "--data", str(data), "--out-dir", str(out_dir),
+                *FAST_TRAIN[2:]]
+        assert main(argv) == EXIT_OK, spelling
+        artifacts.append(
+            ((out_dir / "trace.jsonl").read_bytes(), (out_dir / "encoder.txt").read_bytes())
+        )
+    assert len(artifacts[0][0].splitlines()) == 2  # the file's epochs, not the default 50
+    assert artifacts[1] == artifacts[0]
+    assert artifacts[2] == artifacts[0]
+
+
+def test_config_flag_prefix_missing_file_exits_66(tmp_path):
+    """A missing file named through --conf is reported, and nothing is
+    written. argv is parsed before the file is read, so a bad flag next to
+    it is reported first."""
+    data = tmp_path / "data.csv"
+    write_small_csv(data)
+    argv = ["train", "--conf", str(tmp_path / "missing.conf"), "--data", str(data),
+            "--out-dir", str(tmp_path / "run"), *FAST_TRAIN[2:]]
+    assert main(argv) == EXIT_MISSING_INPUT
+    assert main([*argv, "--epochs", "0"]) == EXIT_USAGE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
 def test_config_file_malformed_line_rejected(tmp_path):
