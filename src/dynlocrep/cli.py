@@ -32,16 +32,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, write_csv
-from .data import _write_text_atomic
+from .data import _format_rows, _write_text_atomic
 from .encoder import EncoderConfig, OptimConfig, save_checkpoint
-from .errors import (
-    ConfigError,
-    DynLocRepError,
-    InputError,
-    NumericalError,
-    ParseError,
-)
+from .errors import ConfigError, DynLocRepError, NumericalError, ParseError
 from .evaluation import RidgeConfig, ablate_norms, benchmark
 from .geometry import DistanceNorm
 from .kernels import KernelSpec
@@ -112,15 +108,6 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
-def _add_config_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--config",
-        default=None,
-        metavar="FILE",
-        help="flat 'key = value' config file; explicit flags override it",
-    )
-
-
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=_positive_int, default=50, help="training epochs")
     parser.add_argument("--batch-size", type=int, default=32, help="samples per batch")
@@ -188,13 +175,28 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     subparsers = parser.add_subparsers(dest="command", metavar="COMMAND")
     commands: dict[str, _Parser] = {}
 
-    gen = subparsers.add_parser(
+    def command(name: str, handler, *, help: str, description: str) -> _Parser:
+        """Register subcommand ``name``, run by ``handler``, with the
+        ``--config`` flag that every command takes."""
+        sub = subparsers.add_parser(
+            name, help=help, description=description, formatter_class=_formatter
+        )
+        sub.add_argument(
+            "--config",
+            default=None,
+            metavar="FILE",
+            help="flat 'key = value' config file; explicit flags override it",
+        )
+        sub.set_defaults(handler=handler)
+        commands[name] = sub
+        return sub
+
+    gen = command(
         "generate",
+        _cmd_generate,
         help="write a synthetic dataset CSV",
         description="Generate a bimodal synthetic regression dataset and write it as CSV.",
-        formatter_class=_formatter,
     )
-    _add_config_flag(gen)
     gen.add_argument("--n", type=int, default=500, help="number of samples")
     gen.add_argument("--seed", type=int, default=0, help="generator seed")
     gen.add_argument("--out", default=None, metavar="CSV", help="output path (required)")
@@ -220,19 +222,16 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         default=[0.5, 0.5],
         help="label component weights (sum to 1)",
     )
-    gen.set_defaults(handler=_cmd_generate)
-    commands["generate"] = gen
 
-    tr = subparsers.add_parser(
+    tr = command(
         "train",
+        _cmd_train,
         help="train an encoder on a dataset CSV",
         description=(
             "Train the encoder with a contrastive regression loss; writes a checkpoint, "
             "a JSONL trace, and optional embedding exports under --out-dir."
         ),
-        formatter_class=_formatter,
     )
-    _add_config_flag(tr)
     tr.add_argument("--data", default=None, metavar="CSV", help="input dataset (required)")
     tr.add_argument("--out-dir", default=None, metavar="DIR", help="artifact directory (required)")
     tr.add_argument(
@@ -252,20 +251,17 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         help="1-based epochs after which to export train-set embeddings (e.g. 1,6,21,30,40,50)",
     )
     _add_training_flags(tr)
-    tr.set_defaults(handler=_cmd_train)
-    commands["train"] = tr
 
-    bm = subparsers.add_parser(
+    bm = command(
         "benchmark",
+        _cmd_benchmark,
         help="compare loss variants across seeds",
         description=(
             "Train every requested variant across seeds, score ridge-readout MAE on held-out "
             "splits, and write a JSON report including raw-feature and untrained-encoder "
             "baselines."
         ),
-        formatter_class=_formatter,
     )
-    _add_config_flag(bm)
     _add_dataset_flags(bm)
     _add_protocol_flags(bm)
     bm.add_argument(
@@ -284,19 +280,16 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         "--out", default="benchmark_report.json", metavar="JSON", help="report path"
     )
     _add_training_flags(bm)
-    bm.set_defaults(handler=_cmd_benchmark)
-    commands["benchmark"] = bm
 
-    ab = subparsers.add_parser(
+    ab = command(
         "ablate",
+        _cmd_ablate,
         help="sweep neighbor-selection distance norms",
         description=(
             "Fix the localized loss and sweep the neighbor-selection distance norm, "
             "reporting per-norm MAE next to published reference values."
         ),
-        formatter_class=_formatter,
     )
-    _add_config_flag(ab)
     _add_dataset_flags(ab)
     _add_protocol_flags(ab)
     ab.add_argument(
@@ -309,8 +302,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         "--out", default="ablation_report.json", metavar="JSON", help="report path"
     )
     _add_training_flags(ab)
-    ab.set_defaults(handler=_cmd_ablate)
-    commands["ablate"] = ab
 
     return parser, commands
 
@@ -466,13 +457,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _write_embedding_export(path: Path, epoch: int, ids, labels, embeddings) -> None:
-    dim = embeddings.shape[1]
-    lines = ["epoch,id,y," + ",".join(f"z{j}" for j in range(dim))]
-    for i in range(embeddings.shape[0]):
-        cells = [str(epoch), ids[i], repr(float(labels[i]))]
-        cells.extend(repr(float(v)) for v in embeddings[i])
-        lines.append(",".join(cells))
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    header = "epoch,id,y," + ",".join(f"z{j}" for j in range(embeddings.shape[1]))
+    values = np.column_stack((labels, embeddings))
+    rows = (f"{epoch},{i},{row}" for i, row in zip(ids, _format_rows(values)))
+    _write_text_atomic(path, "\n".join([header, *rows]) + "\n")
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -572,9 +560,6 @@ def main(argv: list[str] | None = None) -> int:
         if code is None:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_USAGE
-    except (ConfigError, InputError, ParseError) as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except _UnreadableInput as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

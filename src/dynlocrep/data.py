@@ -4,14 +4,16 @@ The synthetic generator produces a bimodal label distribution (two
 gaussian components) with features that depend on the label through
 seeded sinusoids, a desk-scale stand-in for regression data whose targets
 cluster in two groups. The CSV format is ``id,y,f0,...,f{p-1}`` with one
-header row; floats are written with repr so a write/read round trip is
-exact.
+header row. Datasets, embedding exports and checkpoints share the float
+text rule kept here: values are written with repr, so a reload is
+bit-exact, and read back rejecting digit separators and non-finite values.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,10 +153,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     return Dataset(features=features, labels=labels, ids=ids)
 
 
-def csv_header(feature_dim: int) -> str:
-    return "id,y," + ",".join(f"f{j}" for j in range(feature_dim))
-
-
 def _write_text_atomic(path: str | Path, text: str) -> None:
     """Write text to a temp file beside path, then os.replace it into place.
 
@@ -172,14 +170,33 @@ def _write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def _format_rows(matrix: np.ndarray, sep: str = ",") -> Iterator[str]:
+    """One text line per row of a float64 matrix, each value its repr; rows
+    are converted one at a time, never the whole matrix to Python floats."""
+    return (sep.join(map(repr, row.tolist())) for row in matrix)
+
+
+def _parse_floats(text: str, sep: str | None, path: str | Path, lineno: int) -> list[float]:
+    """The values of the ``sep``-separated cells of ``text``, line ``lineno``
+    of ``path``; a non-numeric or non-finite cell raises ParseError."""
+    try:
+        # float() would also read PEP 515 digit separators: "1_0" as 10.0
+        if "_" in text:
+            raise ValueError
+        values = [float(cell) for cell in text.split(sep)]
+    except ValueError:
+        raise ParseError(f"{path}: line {lineno}: non-numeric cell") from None
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"{path}: line {lineno}: non-finite cell")
+    return values
+
+
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write the dataset in the documented ``id,y,f0,...`` format."""
-    lines = [csv_header(dataset.feature_dim)]
-    for i in range(dataset.n):
-        row = [dataset.ids[i], repr(float(dataset.labels[i]))]
-        row.extend(repr(float(v)) for v in dataset.features[i])
-        lines.append(",".join(row))
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    header = "id,y," + ",".join(f"f{j}" for j in range(dataset.feature_dim))
+    values = np.column_stack((dataset.labels, dataset.features))
+    rows = (f"{i},{row}" for i, row in zip(dataset.ids, _format_rows(values)))
+    _write_text_atomic(path, "\n".join([header, *rows]) + "\n")
 
 
 def load_csv(path: str | Path) -> Dataset:
@@ -206,24 +223,14 @@ def load_csv(path: str | Path) -> Dataset:
     labels: list[float] = []
     rows: list[list[float]] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != p + 2:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {p + 2} columns, got {len(cells)}"
-            )
-        row_id = cells[0]
+        columns = line.count(",") + 1
+        if columns != p + 2:
+            raise ParseError(f"{path}: line {lineno}: expected {p + 2} columns, got {columns}")
+        row_id, _, numbers = line.partition(",")
         if row_id in seen:
             raise ParseError(f"{path}: line {lineno}: duplicate id {row_id!r}")
         seen.add(row_id)
-        try:
-            # float() would also read PEP 515 digit separators: "1_0" as 10.0
-            if line.find("_", len(row_id)) >= 0:
-                raise ValueError
-            values = [float(c) for c in cells[1:]]
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: non-numeric cell") from None
-        if not all(math.isfinite(v) for v in values):
-            raise ParseError(f"{path}: line {lineno}: non-finite cell")
+        values = _parse_floats(numbers, ",", path, lineno)
         ids.append(row_id)
         labels.append(values[0])
         rows.append(values[1:])

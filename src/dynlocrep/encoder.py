@@ -11,7 +11,8 @@ returns one gradient in the same layout, and ``Adam`` updates the vector
 in place, so an optimizer step moves the layers without any copy.
 
 Checkpoints use a versioned plain-text format so runs can be inspected
-and reloaded without pickle.
+and reloaded without pickle; their values follow the float text rule
+that ``data`` keeps for every artifact, so a reload is bit-exact.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _write_text_atomic
+from .data import _format_rows, _parse_floats, _write_text_atomic
 from .errors import ConfigError, InputError, ParseError
 from .geometry import EmbeddingBatch
 
@@ -203,14 +204,15 @@ def save_checkpoint(encoder: Encoder, path: str | Path) -> None:
     lines.append("layer_dims " + " ".join(str(d) for d in encoder.layer_dims))
     for idx, (w, b) in enumerate(zip(encoder.weights, encoder.biases)):
         lines.append(f"layer {idx} weight {w.shape[0]} {w.shape[1]}")
-        lines.extend(" ".join(repr(float(x)) for x in row) for row in w)
+        lines.extend(_format_rows(w, " "))
         lines.append(f"layer {idx} bias {b.shape[0]}")
-        lines.append(" ".join(repr(float(x)) for x in b))
+        lines.extend(_format_rows(b[np.newaxis], " "))
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> Encoder:
-    """Parse a checkpoint written by save_checkpoint."""
+    """Parse a checkpoint written by save_checkpoint. Values are read like
+    dataset cells; any defect raises ParseError naming its 1-based line."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith(CHECKPOINT_MAGIC):
         raise ParseError(f"{path}: line 1: not an encoder checkpoint")
@@ -230,35 +232,29 @@ def load_checkpoint(path: str | Path) -> Encoder:
     biases: list[np.ndarray] = []
     cursor = 2
 
-    def _take(expected: str) -> list[str]:
+    def _take(expected: str) -> str:
         nonlocal cursor
         if cursor >= len(lines):
             raise ParseError(f"{path}: line {cursor + 1}: expected {expected}, found end of file")
-        toks = lines[cursor].split()
         cursor += 1
-        return toks
+        return lines[cursor - 1]
 
-    def _floats(tokens: list[str], width: int) -> np.ndarray:
-        if len(tokens) != width:
-            raise ParseError(f"{path}: line {cursor}: expected {width} values, got {len(tokens)}")
-        try:
-            values = np.array([float(tok) for tok in tokens])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {cursor}: bad value: {exc}") from exc
-        if not np.isfinite(values).all():
-            raise ParseError(f"{path}: line {cursor}: non-finite value")
+    def _floats(expected: str, width: int) -> list[float]:
+        line = _take(expected)
+        values = _parse_floats(line, None, path, cursor)
+        if len(values) != width:
+            raise ParseError(f"{path}: line {cursor}: expected {width} values, got {len(values)}")
         return values
 
     for idx, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        header = _take("a weight header")
+        header = _take("a weight header").split()
         if header != ["layer", str(idx), "weight", str(fan_in), str(fan_out)]:
             raise ParseError(f"{path}: line {cursor}: malformed weight header for layer {idx}")
-        rows = [_floats(_take("a weight row"), fan_out) for _ in range(fan_in)]
-        weights.append(np.vstack(rows))
-        header = _take("a bias header")
+        weights.append(np.array([_floats("a weight row", fan_out) for _ in range(fan_in)]))
+        header = _take("a bias header").split()
         if header != ["layer", str(idx), "bias", str(fan_out)]:
             raise ParseError(f"{path}: line {cursor}: malformed bias header for layer {idx}")
-        biases.append(_floats(_take("a bias row"), fan_out))
+        biases.append(np.array(_floats("a bias row", fan_out)))
     if cursor != len(lines):
         raise ParseError(f"{path}: line {cursor + 1}: trailing content after final layer")
     return Encoder(weights, biases)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynlocrep import SyntheticSpec, generate_synthetic, load_csv, write_csv
+from dynlocrep import SyntheticSpec, generate_synthetic, load_checkpoint, load_csv, write_csv
 from dynlocrep.cli import (
     EXIT_CANT_CREATE,
     EXIT_MISSING_INPUT,
@@ -102,6 +102,12 @@ def test_train_writes_trace_checkpoint_and_exports(tmp_path):
         assert export[0] == "epoch,id,y," + ",".join(f"z{j}" for j in range(4))
         assert len(export) == ds.n + 1
         assert export[1].startswith(f"{epoch},{ds.ids[0]},")
+    # the last export is the final encoder's output, and its text reads back bit for bit
+    rows = [line.split(",") for line in export[1:]]
+    assert [row[1] for row in rows] == list(ds.ids)
+    assert np.array_equal([float(row[2]) for row in rows], ds.labels)
+    z = np.array([[float(cell) for cell in row[3:]] for row in rows])
+    assert np.array_equal(z, load_checkpoint(out_dir / "encoder.txt").forward(ds.features).unit)
 
 
 def test_train_accepts_reference_configuration(tmp_path):
@@ -611,6 +617,24 @@ def test_config_file_malformed_line_rejected(tmp_path):
     config = tmp_path / "run.conf"
     config.write_text("this line has no equals sign\n")
     assert main(["generate", "--config", str(config), "--out", "x.csv"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("n = 30\n = 5\n", "line 2: empty key"),
+        ("n = 30\nseed = 1\nn = 31\n", "line 3: duplicate key 'n'"),
+        ("force = maybe\n", "config key 'force' expects a boolean, got 'maybe'"),
+    ],
+    ids=["empty-key", "duplicate-key", "non-boolean-switch"],
+)
+def test_config_file_bad_entry_exits_64_naming_it(tmp_path, capsys, text, message):
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    out = tmp_path / "data.csv"
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
 """Datasets: synthetic generation, CSV round trips, splitting."""
 
+import re
+
 import numpy as np
 import pytest
 
 import dynlocrep.data as data_module
 from dynlocrep import (
     ConfigError,
+    Dataset,
+    Encoder,
     InputError,
     ParseError,
     SyntheticSpec,
     generate_synthetic,
+    load_checkpoint,
     load_csv,
+    save_checkpoint,
     split,
     write_csv,
 )
@@ -169,6 +175,64 @@ def test_bad_header_is_rejected(tmp_path):
     path.write_text("idx,y,f0\na,30.0,0.1\n")
     with pytest.raises(ParseError, match="line 1"):
         load_csv(path)
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("", "line 1: empty file"),
+        ("id,y,f1,f0\na,30.0,0.1,0.2\n", "line 1: feature columns must be f0..f1"),
+        ("id,y,f0\n", "line 2: no data rows"),
+    ],
+    ids=["empty", "feature-names", "header-only"],
+)
+def test_file_level_defects_are_rejected_with_line_number(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        load_csv(path)
+
+
+def test_artifact_float_text_is_pinned(tmp_path):
+    """Datasets and checkpoints write every float as its repr: the shortest
+    text that reads back to the same double, signed zero and subnormals
+    included."""
+    dataset = Dataset(
+        features=np.array([[1e-300, 5e-324], [0.1, -0.0], [123456789.125, 1e-300]]),
+        labels=np.array([0.1, -0.0, 123456789.125]),
+        ids=("a", "b", "c"),
+    )
+    write_csv(dataset, tmp_path / "data.csv")
+    assert (tmp_path / "data.csv").read_text() == (
+        "id,y,f0,f1\n"
+        "a,0.1,1e-300,5e-324\n"
+        "b,-0.0,0.1,-0.0\n"
+        "c,123456789.125,123456789.125,1e-300\n"
+    )
+    encoder = Encoder(
+        weights=[np.array([[0.1], [-0.0]]), np.array([[5e-324, 123456789.125]])],
+        biases=[np.array([1e-300]), np.array([-0.0, 0.1])],
+    )
+    save_checkpoint(encoder, tmp_path / "encoder.txt")
+    assert (tmp_path / "encoder.txt").read_text() == (
+        "dynlocrep-encoder-checkpoint v1\n"
+        "layer_dims 2 1 2\n"
+        "layer 0 weight 2 1\n"
+        "0.1\n"
+        "-0.0\n"
+        "layer 0 bias 1\n"
+        "1e-300\n"
+        "layer 1 weight 1 2\n"
+        "5e-324 123456789.125\n"
+        "layer 1 bias 2\n"
+        "-0.0 0.1\n"
+    )
+    back = load_csv(tmp_path / "data.csv")
+    assert np.array_equal(np.signbit(back.labels), np.signbit(dataset.labels))
+    assert np.array_equal(np.signbit(back.features), np.signbit(dataset.features))
+    params = load_checkpoint(tmp_path / "encoder.txt").params
+    assert np.array_equal(params, encoder.params)
+    assert np.array_equal(np.signbit(params), np.signbit(encoder.params))
 
 
 def test_written_csv_matches_a_plain_text_write(tmp_path):

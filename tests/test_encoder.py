@@ -1,5 +1,7 @@
 """Encoder: initialization, forward/backward, Adam, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,32 @@ def test_checkpoint_text_helper_loads_for_valid_widths(tmp_path):
     path = tmp_path / "encoder.txt"
     path.write_text(checkpoint_text((3, 2)))
     assert np.array_equal(load_checkpoint(path).forward(np.ones((1, 3))).raw, [[2.0, 2.0]])
+
+
+# Defects of checkpoint_text((3, 2)), whose lines are: 1 magic, 2 layer_dims,
+# 3 weight header, 4-6 weight rows, 7 bias header, 8 bias row. Each puts
+# TEXT at 1-based LINE (None deletes that line, a line past the end appends).
+CHECKPOINT_DEFECTS = {
+    "no-layer-dims": (2, None, "line 2: expected a layer_dims line"),
+    "non-integer-dim": (2, "layer_dims 3 two", "line 2: bad layer_dims entry"),
+    "weight-header": (3, "layer 0 weight 2 3", "line 3: malformed weight header for layer 0"),
+    "bias-header": (7, "layer 0 bias 3", "line 7: malformed bias header for layer 0"),
+    "row-width": (5, "0.5 0.5 0.5", "line 5: expected 2 values, got 3"),
+    "trailing": (9, "0.5 0.5", "line 9: trailing content after final layer"),
+    "digit-separator": (5, "1_0 2_5", "line 5: non-numeric cell"),
+    "non-numeric": (8, "0.5 zebra", "line 8: non-numeric cell"),
+}
+
+
+@pytest.mark.parametrize(("line", "text", "message"), CHECKPOINT_DEFECTS.values(),
+                         ids=CHECKPOINT_DEFECTS.keys())
+def test_checkpoint_defect_raises_naming_the_line(tmp_path, line, text, message):
+    lines = checkpoint_text((3, 2)).splitlines()
+    lines[line - 1 : line] = [] if text is None else [text]
+    path = tmp_path / "encoder.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="^" + re.escape(f"{path}: {message}")):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("dims", [(2, 0), (0, 2), (3, 0, 2)], ids=["2-0", "0-2", "3-0-2"])
