@@ -96,34 +96,26 @@ class Encoder:
         views = [view.reshape(np.shape(p)) for view, p in zip(flat, pieces)]
         self.weights, self.biases = views[0::2], views[1::2]
         self._inputs: list[np.ndarray] | None = None
-        self._pre_activations: list[np.ndarray] | None = None
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
         return (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
 
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
-
     def forward(self, features: np.ndarray) -> EmbeddingBatch:
-        """Run the stack and cache every layer input and pre-activation."""
+        """Run the stack and cache every layer's input for ``backward``."""
         x = np.asarray(features, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise InputError(
-                f"features must be (n, {self.input_dim}), got shape {x.shape}"
-            )
+        width = self.weights[0].shape[0]
+        if x.ndim != 2 or x.shape[1] != width:
+            raise InputError(f"features must be (n, {width}), got shape {x.shape}")
         inputs: list[np.ndarray] = []
-        pre: list[np.ndarray] = []
         h = x
-        last = len(self.weights) - 1
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for w, b in zip(self.weights, self.biases):
+            if inputs:  # every layer but the last is followed by a ReLU
+                np.maximum(h, 0.0, out=h)
             inputs.append(h)
-            z = h @ w + b
-            pre.append(z)
-            h = z if layer == last else np.maximum(z, 0.0)
+            h = h @ w
+            h += b
         self._inputs = inputs
-        self._pre_activations = pre
         return EmbeddingBatch.from_raw(h)
 
     def backward(self, grad_raw: np.ndarray) -> np.ndarray:
@@ -135,14 +127,13 @@ class Encoder:
             raise InputError("backward called before forward")
         grads: list[np.ndarray] = []
         g = np.asarray(grad_raw, dtype=np.float64)
-        last = len(self.weights) - 1
-        for layer in range(last, -1, -1):
-            if layer != last:
-                g = g * (self._pre_activations[layer] > 0.0)
-            grads.append(g.sum(axis=0))
+        for layer in range(len(self.weights) - 1, -1, -1):
+            grads.append(np.add.reduce(g, axis=0))
             grads.append(self._inputs[layer].T @ g)
             if layer > 0:
+                # a ReLU output is positive exactly where its input was
                 g = g @ self.weights[layer].T
+                g *= self._inputs[layer] > 0.0
         # collected (bias, weight) from the top layer down; reversed it is params order
         return np.concatenate(grads[::-1], axis=None)
 
@@ -163,8 +154,8 @@ def init_encoder(config: EncoderConfig, seed: int) -> Encoder:
 class Adam:
     """Adam with bias correction; the learning rate is supplied per step.
 
-    It updates one parameter array in place and keeps its moments in two
-    buffers of the same shape.
+    It updates one parameter array in place and keeps its moments, and
+    each step's intermediates, in buffers of the same shape.
     """
 
     def __init__(self, params: np.ndarray, config: OptimConfig):
@@ -173,6 +164,7 @@ class Adam:
         self.step_count = 0
         self._m = np.zeros_like(params)
         self._v = np.zeros_like(params)
+        self._scratch = np.empty_like(params), np.empty_like(params)
 
     def step(self, grad: np.ndarray, lr: float) -> None:
         """Update params in place from grad plus the L2 weight-decay term."""
@@ -183,13 +175,15 @@ class Adam:
         t = self.step_count
         bias1 = 1.0 - cfg.beta1**t
         bias2 = 1.0 - cfg.beta2**t
-        g = grad + cfg.weight_decay * self.params
-        m, v = self._m, self._v
+        m, v, (g, tmp) = self._m, self._v, self._scratch
+        g = np.add(grad, np.multiply(self.params, cfg.weight_decay, out=g), out=g)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(g, 1.0 - cfg.beta1, out=tmp)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        self.params -= lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
+        v += np.multiply(np.multiply(g, g, out=g), 1.0 - cfg.beta2, out=g)
+        denom = np.add(np.sqrt(np.divide(v, bias2, out=g), out=g), cfg.eps, out=g)
+        update = np.multiply(np.divide(m, bias1, out=tmp), lr, out=tmp)
+        self.params -= np.divide(update, denom, out=tmp)
 
 
 def save_checkpoint(encoder: Encoder, path: str | Path) -> None:

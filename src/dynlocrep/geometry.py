@@ -8,11 +8,12 @@ O(n^2) dense operations; no approximate indices.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, NumericalError
 
 # Guard divisor for rows with vanishing norm; a zero row stays zero.
 NORM_EPS = 1e-12
@@ -54,10 +55,21 @@ def l2_normalize(raw: np.ndarray) -> np.ndarray:
     """Row-wise L2 normalization with an epsilon guard.
 
     Each row is divided by max(||row||, 1e-12); nonzero rows come out with
-    unit norm while an all-zero row passes through unchanged.
+    unit norm while an all-zero row passes through unchanged. A row whose
+    norm is not finite, because it holds a non-finite entry or because its
+    squares overflow (entries above about 1e154), raises NumericalError.
     """
     raw = np.asarray(raw, dtype=np.float64)
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    # np.linalg.norm's own formula, without its dispatch: bit for bit the same
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(raw * raw, axis=-1, keepdims=True))
+    # norms are >= 0 or NaN, so their sum is finite exactly when each is
+    if not math.isfinite(norms.sum()):
+        bad = np.flatnonzero(~np.isfinite(norms))
+        raise NumericalError(
+            f"{bad.size} embedding rows, the first row {bad[0]}, have non-finite norms: "
+            "they hold non-finite values or overflow when squared"
+        )
     return raw / np.maximum(norms, NORM_EPS)
 
 
@@ -67,7 +79,7 @@ def similarity_matrix(unit: np.ndarray, temperature: float) -> np.ndarray:
     Entries are bounded by 1/temperature in absolute value; the diagonal
     is 1/temperature. Rows are assumed normalized already.
     """
-    if not (np.isfinite(temperature) and temperature > 0):
+    if not (math.isfinite(temperature) and temperature > 0):
         raise ConfigError(f"temperature must be positive, got {temperature}")
     # NumPy evaluates a BLAS-ready array times its own transpose as one
     # symmetric product (syrk) and copies one triangle into the other, so s
@@ -95,8 +107,12 @@ def distance_matrix(points: np.ndarray, norm: DistanceNorm) -> np.ndarray:
         d = 1.0 - g / np.outer(norms, norms)
         np.fill_diagonal(d, 0.0)
         return np.maximum(d, 0.0)
-    # one (n, n, d) transient, reused in place for |diff| and diff**2
-    diff = points[:, None, :] - points[None, :, :]
+    # One (n, n, d) transient, reused for |diff| and diff**2. Keep it whole: freeing 16 MB
+    # (n = 256, d = 32) raises glibc's mmap and trim thresholds, which keeps the loss core's
+    # 512 KB (256, 256) temporaries off freshly faulted mmap pages.
+    n, d = points.shape
+    diff = np.repeat(points, n, axis=0).reshape(n, n, d)
+    diff -= points
     np.abs(diff, out=diff)
     if norm is DistanceNorm.MANHATTAN:
         return diff.sum(axis=-1)
@@ -128,17 +144,17 @@ def select_neighbors(distances: np.ndarray, count: int) -> np.ndarray:
     if not (1 <= count <= n - 1):
         raise ConfigError(f"neighbor count must lie in [1, {n - 1}], got {count}")
     masked = distances.copy()
-    np.fill_diagonal(masked, np.inf)
+    masked.ravel()[:: n + 1] = np.inf
     if np.count_nonzero(np.isfinite(masked)) != n * (n - 1):
         raise InputError("distances contain non-finite values off the diagonal")
     # O(n^2): everything up to the count-th smallest distance of its row,
     # less the highest-index ties at that distance where there are too many
     kth = np.partition(masked, count - 1, axis=1)[:, count - 1 : count]
     chosen = masked <= kth
-    surplus = chosen.sum(axis=1) - count
-    tied = np.flatnonzero(surplus)
-    if tied.size:
+    if np.count_nonzero(chosen) != n * count:
+        surplus = np.add.reduce(chosen, axis=1, dtype=np.intp) - count
+        tied = np.flatnonzero(surplus)
         at_kth = masked[tied] == kth[tied]
         ties_from_here = np.cumsum(at_kth[:, ::-1], axis=1)[:, ::-1]
         chosen[tied] &= ~(at_kth & (ties_from_here <= surplus[tied, None]))
-    return (np.flatnonzero(chosen) % n).reshape(n, count)
+    return chosen.nonzero()[1].reshape(n, count)

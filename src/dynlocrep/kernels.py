@@ -58,7 +58,7 @@ def positiveness_matrix(labels: np.ndarray, spec: KernelSpec) -> np.ndarray:
         raise InputError(f"labels must be a 1-D vector, got shape {labels.shape}")
     if labels.shape[0] < 2:
         raise InputError(f"need at least 2 samples to form pairs, got {labels.shape[0]}")
-    if not np.all(np.isfinite(labels)):
+    if not np.isfinite(labels).all():
         raise InputError("labels contain non-finite values")
     delta = labels[:, None] - labels[None, :]
     # delta squared is bit-identical across the diagonal, so w is exactly

@@ -10,11 +10,11 @@ where s is the temperature-scaled cosine similarity matrix and x = b * s.
 The variants differ in (a, b, M), and the shape of M picks the evaluator:
 
   dynlocrep    a = w_{i,k} / sum_{t != i} w_{i,t}; b = 1 - w; M = the
-               anchor's current nearest neighbors, the same for every k.
-               One masked, max-shifted log-sum-exp per anchor; the
-               gradient's sum over k is the row sum of a. The neighbors
-               are read as a set, in no order; at count n - 1 (everyone
-               but the anchor) no distance is computed and none selected.
+               anchor's current nearest neighbors, the same for every k:
+               one max-shifted log-sum-exp per row of x, which is -inf
+               outside the set; the gradient's sum over k is the row sum
+               of a. The neighbors are read as a set, in no order; at
+               count n - 1 no distance is computed and none selected.
   yaware       same a; b = 1; M = {t : t != i, k} (everyone but the
                partner).
   exponential  as yaware, but b = 1 - w. Both work on whole rows with
@@ -53,6 +53,7 @@ normalization back to the raw embeddings.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +78,9 @@ WEIGHT_SUM_EPS = 1e-12
 # normal double, so no term underflows. x spans at most 2/tau, so only
 # tau below about 1/300, or extreme kernel weights in the gradient, reach it.
 LOG_CUMSUM_SPAN = 600.0
+
+# A row shifted by max(peak, _LOWEST) stays -inf if all -inf, where -inf gives NaN.
+_LOWEST = np.finfo(np.float64).min
 
 
 class LossVariant(str, enum.Enum):
@@ -138,19 +142,25 @@ def _normalized_pair_weights(w: np.ndarray) -> np.ndarray:
     Off-diagonal entries of each row sum to 1 unless the row's weight mass
     is below WEIGHT_SUM_EPS, in which case the whole row is zeroed.
     """
-    n = w.shape[0]
-    off = w * (1.0 - np.eye(n))
-    row_sums = off.sum(axis=1, keepdims=True)
-    safe = np.where(row_sums < WEIGHT_SUM_EPS, 1.0, row_sums)
-    return np.where(row_sums < WEIGHT_SUM_EPS, 0.0, off / safe)
+    a = w.copy()
+    a.ravel()[:: len(a) + 1] = 0.0
+    row_sums = np.add.reduce(a, axis=1, keepdims=True)
+    if row_sums.min() < WEIGHT_SUM_EPS:
+        a[row_sums[:, 0] < WEIGHT_SUM_EPS] = 0.0
+    return np.divide(a, np.maximum(row_sums, WEIGHT_SUM_EPS), out=a)
 
 
-def _tie_group_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """Per row, the position at which each entry's run of equal keys starts."""
-    new_run = np.ones(sorted_keys.shape, dtype=bool)
-    new_run[:, 1:] = sorted_keys[:, 1:] != sorted_keys[:, :-1]
+def _tie_groups(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, where each entry's run of equal keys starts and one past its end."""
     positions = np.arange(sorted_keys.shape[1])
-    return np.maximum.accumulate(np.where(new_run, positions, 0), axis=1)
+    differs = sorted_keys[:, 1:] != sorted_keys[:, :-1]
+    if differs.all():
+        return positions, positions + 1
+    first, last = np.ones((2, *sorted_keys.shape), dtype=bool)
+    first[:, 1:] = last[:, :-1] = differs
+    starts = np.maximum.accumulate(np.where(first, positions, 0), axis=1)
+    ends = np.where(last, positions + 1, positions.size)[:, ::-1]
+    return starts, np.minimum.accumulate(ends, axis=1)[:, ::-1]
 
 
 def _log_cumsum(x: np.ndarray, reverse: bool = False) -> np.ndarray:
@@ -164,15 +174,16 @@ def _log_cumsum(x: np.ndarray, reverse: bool = False) -> np.ndarray:
     terms to underflow and is accumulated with np.logaddexp instead.
     """
     n, m = x.shape
-    out = np.empty((n, m + 1))
+    out = np.full((n, m + 1), -np.inf)
     if reverse:
-        x, sums, empty = x[:, ::-1], out[:, m - 1 :: -1], out[:, m]
+        x, sums_at = x[:, ::-1], out[:, m - 1 :: -1]
     else:
-        sums, empty = out[:, 1:], out[:, 0]
-    empty[:] = -np.inf
+        sums_at = out[:, 1:]
     peak = x.max(axis=1, keepdims=True, initial=-np.inf)
-    np.subtract(x, np.where(peak > -np.inf, peak, 0.0), out=sums)
-    lowest = sums.min(initial=0.0, where=sums > -np.inf)
+    sums = np.subtract(x, np.maximum(peak, _LOWEST))  # fresh, unlike the strided sums_at
+    lowest = sums.min(initial=0.0)  # masked only where -inf entries hide it
+    if lowest == -np.inf:
+        lowest = sums.min(initial=0.0, where=sums > -np.inf)
     np.exp(sums, out=sums)
     sums.cumsum(axis=1, out=sums)
     # a prefix of -inf entries sums to 0, whose log is the -inf it stands for
@@ -183,6 +194,7 @@ def _log_cumsum(x: np.ndarray, reverse: bool = False) -> np.ndarray:
         low = x.min(axis=1, keepdims=True, initial=np.inf, where=x > -np.inf)
         wide = (peak - low > LOG_CUMSUM_SPAN)[:, 0]
         sums[wide] = np.logaddexp.accumulate(x[wide], axis=1)
+    sums_at[...] = sums
     return out
 
 
@@ -197,22 +209,21 @@ def _log_sum_all_but(x: np.ndarray) -> np.ndarray:
     with no finite entry gives -inf everywhere, and one with a single
     finite entry gives -inf at it.
     """
-    rows = np.arange(x.shape[0])
-    top = np.argmax(x, axis=1)
-    peak = x[rows, top][:, None]
+    rows = x.shape[1] * np.arange(len(x))  # argmax and take beat a row-wise max
+    top = x.argmax(axis=1) + rows
+    peak = x.take(top)[:, None]
     terms = x.copy()
-    terms[rows, top] = -np.inf
-    runner = terms.max(axis=1, keepdims=True, initial=-np.inf)
-    shifted = np.subtract(terms, np.where(runner > -np.inf, runner, 0.0))
-    runner_mass = np.exp(shifted, out=shifted).sum(axis=1)
-    np.subtract(terms, np.where(peak > -np.inf, peak, 0.0), out=terms)
+    terms.put(top, -np.inf)
+    runner = terms.take(terms.argmax(axis=1) + rows)[:, None]
+    shifted = np.subtract(terms, np.maximum(runner, _LOWEST))
+    runner_mass = np.add.reduce(np.exp(shifted, out=shifted), axis=1)
+    np.subtract(terms, np.maximum(peak, _LOWEST), out=terms)
     np.exp(terms, out=terms)
-    out = np.subtract(terms.sum(axis=1, keepdims=True), terms, out=terms)
+    out = np.subtract(np.add.reduce(terms, axis=1, keepdims=True), terms, out=terms)
     np.log1p(out, out=out)
     out += peak
-    out[rows, top] = runner[:, 0] + np.log(
-        runner_mass, out=np.full(runner_mass.shape, -np.inf), where=runner_mass > 0.0
-    )
+    with np.errstate(divide="ignore"):
+        out.put(top, runner[:, 0] + np.log(runner_mass))
     return out
 
 
@@ -232,41 +243,25 @@ def _loss_core(
     docstring has its own branch.
     """
     n = s.shape[0]
-    if variant is LossVariant.DYN_LOC_REP:
-        # one candidate set per anchor: its neighbors, whatever the partner
-        a = _normalized_pair_weights(w)
-        b = 1.0 - w
-        x = b * s
-        if neighbors is None:
-            in_set = ~np.eye(n, dtype=bool)
-        else:
-            in_set = np.zeros((n, n), dtype=bool)
-            in_set[np.arange(n)[:, None], neighbors] = True
-        peak = np.max(x, axis=1, keepdims=True, initial=-np.inf, where=in_set)
-        terms = np.exp(x - peak, out=np.zeros((n, n)), where=in_set)
-        mass = terms.sum(axis=1, keepdims=True)
-        total = -float(np.sum(a * (s - (peak + np.log(mass)))))
-        # dL/ds_it = -a_it + b_it * softmax over the neighbor set * sum_k a_ik
-        grad_s = -a + b * terms * (a.sum(axis=1, keepdims=True) / mass)
-        return total, grad_s, bool((a > 0.0).any())
-
     row_starts = n * np.arange(n)[:, None]
     at = None
     if variant is LossVariant.THRESHOLD or variant is LossVariant.RANK_N_CONTRAST:
         # the anchor's own column sorts last and is cut off
         suffix = variant is LossVariant.RANK_N_CONTRAST
-        keys = np.where(np.eye(n, dtype=bool), np.inf, gaps if suffix else w)
-        at = np.argsort(keys, axis=1)[:, : n - 1] + row_starts
+        keys = (gaps if suffix else w).copy()
+        keys.ravel()[:: n + 1] = np.inf
+        at = keys.argsort(axis=1)[:, : n - 1] + row_starts
         sorted_keys = keys.take(at)
         # threshold's M is the prefix before k's tie group, rnc's the
         # suffix from it on
-        bound = _tie_group_starts(sorted_keys)
+        starts, ends = _tie_groups(sorted_keys)
+        bound = starts + row_starts
         if suffix:
             a = np.ones((n, n - 1))
         else:
             mass = np.zeros((n, n))
             np.cumsum(sorted_keys, axis=1, out=mass[:, 1:])
-            mass = mass.take(bound + row_starts)
+            mass = mass.take(bound)
             # an empty or near-empty candidate set drops the pair instead of
             # blowing its weight up to ~1/underflow
             a = np.where(
@@ -275,20 +270,36 @@ def _loss_core(
         b = 1.0
         # from here on, pairs are indexed by the partner's sorted position
         s = x = s.take(at)
-        log_denom = _log_cumsum(x, reverse=suffix).take(bound + row_starts)
+        log_denom = _log_cumsum(x, reverse=suffix).take(bound)
     else:
-        # everyone but the partner, on whole rows
+        # whole rows; x = -inf outside the candidates drops out of every max
+        # and exponentiates to exactly 0
         a = _normalized_pair_weights(w)
         b = 1.0 if variant is LossVariant.Y_AWARE else 1.0 - w
         x = b * s
-        np.fill_diagonal(x, -np.inf)
+        np.fill_diagonal(x, -np.inf)  # x keeps the layout of s, which callers choose
+        if variant is LossVariant.DYN_LOC_REP:
+            # one candidate set per anchor: its neighbors, whatever the partner
+            if neighbors is not None:
+                kept = x.take(neighbors + row_starts)
+                x.fill(-np.inf)
+                x.put(neighbors + row_starts, kept)
+            peak = x.take(x.argmax(axis=1) + row_starts[:, 0])[:, None]
+            terms = np.exp(np.subtract(x, peak, out=x), out=x)
+            mass = np.add.reduce(terms, axis=1, keepdims=True)
+            total = -float(((s - (peak + np.log(mass))) * a).sum())
+            # dL/ds_it = -a_it + b_it * softmax over the neighbor set * sum_k a_ik
+            terms *= b
+            terms *= np.add.reduce(a, axis=1, keepdims=True) / mass
+            return total, np.subtract(terms, a, out=terms), bool((a > 0.0).any())
         log_denom = _log_sum_all_but(x)
 
     # an empty candidate set (log_denom = -inf) drops the pair
     usable = log_denom > -np.inf
-    a = np.where(usable, a, 0.0)
-    log_denom = np.where(usable, log_denom, 0.0)
-    total = -float(np.sum(a * (s - log_denom)))
+    if not usable.all():
+        a = np.where(usable, a, 0.0)
+        log_denom = np.where(usable, log_denom, 0.0)
+    total = -float(((s - log_denom) * a).sum())
 
     # dL/ds_it = -a_it + b_it * sum_k a_ik * exp(x_it - log_denom_ik) over
     # the k whose candidate set holds t: for yaware and exponential every k
@@ -296,16 +307,23 @@ def _loss_core(
     # bounds never decrease, t at position j is in the prefix of the k from
     # #{k : bound_ik <= j} on (threshold) and in the suffix of the first
     # #{k : bound_ik <= j} (rnc).
-    weighted = a > 0.0
-    log_share = np.log(a, out=np.full(a.shape, -np.inf), where=weighted) - log_denom
+    weighted = bool((a > 0.0).any())
+    with np.errstate(divide="ignore"):  # log(0) = -inf: an unweighted pair adds 0
+        log_share = np.log(a)
+    log_share -= log_denom
     if at is None:
-        return total, -a + b * np.exp(x + _log_sum_all_but(log_share)), bool(weighted.any())
-    # #{k : bound_ik <= j} is one past the end of j's own tie group
-    counts = n - 1 - _tie_group_starts(sorted_keys[:, ::-1])[:, ::-1] + row_starts
-    grad_sorted = -a + np.exp(x + _log_cumsum(log_share, reverse=not suffix).take(counts))
-    grad_s = np.zeros(n * n)
-    grad_s[at] = grad_sorted
-    return total, grad_s.reshape(n, n), bool(weighted.any())
+        grad_s = _log_sum_all_but(log_share)
+    else:
+        # #{k : bound_ik <= j} is one past the end of j's own tie group
+        grad_s = _log_cumsum(log_share, reverse=not suffix).take(ends + row_starts)
+    grad_s += x
+    grad_s = np.multiply(b, np.exp(grad_s, out=grad_s), out=grad_s)
+    grad_s -= a
+    if at is None:
+        return total, grad_s, weighted
+    full = np.zeros((n, n))
+    full.put(at, grad_s)
+    return total, full, weighted
 
 
 def _check_square(name: str, values: np.ndarray, n: int) -> None:
@@ -317,9 +335,14 @@ def _checked_labels(labels: np.ndarray, n: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.float64)
     if labels.shape != (n,):
         raise InputError(f"labels must have shape ({n},), got {labels.shape}")
-    if not np.all(np.isfinite(labels)):
-        raise InputError("labels contain non-finite values")
     return labels
+
+
+def _label_gaps(labels: np.ndarray) -> np.ndarray:
+    """|y_i - y_t| for rnc; for the rest positiveness_matrix checks the labels."""
+    if not np.isfinite(labels).all():
+        raise InputError("labels contain non-finite values")
+    return np.abs(labels[:, None] - labels)
 
 
 def dynlocrep_forward(sim: np.ndarray, weights: np.ndarray, neighbors: np.ndarray) -> float:
@@ -372,8 +395,7 @@ def baseline_forward(
     if variant is LossVariant.RANK_N_CONTRAST:
         if labels is None:
             raise InputError("rank-n-contrast needs labels")
-        labels = _checked_labels(labels, n)
-        gaps = np.abs(labels[:, None] - labels[None, :])
+        gaps = _label_gaps(_checked_labels(labels, n))
     else:
         if weights is None:
             raise InputError(f"{variant.value} needs a positiveness matrix")
@@ -402,19 +424,17 @@ def loss_with_gradient(
     if n < 2:
         raise InputError(f"need a batch of at least 2 samples, got {n}")
     labels = _checked_labels(labels, n)
-    if not np.all(np.isfinite(batch.raw)):
+    variant = config.variant
+    w = gaps = None
+    if variant is LossVariant.RANK_N_CONTRAST:
+        gaps = _label_gaps(labels)
+    else:
+        w = positiveness_matrix(labels, config.kernel)
+    if not np.isfinite(batch.raw).all():
         raise NumericalError("embeddings contain non-finite values")
 
     s = similarity_matrix(batch.unit, config.temperature)
-    variant = config.variant
-
-    w = None
-    gaps = None
     neighbors = None
-    if variant is LossVariant.RANK_N_CONTRAST:
-        gaps = np.abs(labels[:, None] - labels[None, :])
-    else:
-        w = positiveness_matrix(labels, config.kernel)
     if variant is LossVariant.DYN_LOC_REP:
         if neighbor_count is None:
             raise ConfigError("the localized variant needs a neighbor count")
@@ -423,9 +443,7 @@ def loss_with_gradient(
                 raise ConfigError("input-space neighbor selection needs input features")
             points = np.asarray(input_features, dtype=np.float64)
             if points.shape[0] != n:
-                raise InputError(
-                    f"input features must have {n} rows, got {points.shape[0]}"
-                )
+                raise InputError(f"input features must have {n} rows, got {points.shape[0]}")
         else:
             points = batch.unit
         # count n - 1 is everyone but the anchor (None); any other count,
@@ -437,17 +455,20 @@ def loss_with_gradient(
     value, grad_s, weighted = _loss_core(variant, s, w, gaps, neighbors)
 
     # Chain rule: s = U U^T / tau, then u = z / max(||z||, eps) per row.
-    grad_unit = (grad_s + grad_s.T) @ batch.unit / config.temperature
-    norms = np.sqrt(np.sum(batch.raw * batch.raw, axis=1, keepdims=True))
-    radial = (grad_unit * batch.unit).sum(axis=1, keepdims=True)
-    grad_raw = np.where(
-        norms > NORM_EPS, grad_unit - radial * batch.unit, grad_unit
-    ) / np.maximum(norms, NORM_EPS)
+    grad_unit = (grad_s + grad_s.T) @ batch.unit
+    grad_unit /= config.temperature
+    norms = np.sqrt(np.add.reduce(batch.raw * batch.raw, axis=1, keepdims=True))
+    tangent = np.add.reduce(grad_unit * batch.unit, axis=1, keepdims=True) * batch.unit
+    if norms.min() <= NORM_EPS:
+        # a row at the guard passes grad_unit through, divided by the guard
+        tangent[norms[:, 0] <= NORM_EPS] = 0.0
+        norms = np.maximum(norms, NORM_EPS)
+    grad_raw = np.divide(np.subtract(grad_unit, tangent, out=grad_unit), norms, out=grad_unit)
 
     if config.reduction is Reduction.MEAN:
         value /= n
-        grad_raw = grad_raw / n
+        grad_raw /= n
 
-    if not np.isfinite(value) or not np.all(np.isfinite(grad_raw)):
+    if not (math.isfinite(value) and np.isfinite(grad_raw).all()):
         raise NumericalError(f"{variant.value} loss produced non-finite output")
     return LossOutput(value=value, grad_raw=grad_raw, weighted=weighted)

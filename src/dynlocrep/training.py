@@ -116,10 +116,10 @@ def train(
 
     Per epoch: shuffle, split into batches, clamp the scheduled neighbor
     count to each batch's size minus one, take one Adam step per batch at
-    the epoch's decayed learning rate. Raises NumericalError naming the
-    epoch if a loss turns non-finite, and ConfigError if the guards drop
-    every pair weight of an epoch (the kernel bandwidth does not fit the
-    labels).
+    the epoch's decayed learning rate. Labels with zero spread raise
+    ConfigError before the first step, as does an epoch whose guards drop
+    every pair weight (the kernel bandwidth does not fit the labels).
+    Non-finite embeddings or losses raise NumericalError naming the epoch.
     """
     if dataset.feature_dim != encoder_config.input_dim:
         raise ConfigError(
@@ -129,6 +129,13 @@ def train(
     if dataset.n < 2:
         raise InputError(f"need at least 2 samples to train, got {dataset.n}")
 
+    spread = np.ptp(dataset.labels)
+    unfit = (
+        f"the kernel bandwidth {config.kernel.bandwidth:g} does not fit the label spread "
+        f"{spread:g} (max - min of the training labels)"
+    )
+    if spread == 0.0:
+        raise ConfigError(f"epoch 0: every training label is the same, nothing to learn; {unfit}")
     encoder = init_encoder(encoder_config, config.seed)
     adam = Adam(encoder.params, optim)
     loss_config = config.loss_config()
@@ -141,37 +148,28 @@ def train(
         nn_count = neighbors_at_epoch(schedule, epoch) if schedule is not None else None
         batch_losses = []
         weighted = False
-        for rows in _epoch_batches(dataset.n, config.batch_size, config.seed, epoch):
-            features = dataset.features[rows]
-            batch = encoder.forward(features)
-            try:
+        try:
+            for rows in _epoch_batches(dataset.n, config.batch_size, config.seed, epoch):
+                features = dataset.features[rows]
                 out = loss_with_gradient(
                     loss_config,
-                    batch,
+                    encoder.forward(features),
                     dataset.labels[rows],
                     neighbor_count=None if nn_count is None else min(nn_count, len(rows) - 1),
                     input_features=features,
                 )
-            except NumericalError as exc:
-                raise NumericalError(f"epoch {epoch}: {exc}") from exc
-            adam.step(encoder.backward(out.grad_raw), lr)
-            batch_losses.append(out.value)
-            weighted = weighted or out.weighted
-        if not weighted:
-            raise ConfigError(
-                f"epoch {epoch}: every pair weight of the {config.variant.value} loss was "
-                "dropped, so it would train on a loss of exactly 0; the kernel bandwidth "
-                f"{config.kernel.bandwidth:g} does not fit the label spread "
-                f"{np.ptp(dataset.labels):g} (max - min of the training labels)"
-            )
-        trace.append(
-            {
-                "epoch": epoch,
-                "lr": lr,
-                "nn_count": nn_count,
-                "mean_loss": float(np.mean(batch_losses)),
-            }
-        )
-        if (epoch + 1) in config.export_epochs:
-            exports[epoch + 1] = encoder.forward(dataset.features).unit
+                adam.step(encoder.backward(out.grad_raw), lr)
+                batch_losses.append(out.value)
+                weighted = weighted or out.weighted
+            if not weighted:
+                raise ConfigError(
+                    f"epoch {epoch}: every pair weight of the {config.variant.value} loss was "
+                    f"dropped, so it would train on a loss of exactly 0; {unfit}"
+                )
+            if (epoch + 1) in config.export_epochs:
+                exports[epoch + 1] = encoder.forward(dataset.features).unit
+        except NumericalError as exc:
+            raise NumericalError(f"epoch {epoch}: {exc}") from exc
+        mean_loss = float(np.mean(batch_losses))
+        trace.append({"epoch": epoch, "lr": lr, "nn_count": nn_count, "mean_loss": mean_loss})
     return TrainResult(encoder=encoder, trace=trace, exports=exports)

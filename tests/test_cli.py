@@ -224,6 +224,30 @@ def test_train_on_labels_the_kernel_cannot_resolve_exits_64(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_train_on_constant_labels_exits_64_without_artifact(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    ds = generate_synthetic(SyntheticSpec(n=40, feature_dim=6, informative_dims=3), 0)
+    write_csv(dataclasses.replace(ds, labels=np.full(40, 30.0)), data)
+    out_dir = tmp_path / "r"
+    code = main(["train", "--data", str(data), "--out-dir", str(out_dir), *FAST_TRAIN])
+    assert code == EXIT_USAGE
+    assert "epoch 0: every training label is the same" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_train_on_overflowing_features_exits_70_naming_the_epoch(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    ds = generate_synthetic(SyntheticSpec(n=40, feature_dim=6, informative_dims=3), 0)
+    write_csv(dataclasses.replace(ds, features=ds.features * 1e200), data)
+    out_dir = tmp_path / "r"
+    code = main(["train", "--data", str(data), "--out-dir", str(out_dir), *FAST_TRAIN])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: epoch 0: 8 embedding rows" in err
+    assert "have non-finite norms" in err
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # benchmark / ablate
 # ---------------------------------------------------------------------------

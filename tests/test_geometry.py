@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from dynlocrep import (
     ConfigError,
     DistanceNorm,
+    NumericalError,
     distance_matrix,
     l2_normalize,
     select_neighbors,
@@ -46,6 +47,26 @@ def test_normalize_produces_unit_rows(raw):
     above_guard = np.linalg.norm(raw, axis=1) > 1e-12
     assert np.all(np.abs(norms[above_guard] - 1.0) < 1e-9)
     assert np.all(norms[~above_guard] <= 1.0 + 1e-9)
+
+
+def test_normalize_matches_linalg_norm_bit_for_bit():
+    """The norms come from linalg.norm's own formula without its wrapper."""
+    raw = np.random.default_rng(8).normal(size=(40, 7))
+    raw[1] = 0.0
+    raw[2] *= 1e-13 / np.linalg.norm(raw[2])
+    raw[3] *= 1e150
+    raw[4] *= 1e-150
+    expected = raw / np.maximum(np.linalg.norm(raw, axis=-1, keepdims=True), 1e-12)
+    assert l2_normalize(raw).tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [1e200, math.inf, math.nan])
+def test_normalize_rejects_non_finite_norms_without_a_warning(bad):
+    raw = np.ones((5, 3))
+    raw[3, 1] = bad
+    with pytest.raises(NumericalError, match="1 embedding rows, the first row 3, have non-finite"):
+        l2_normalize(raw)
 
 
 def test_similarity_identical_rows():

@@ -26,7 +26,14 @@ from dynlocrep import (
     select_neighbors,
     similarity_matrix,
 )
-from dynlocrep.losses import _log_cumsum, _log_sum_all_but, _normalized_pair_weights
+from dynlocrep.geometry import NORM_EPS
+from dynlocrep.losses import (
+    WEIGHT_SUM_EPS,
+    _log_cumsum,
+    _log_sum_all_but,
+    _loss_core,
+    _normalized_pair_weights,
+)
 
 KERNEL = KernelSpec(bandwidth=2.0)
 TAU = 0.1
@@ -658,3 +665,126 @@ def test_rnc_rejects_non_finite_labels(bad):
         baseline_forward(LossVariant.RANK_N_CONTRAST, sim, labels=labels)
     with pytest.raises(InputError):
         loss_with_gradient(LossConfig(variant=LossVariant.RANK_N_CONTRAST), batch, labels)
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit references for the passes the step skips when nothing is
+# dropped: the earlier masked formulas, kept verbatim.
+# ---------------------------------------------------------------------------
+
+
+def reference_pair_weights(w):
+    n = w.shape[0]
+    off = w * (1.0 - np.eye(n))
+    row_sums = off.sum(axis=1, keepdims=True)
+    safe = np.where(row_sums < WEIGHT_SUM_EPS, 1.0, row_sums)
+    return np.where(row_sums < WEIGHT_SUM_EPS, 0.0, off / safe)
+
+
+def reference_dynlocrep_core(s, w, neighbors):
+    """dynlocrep's loss, dL/ds and weighted flag through eye/where= masks."""
+    n = s.shape[0]
+    a = reference_pair_weights(w)
+    b = 1.0 - w
+    x = b * s
+    if neighbors is None:
+        in_set = ~np.eye(n, dtype=bool)
+    else:
+        in_set = np.zeros((n, n), dtype=bool)
+        in_set[np.arange(n)[:, None], neighbors] = True
+    peak = np.max(x, axis=1, keepdims=True, initial=-np.inf, where=in_set)
+    terms = np.exp(x - peak, out=np.zeros((n, n)), where=in_set)
+    mass = terms.sum(axis=1, keepdims=True)
+    total = -float(np.sum(a * (s - (peak + np.log(mass)))))
+    grad_s = -a + b * terms * (a.sum(axis=1, keepdims=True) / mass)
+    return total, grad_s, bool((a > 0.0).any())
+
+
+def reference_chain_rule(grad_s, batch, temperature):
+    grad_unit = (grad_s + grad_s.T) @ batch.unit / temperature
+    norms = np.sqrt(np.sum(batch.raw * batch.raw, axis=1, keepdims=True))
+    radial = (grad_unit * batch.unit).sum(axis=1, keepdims=True)
+    return np.where(
+        norms > NORM_EPS, grad_unit - radial * batch.unit, grad_unit
+    ) / np.maximum(norms, NORM_EPS)
+
+
+def guard_cases():
+    """(name, raw, labels): each reaches one slow branch of the step."""
+    rng = np.random.default_rng(31)
+    raw = rng.normal(size=(9, 4))
+    labels = rng.uniform(20.0, 80.0, size=9)
+    zero_row = raw.copy()
+    zero_row[3] = 0.0
+    tiny_row = raw.copy()
+    tiny_row[5] *= 1e-13 / np.linalg.norm(tiny_row[5])
+    light = labels.copy()
+    light[0] = 1e4  # anchor 0's kernel weights underflow: mass < WEIGHT_SUM_EPS
+    return [
+        ("plain", raw, labels),
+        ("zero row", zero_row, labels),
+        ("norm 1e-13 row", tiny_row, labels),
+        ("light anchor", raw, light),
+        ("n = 2", raw[:2], labels[:2]),
+        ("n = 2 light", raw[:2], np.array([20.0, 2e4])),
+    ]
+
+
+@pytest.mark.parametrize("case", guard_cases(), ids=lambda case: case[0])
+def test_pair_weights_match_the_masked_reference_bit_for_bit(case):
+    _, _, labels = case
+    w = positiveness_matrix(labels, KERNEL)
+    assert _normalized_pair_weights(w).tobytes() == reference_pair_weights(w).tobytes()
+
+
+@pytest.mark.parametrize("count", ["all", 1, 2])
+@pytest.mark.parametrize("case", guard_cases(), ids=lambda case: case[0])
+def test_dynlocrep_step_matches_the_masked_reference_bit_for_bit(case, count):
+    """The core against eye/where= masks, then loss_with_gradient against
+    the core's output pushed through the masked chain rule."""
+    _, raw, labels = case
+    n = len(labels)
+    count = n - 1 if count == "all" else min(count, n - 1)
+    batch = EmbeddingBatch.from_raw(raw)
+    config = LossConfig(kernel=KERNEL, temperature=TAU)
+    s, w = similarity_matrix(batch.unit, TAU), positiveness_matrix(labels, KERNEL)
+    neighbors = None
+    if count != n - 1:
+        neighbors = select_neighbors(distance_matrix(batch.unit, DistanceNorm.MANHATTAN), count)
+    value, grad_s, weighted = _loss_core(LossVariant.DYN_LOC_REP, s, w, None, neighbors)
+    ref_value, ref_grad_s, ref_weighted = reference_dynlocrep_core(s, w, neighbors)
+    assert (value, weighted) == (ref_value, ref_weighted)
+    assert grad_s.tobytes() == ref_grad_s.tobytes()
+    out = loss_with_gradient(config, batch, labels, neighbor_count=count)
+    assert float(out.value).hex() == float(ref_value).hex()
+    assert out.grad_raw.tobytes() == reference_chain_rule(ref_grad_s, batch, TAU).tobytes()
+
+
+@pytest.mark.parametrize("variant", BASELINES)
+@pytest.mark.parametrize("case", guard_cases(), ids=lambda case: case[0])
+def test_chain_rule_matches_the_masked_reference_bit_for_bit(case, variant):
+    _, raw, labels = case
+    batch = EmbeddingBatch.from_raw(raw)
+    config = LossConfig(variant=variant, kernel=KERNEL, temperature=TAU)
+    s, w = similarity_matrix(batch.unit, TAU), positiveness_matrix(labels, KERNEL)
+    gaps = np.abs(labels[:, None] - labels[None, :])
+    value, grad_s, _ = _loss_core(variant, s, w, gaps, None)
+    out = loss_with_gradient(config, batch, labels)
+    assert float(out.value).hex() == float(value).hex()
+    assert out.grad_raw.tobytes() == reference_chain_rule(grad_s, batch, TAU).tobytes()
+
+
+@pytest.mark.parametrize("variant", list(LossVariant))
+def test_forwards_do_not_depend_on_the_memory_layout(variant):
+    """Column-major and strided inputs give the values of C-ordered ones."""
+    batch, labels = random_batch(12, n=7)
+    sim, weights, neighbors = forward_pieces(batch, labels, neighbor_count=3)
+    layouts = [np.asfortranarray, lambda m: np.repeat(m, 2, axis=1)[:, ::2]]
+    for layout in layouts:
+        if variant is LossVariant.DYN_LOC_REP:
+            got = dynlocrep_forward(layout(sim), layout(weights), neighbors)
+            expected = dynlocrep_forward(sim, weights, neighbors)
+        else:
+            got = baseline_forward(variant, layout(sim), weights=layout(weights), labels=labels)
+            expected = baseline_forward(variant, sim, weights=weights, labels=labels)
+        assert float(got).hex() == float(expected).hex()

@@ -7,6 +7,7 @@ import pytest
 
 from dynlocrep import (
     ConfigError,
+    NumericalError,
     EncoderConfig,
     KernelSpec,
     LossVariant,
@@ -17,6 +18,7 @@ from dynlocrep import (
     generate_synthetic,
     neighbors_at_epoch,
     train,
+    training,
 )
 
 ENC = EncoderConfig(input_dim=8, hidden_dims=(16, 16), output_dim=8)
@@ -187,6 +189,30 @@ def test_degenerate_supervision_fails_loudly(variant, scale):
     with pytest.raises(ConfigError, match="epoch 0") as failure:
         train(dataset, config, OPT, ENC)
     assert f"kernel bandwidth 6 does not fit the label spread {spread:g}" in str(failure.value)
+
+
+@pytest.mark.parametrize("variant", list(LossVariant))
+def test_constant_labels_are_rejected_before_the_first_step(variant, monkeypatch):
+    """Labels with zero spread give no pair anything to learn from; every
+    variant refuses them before a single loss is evaluated."""
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran on constant labels")
+
+    monkeypatch.setattr(training, "loss_with_gradient", no_step)
+    dataset = dataclasses.replace(tiny_dataset(), labels=np.full(48, 42.0))
+    with pytest.raises(ConfigError, match="epoch 0: every training label is the same") as failure:
+        train(dataset, tiny_config(variant=variant), OPT, ENC)
+    assert "does not fit the label spread 0 (max - min" in str(failure.value)
+
+
+@pytest.mark.parametrize("variant", list(LossVariant))
+def test_overflowing_embeddings_fail_naming_the_epoch(variant):
+    """Features x 1e200 square past the float range in the row norms: the
+    run stops with NumericalError instead of training on zero rows."""
+    dataset = tiny_dataset()
+    dataset = dataclasses.replace(dataset, features=dataset.features * 1e200)
+    with pytest.raises(NumericalError, match="epoch 0: .* have non-finite norms"):
+        train(dataset, tiny_config(variant=variant), OPT, ENC)
 
 
 def test_rank_n_contrast_trains_on_labels_the_kernel_cannot_resolve():
