@@ -19,7 +19,8 @@ and the rest) check every range, and they check the effective value, the
 file's value overridden by flags with the last flag winning; a value that
 is overridden or unused is not checked. Three flags keep a check of their
 own, on every occurrence: ``--epochs`` >= 1 (the library accepts 0
-epochs), ``--nn-final`` >= 1 and ``--seeds`` >= 0.
+epochs), ``--nn-final`` >= 1 and ``--seeds`` >= 0. Every flag default
+that a library config declares comes from that config's class attribute.
 """
 
 from __future__ import annotations
@@ -109,38 +110,36 @@ def _seed_list(text: str) -> list[int]:
 
 
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=_positive_int, default=50, help="training epochs")
-    parser.add_argument("--batch-size", type=int, default=32, help="samples per batch")
-    parser.add_argument("--lr", type=float, default=1e-4, help="initial learning rate")
-    parser.add_argument("--lr-decay", type=float, default=0.9, help="learning-rate decay factor")
-    parser.add_argument("--lr-decay-every", type=int, default=10, help="epochs between decays")
-    parser.add_argument("--weight-decay", type=float, default=5e-5, help="L2 weight decay")
-    parser.add_argument(
-        "--kernel-sigma", type=float, default=6.0, help="gaussian kernel bandwidth in label units"
-    )
-    parser.add_argument("--temperature", type=float, default=0.5, help="similarity temperature")
-    parser.add_argument(
-        "--nn-final", type=_positive_int, default=14, help="final neighbor count of the schedule"
-    )
-    parser.add_argument(
-        "--nn-step-size", type=int, default=1, help="epochs between schedule steps"
-    )
-    parser.add_argument(
-        "--nn-space",
-        choices=[s.value for s in NeighborSpace],
-        default=NeighborSpace.EMBEDDING.value,
-        help="space in which neighbors are selected",
-    )
-    parser.add_argument(
-        "--reduction",
-        choices=[r.value for r in Reduction],
-        default=Reduction.SUM.value,
-        help="loss reduction over anchors",
-    )
-    parser.add_argument(
-        "--hidden-dims", type=_list(int), default=[64, 64], help="encoder hidden widths"
-    )
-    parser.add_argument("--embed-dim", type=int, default=32, help="encoder output dimension")
+    parser.add_argument("--epochs", type=_positive_int, default=TrainConfig.epochs,
+                        help="training epochs")
+    parser.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
+                        help="samples per batch")
+    parser.add_argument("--lr", type=float, default=OptimConfig.learning_rate,
+                        help="initial learning rate")
+    parser.add_argument("--lr-decay", type=float, default=OptimConfig.decay_factor,
+                        help="learning-rate decay factor")
+    parser.add_argument("--lr-decay-every", type=int, default=OptimConfig.decay_every,
+                        help="epochs between decays")
+    parser.add_argument("--weight-decay", type=float, default=OptimConfig.weight_decay,
+                        help="L2 weight decay")
+    parser.add_argument("--kernel-sigma", type=float, default=TrainConfig.kernel.bandwidth,
+                        help="gaussian kernel bandwidth in label units")
+    parser.add_argument("--temperature", type=float, default=TrainConfig.temperature,
+                        help="similarity temperature")
+    parser.add_argument("--nn-final", type=_positive_int, default=TrainConfig.nn_final,
+                        help="final neighbor count of the schedule")
+    parser.add_argument("--nn-step-size", type=int, default=TrainConfig.nn_step_size,
+                        help="epochs between schedule steps")
+    parser.add_argument("--nn-space", choices=[s.value for s in NeighborSpace],
+                        default=TrainConfig.nn_space.value,
+                        help="space in which neighbors are selected")
+    parser.add_argument("--reduction", choices=[r.value for r in Reduction],
+                        default=TrainConfig.reduction.value,
+                        help="loss reduction over anchors")
+    parser.add_argument("--hidden-dims", type=_list(int), default=list(EncoderConfig.hidden_dims),
+                        help="encoder hidden widths")
+    parser.add_argument("--embed-dim", type=int, default=EncoderConfig.output_dim,
+                        help="encoder output dimension")
 
 
 def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
@@ -160,7 +159,8 @@ def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--test-fraction", type=float, default=0.2, help="held-out fraction per split"
     )
-    parser.add_argument("--ridge-lambda", type=float, default=1.0, help="ridge regularization")
+    parser.add_argument("--ridge-lambda", type=float, default=RidgeConfig.regularization,
+                        help="ridge regularization")
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -203,25 +203,19 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     gen.add_argument(
         "--force", action="store_true", help="overwrite an existing output file"
     )
-    gen.add_argument("--feature-dim", type=int, default=16, help="feature count")
-    gen.add_argument(
-        "--informative-dims", type=int, default=8, help="label-dependent feature count"
-    )
-    gen.add_argument(
-        "--noise-std", type=float, default=0.1, help="observation noise on informative features"
-    )
-    gen.add_argument(
-        "--mix-means", type=_list(float), default=[25.0, 68.0], help="label component means"
-    )
-    gen.add_argument(
-        "--mix-stds", type=_list(float), default=[5.0, 6.0], help="label component stds"
-    )
-    gen.add_argument(
-        "--mix-weights",
-        type=_list(float),
-        default=[0.5, 0.5],
-        help="label component weights (sum to 1)",
-    )
+    gen.add_argument("--feature-dim", type=int, default=SyntheticSpec.feature_dim,
+                     help="feature count")
+    gen.add_argument("--informative-dims", type=int, default=SyntheticSpec.informative_dims,
+                     help="label-dependent feature count")
+    gen.add_argument("--noise-std", type=float, default=SyntheticSpec.noise_std,
+                     help="observation noise on informative features")
+    gen.add_argument("--mix-means", type=_list(float), default=list(SyntheticSpec.mixture_means),
+                     help="label component means")
+    gen.add_argument("--mix-stds", type=_list(float), default=list(SyntheticSpec.mixture_stds),
+                     help="label component stds")
+    gen.add_argument("--mix-weights", type=_list(float),
+                     default=list(SyntheticSpec.mixture_weights),
+                     help="label component weights (sum to 1)")
 
     tr = command(
         "train",
@@ -235,19 +229,19 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     tr.add_argument("--data", default=None, metavar="CSV", help="input dataset (required)")
     tr.add_argument("--out-dir", default=None, metavar="DIR", help="artifact directory (required)")
     tr.add_argument(
-        "--loss", choices=_VARIANT_NAMES, default=LossVariant.DYN_LOC_REP.value, help="loss variant"
+        "--loss", choices=_VARIANT_NAMES, default=TrainConfig.variant.value, help="loss variant"
     )
-    tr.add_argument("--seed", type=int, default=0, help="run seed")
+    tr.add_argument("--seed", type=int, default=TrainConfig.seed, help="run seed")
     tr.add_argument(
         "--distance-norm",
         choices=_NORM_NAMES,
-        default=DistanceNorm.MANHATTAN.value,
+        default=TrainConfig.distance_norm.value,
         help="neighbor-selection distance norm",
     )
     tr.add_argument(
         "--export-epochs",
         type=_list(int),
-        default=[],
+        default=list(TrainConfig.export_epochs),
         help="1-based epochs after which to export train-set embeddings (e.g. 1,6,21,30,40,50)",
     )
     _add_training_flags(tr)
@@ -273,7 +267,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     bm.add_argument(
         "--distance-norm",
         choices=_NORM_NAMES,
-        default=DistanceNorm.MANHATTAN.value,
+        default=TrainConfig.distance_norm.value,
         help="neighbor-selection distance norm for the localized loss",
     )
     bm.add_argument(

@@ -14,27 +14,19 @@ import numpy as np
 from .data import Dataset
 from .encoder import Adam, Encoder, EncoderConfig, OptimConfig, init_encoder
 from .errors import ConfigError, InputError, NumericalError
-from .geometry import DistanceNorm
-from .kernels import KernelSpec
-from .losses import LossConfig, LossVariant, NeighborSpace, Reduction, loss_with_gradient
+from .losses import LossConfig, LossVariant, loss_with_gradient
 from .schedule import ScheduleConfig, neighbors_at_epoch
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Full recipe for one training run."""
+class TrainConfig(LossConfig):
+    """Full recipe for one training run: the loss settings plus the run's own."""
 
     epochs: int = 50
     batch_size: int = 32
     seed: int = 0
-    variant: LossVariant = LossVariant.DYN_LOC_REP
-    kernel: KernelSpec = KernelSpec()
     nn_final: int = 14
     nn_step_size: int = 1
-    distance_norm: DistanceNorm = DistanceNorm.MANHATTAN
-    temperature: float = 0.5
-    nn_space: NeighborSpace = NeighborSpace.EMBEDDING
-    reduction: Reduction = Reduction.SUM
     export_epochs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -56,17 +48,7 @@ class TrainConfig:
             raise ConfigError(
                 f"export epochs must be <= epochs = {self.epochs}, got {max(self.export_epochs)}"
             )
-        self.loss_config()  # LossConfig owns the temperature range
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(
-            variant=self.variant,
-            kernel=self.kernel,
-            temperature=self.temperature,
-            distance_norm=self.distance_norm,
-            nn_space=self.nn_space,
-            reduction=self.reduction,
-        )
+        super().__post_init__()  # LossConfig owns the temperature range
 
     def schedule_config(self) -> ScheduleConfig | None:
         """The neighbor schedule, or None where no epoch reads one: the
@@ -138,7 +120,6 @@ def train(
         raise ConfigError(f"epoch 0: every training label is the same, nothing to learn; {unfit}")
     encoder = init_encoder(encoder_config, config.seed)
     adam = Adam(encoder.params, optim)
-    loss_config = config.loss_config()
     schedule = config.schedule_config()
 
     trace: list[dict] = []
@@ -152,7 +133,7 @@ def train(
             for rows in _epoch_batches(dataset.n, config.batch_size, config.seed, epoch):
                 features = dataset.features[rows]
                 out = loss_with_gradient(
-                    loss_config,
+                    config,
                     encoder.forward(features),
                     dataset.labels[rows],
                     neighbor_count=None if nn_count is None else min(nn_count, len(rows) - 1),

@@ -12,7 +12,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynlocrep import SyntheticSpec, generate_synthetic, load_checkpoint, load_csv, write_csv
+from dynlocrep import (
+    EncoderConfig,
+    LossVariant,
+    OptimConfig,
+    RidgeConfig,
+    SyntheticSpec,
+    TrainConfig,
+    benchmark,
+    generate_synthetic,
+    load_checkpoint,
+    load_csv,
+    save_checkpoint,
+    train,
+    write_csv,
+)
 from dynlocrep.cli import (
     EXIT_CANT_CREATE,
     EXIT_MISSING_INPUT,
@@ -23,6 +37,7 @@ from dynlocrep.cli import (
     build_parser,
     main,
 )
+from dynlocrep.evaluation import strip_timing
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -659,6 +674,52 @@ def test_config_file_bad_entry_exits_64_naming_it(tmp_path, capsys, text, messag
     assert main(["generate", "--config", str(config), "--out", str(out)]) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# flag defaults are the library defaults
+# ---------------------------------------------------------------------------
+
+
+def test_train_defaults_are_the_library_defaults(tmp_path):
+    """Bare `train` writes what the library writes with default configs."""
+    data = tmp_path / "data.csv"
+    ds = write_small_csv(data)
+    out_dir = tmp_path / "run"
+    argv = ["train", "--data", str(data), "--out-dir", str(out_dir), "--epochs", "2"]
+    assert main(argv) == EXIT_OK
+    encoder_config = EncoderConfig(input_dim=ds.feature_dim)
+    result = train(load_csv(data), TrainConfig(epochs=2), OptimConfig(), encoder_config)
+    save_checkpoint(result.encoder, tmp_path / "library.txt")
+    trace = "".join(json.dumps(entry) + "\n" for entry in result.trace)
+    assert (out_dir / "trace.jsonl").read_text() == trace
+    assert (out_dir / "encoder.txt").read_bytes() == (tmp_path / "library.txt").read_bytes()
+
+
+def test_generate_defaults_are_the_library_defaults(tmp_path):
+    argv = ["generate", "--n", "40", "--seed", "3", "--out", str(tmp_path / "cli.csv")]
+    assert main(argv) == EXIT_OK
+    write_csv(generate_synthetic(SyntheticSpec(n=40), 3), tmp_path / "library.csv")
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
+def test_benchmark_defaults_are_the_library_defaults(tmp_path):
+    """A one-seed `benchmark` agrees with the library outside "timing"."""
+    out = tmp_path / "report.json"
+    argv = ["benchmark", "--synthetic-n", "60", "--seeds", "0", "--epochs", "2", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    report = benchmark(
+        generate_synthetic(SyntheticSpec(n=60), 0),
+        list(LossVariant),
+        [0],
+        TrainConfig(epochs=2),
+        OptimConfig(),
+        EncoderConfig(input_dim=SyntheticSpec.feature_dim),
+        RidgeConfig(),
+        dataset_source="synthetic(n=60, seed=0)",
+    )
+    expected = json.dumps(strip_timing(report), indent=2)
+    assert json.dumps(strip_timing(json.loads(out.read_text())), indent=2) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,20 @@ import pytest
 from dynlocrep import (
     ConfigError,
     NumericalError,
+    DistanceNorm,
+    EmbeddingBatch,
     EncoderConfig,
     KernelSpec,
+    LossConfig,
     LossVariant,
+    NeighborSpace,
     OptimConfig,
+    Reduction,
     ScheduleConfig,
     SyntheticSpec,
     TrainConfig,
     generate_synthetic,
+    loss_with_gradient,
     neighbors_at_epoch,
     train,
     training,
@@ -149,6 +155,41 @@ def test_config_bounds_hold_for_every_variant(overrides, message):
     """Checked when the config is built, not when a loss first reads them."""
     with pytest.raises(ConfigError, match=message):
         tiny_config(**overrides)
+
+
+def test_train_config_is_the_loss_config_plus_the_run_fields():
+    loss_fields = [f.name for f in dataclasses.fields(LossConfig)]
+    run_fields = ["epochs", "batch_size", "seed", "nn_final", "nn_step_size", "export_epochs"]
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == loss_fields + run_fields
+    assert isinstance(TrainConfig(), LossConfig)
+
+
+def test_train_config_checks_its_run_fields_before_the_loss_fields():
+    with pytest.raises(ConfigError, match="epochs must be >= 0, got -1"):
+        tiny_config(epochs=-1, temperature=0.0)
+
+
+@pytest.mark.parametrize("variant", list(LossVariant))
+def test_a_train_config_evaluates_like_its_loss_config(variant):
+    """loss_with_gradient reads a TrainConfig through its six loss fields
+    alone: value and gradient are bit-identical to the equal LossConfig."""
+    settings = dict(
+        variant=variant,
+        kernel=KernelSpec(bandwidth=4.0),
+        temperature=0.3,
+        distance_norm=DistanceNorm.EUCLIDEAN,
+        nn_space=NeighborSpace.INPUT,
+        reduction=Reduction.MEAN,
+    )
+    rng = np.random.default_rng(5)
+    batch = EmbeddingBatch.from_raw(rng.normal(size=(12, 8)))
+    labels, features = rng.uniform(20, 80, size=12), rng.normal(size=(12, 5))
+    loss, run = (
+        loss_with_gradient(config, batch, labels, neighbor_count=5, input_features=features)
+        for config in (LossConfig(**settings), tiny_config(**settings))
+    )
+    assert (run.value.hex(), run.weighted) == (loss.value.hex(), loss.weighted)
+    assert run.grad_raw.tobytes() == loss.grad_raw.tobytes()
 
 
 def test_localized_schedule_too_short_names_epochs_and_step_size():
