@@ -39,7 +39,7 @@ from .geometry import (
     select_neighbors,
     similarity_matrix,
 )
-from .kernels import KernelSpec, kernel_value, positiveness_matrix
+from .kernels import KernelSpec, positiveness_matrix
 from .losses import (
     LossConfig,
     LossOutput,
@@ -88,7 +88,6 @@ __all__ = [
     "dynlocrep_forward",
     "generate_synthetic",
     "init_encoder",
-    "kernel_value",
     "l2_normalize",
     "load_checkpoint",
     "load_csv",

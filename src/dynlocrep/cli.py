@@ -33,10 +33,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, write_csv
-from .data import _format_rows, _write_text_atomic
+from .data import _table_lines, _write_lines_atomic
 from .encoder import EncoderConfig, OptimConfig, save_checkpoint
 from .errors import ConfigError, DynLocRepError, NumericalError, ParseError
 from .evaluation import RidgeConfig, ablate_norms, benchmark
@@ -452,9 +450,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _write_embedding_export(path: Path, epoch: int, ids, labels, embeddings) -> None:
     header = "epoch,id,y," + ",".join(f"z{j}" for j in range(embeddings.shape[1]))
-    values = np.column_stack((labels, embeddings))
-    rows = (f"{epoch},{i},{row}" for i, row in zip(ids, _format_rows(values)))
-    _write_text_atomic(path, "\n".join([header, *rows]) + "\n")
+    lead = (f"{epoch},{i},{y!r}" for i, y in zip(ids, labels.tolist()))
+    _write_lines_atomic(path, _table_lines(header, lead, embeddings))
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -473,8 +470,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     checkpoint_path = out_dir / "encoder.txt"
     with _output_dir(out_dir):
         result = train(dataset, config, optim, encoder_config)
-        trace = "".join(json.dumps(entry) + "\n" for entry in result.trace)
-        _write_text_atomic(trace_path, trace)
+        _write_lines_atomic(trace_path, map(json.dumps, result.trace))
         save_checkpoint(result.encoder, checkpoint_path)
         for epoch, embeddings in sorted(result.exports.items()):
             export = out_dir / f"embeddings_epoch{epoch}.csv"
@@ -509,7 +505,7 @@ def _write_report(
 ) -> int:
     """Write the report to --out and print its per-entry MAE summary."""
     out = Path(args.out)
-    _write_text_atomic(out, json.dumps(report, indent=2) + "\n")
+    _write_lines_atomic(out, [json.dumps(report, indent=2)])
     print(f"{title} over seeds {args.seeds} on {report['dataset']['source']}")
     _summarize(report[entries_key], label)
     _summarize(report["baselines"], "baseline")

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,12 +102,6 @@ class SyntheticSpec:
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
-    @property
-    def mixture_mean(self) -> float:
-        return float(
-            sum(w * m for w, m in zip(self.mixture_weights, self.mixture_means))
-        )
-
 
 # Labels are centered and scaled by these constants before entering the
 # sinusoidal feature map, placing the default mixture roughly in [-1.2, 1.8].
@@ -153,17 +148,19 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     return Dataset(features=features, labels=labels, ids=ids)
 
 
-def _write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text to a temp file beside path, then os.replace it into place.
+def _write_lines_atomic(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line, ended by a newline, to a temp file beside path, then
+    os.replace it into place. Lines stream through the file's buffer, so
+    no text of the whole file is ever held.
 
-    A write that fails midway leaves any previous file at path intact and
-    removes the temp file.
+    A write that fails midway, the line iterator raising included, leaves
+    any previous file at path intact and removes the temp file.
     """
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w") as handle:
-            handle.write(text)
+            handle.writelines(f"{line}\n" for line in lines)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -191,12 +188,19 @@ def _parse_floats(text: str, sep: str | None, path: str | Path, lineno: int) -> 
     return values
 
 
+def _table_lines(header: str, lead: Iterable[str], matrix: np.ndarray) -> Iterator[str]:
+    """``header``, then per row its ``lead`` text joined by a comma to the
+    row's _format_rows text; a matrix without columns adds no comma."""
+    yield header
+    for text, row in zip(lead, _format_rows(matrix)):
+        yield f"{text},{row}" if row else text
+
+
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write the dataset in the documented ``id,y,f0,...`` format."""
     header = "id,y," + ",".join(f"f{j}" for j in range(dataset.feature_dim))
-    values = np.column_stack((dataset.labels, dataset.features))
-    rows = (f"{i},{row}" for i, row in zip(dataset.ids, _format_rows(values)))
-    _write_text_atomic(path, "\n".join([header, *rows]) + "\n")
+    lead = (f"{i},{y!r}" for i, y in zip(dataset.ids, dataset.labels.tolist()))
+    _write_lines_atomic(path, _table_lines(header, lead, dataset.features))
 
 
 def load_csv(path: str | Path) -> Dataset:
@@ -220,8 +224,8 @@ def load_csv(path: str | Path) -> Dataset:
 
     ids: list[str] = []
     seen: set[str] = set()
-    labels: list[float] = []
-    rows: list[list[float]] = []
+    # one flat buffer of doubles, row by row: label, then the p features
+    buffer = array("d")
     for lineno, line in enumerate(lines[1:], start=2):
         columns = line.count(",") + 1
         if columns != p + 2:
@@ -230,17 +234,13 @@ def load_csv(path: str | Path) -> Dataset:
         if row_id in seen:
             raise ParseError(f"{path}: line {lineno}: duplicate id {row_id!r}")
         seen.add(row_id)
-        values = _parse_floats(numbers, ",", path, lineno)
+        buffer.extend(_parse_floats(numbers, ",", path, lineno))
         ids.append(row_id)
-        labels.append(values[0])
-        rows.append(values[1:])
     if not ids:
         raise ParseError(f"{path}: line 2: no data rows")
-    return Dataset(
-        features=np.array(rows, dtype=np.float64),
-        labels=np.array(labels, dtype=np.float64),
-        ids=tuple(ids),
-    )
+    del lines  # the text is parsed: free it before the arrays are copied out
+    values = np.frombuffer(buffer, dtype=np.float64).reshape(len(ids), p + 1)
+    return Dataset(features=values[:, 1:].copy(), labels=values[:, 0].copy(), ids=tuple(ids))
 
 
 def split(dataset: Dataset, test_fraction: float = 0.2, seed: int = 0) -> tuple[Dataset, Dataset]:

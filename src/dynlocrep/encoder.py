@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _format_rows, _parse_floats, _write_text_atomic
+from .data import _format_rows, _parse_floats, _write_lines_atomic
 from .errors import ConfigError, InputError, ParseError
 from .geometry import EmbeddingBatch
 
@@ -201,7 +201,7 @@ def save_checkpoint(encoder: Encoder, path: str | Path) -> None:
         lines.extend(_format_rows(w, " "))
         lines.append(f"layer {idx} bias {b.shape[0]}")
         lines.extend(_format_rows(b[np.newaxis], " "))
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    _write_lines_atomic(path, lines)
 
 
 def load_checkpoint(path: str | Path) -> Encoder:

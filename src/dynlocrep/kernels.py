@@ -34,24 +34,12 @@ class KernelSpec:
             raise ConfigError(f"kernel bandwidth must be positive, got {self.bandwidth}")
 
 
-def kernel_value(delta: float, spec: KernelSpec) -> float:
-    """Evaluate the positiveness kernel on a single label difference.
-
-    The gaussian kernel returns exp(-delta^2 / (2 * bandwidth^2)), which
-    lies in (0, 1], peaks at delta = 0 and is even in delta (computed via
-    delta^2, so the symmetry is exact in floating point).
-    """
-    if not math.isfinite(delta):
-        raise InputError(f"label difference must be finite, got {delta}")
-    return math.exp(-(delta * delta) / (2.0 * spec.bandwidth * spec.bandwidth))
-
-
 def positiveness_matrix(labels: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Build the n x n matrix of kernel weights over all label pairs.
 
-    Entry (i, k) is kernel_value(labels[i] - labels[k], spec). Exact
-    symmetry and a unit diagonal follow from the kernel being computed
-    on the squared difference.
+    Entry (i, k) is exp(-(y_i - y_k)^2 / (2 * bandwidth^2)), which lies in
+    (0, 1] and peaks at equal labels. Exact symmetry and a unit diagonal
+    follow from the kernel being computed on the squared difference.
     """
     labels = np.asarray(labels, dtype=np.float64)
     if labels.ndim != 1:

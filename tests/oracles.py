@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from dynlocrep import InputError
+
 
 def dynlocrep_loss(s, w, neighbor_lists):
     """Localized repulsion: denominator over the anchor's neighbor set."""
@@ -127,6 +129,18 @@ def rank_n_contrast_loss(s, y):
             )
             total -= math.log(math.exp(s[i][k]) / denom)
     return total
+
+
+def kernel_value(delta, spec):
+    """Evaluate the positiveness kernel on a single label difference.
+
+    The gaussian kernel returns exp(-delta^2 / (2 * bandwidth^2)), which
+    lies in (0, 1], peaks at delta = 0 and is even in delta (computed via
+    delta^2, so the symmetry is exact in floating point).
+    """
+    if not math.isfinite(delta):
+        raise InputError(f"label difference must be finite, got {delta}")
+    return math.exp(-(delta * delta) / (2.0 * spec.bandwidth * spec.bandwidth))
 
 
 def ridge_augmented_inverse(x, y, lam):

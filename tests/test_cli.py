@@ -4,13 +4,18 @@ The help goldens pin flag names and defaults; regenerate after an
 intentional interface change with UPDATE_GOLDEN=1 pytest tests/test_cli.py.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynlocrep import (
     EncoderConfig,
@@ -261,6 +266,67 @@ def test_train_on_overflowing_features_exits_70_naming_the_epoch(tmp_path, capsy
     assert "numerical failure: epoch 0: 8 embedding rows" in err
     assert "have non-finite norms" in err
     assert not out_dir.exists()
+
+
+@st.composite
+def adversarial_rows(draw):
+    """2, 3 or 5 rows of (label, features): labels tied to a few values,
+    zero, constant or varied columns at scale 1e-200, 1 or 1e200, and
+    maybe a duplicate row."""
+    n = draw(st.sampled_from([2, 3, 5]))
+    scale = draw(st.sampled_from([1e-200, 1.0, 1e200]))
+    values = st.sampled_from([0.0, 1.0, 2.5, 40.0])
+    ties = draw(st.lists(values, min_size=2, max_size=3, unique=True))
+    labels = draw(st.lists(st.sampled_from(ties), min_size=n, max_size=n))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["zero", "constant", "varied"]))
+        if kind == "zero":
+            columns.append([0.0] * n)
+        elif kind == "constant":
+            columns.append([draw(st.sampled_from([-1.0, 0.5, 3.0]))] * n)
+        else:
+            cells = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0])
+            columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    rows = [[labels[i], *(column[i] * scale for column in columns)] for i in range(n)]
+    if draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=adversarial_rows(),
+    loss=st.sampled_from(list(LossVariant)),
+    epochs=st.integers(2, 4),
+)
+def test_train_on_small_adversarial_data_exits_cleanly(rows, loss, epochs):
+    """Degenerate data ends in success, a usage error or a numerical
+    failure, never a crash; a success traces one finite loss per epoch,
+    and some pair kept a weight in each, as train exits 64 otherwise.
+    RuntimeWarnings are errors in this suite, so none may be emitted."""
+    header = "id,y," + ",".join(f"f{j}" for j in range(len(rows[0]) - 1))
+    lines = [header, *(f"r{i}," + ",".join(map(repr, row)) for i, row in enumerate(rows))]
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out_dir = Path(tmp) / "data.csv", Path(tmp) / "run"
+        data.write_text("\n".join(lines) + "\n")
+        argv = [
+            "train", "--data", str(data), "--out-dir", str(out_dir), "--loss", loss.value,
+            "--epochs", str(epochs), "--batch-size", "4", "--nn-final", "1",
+            "--hidden-dims", "4", "--embed-dim", "2",
+        ]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_OK:
+            lines = (out_dir / "trace.jsonl").read_text().splitlines()
+            trace = [json.loads(line) for line in lines]
+            assert [entry["epoch"] for entry in trace] == list(range(epochs))
+            assert all(math.isfinite(entry["mean_loss"]) for entry in trace)
+        else:
+            assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ def test_generation_shape_contract():
 def test_large_sample_is_bimodal_around_mixture_mean():
     spec = SyntheticSpec(n=10_000)
     ds = generate_synthetic(spec, seed=3)
-    assert abs(ds.labels.mean() - spec.mixture_mean) < 1.0  # mixture mean 46.5
+    mixture_mean = sum(w * m for w, m in zip(spec.mixture_weights, spec.mixture_means))
+    assert abs(ds.labels.mean() - mixture_mean) < 1.0  # mixture mean 46.5
     counts, edges = np.histogram(ds.labels, bins=30)
     centers = 0.5 * (edges[:-1] + edges[1:])
     left_peak = counts[(centers > 15) & (centers < 35)].max()
@@ -252,7 +253,7 @@ def test_failed_write_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path):
     # a lone surrogate cannot be encoded, so the write raises after the
     # temp file was opened
     with pytest.raises(UnicodeEncodeError):
-        data_module._write_text_atomic(path, "x" * 100_000 + "\udc80")
+        data_module._write_lines_atomic(path, ["x" * 100_000 + "\udc80"])
     assert path.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dynlocrep import ConfigError, InputError, KernelSpec, kernel_value, positiveness_matrix
+from dynlocrep import ConfigError, InputError, KernelSpec, positiveness_matrix
+from oracles import kernel_value
 
 SIGMA2 = KernelSpec(bandwidth=2.0)
 
