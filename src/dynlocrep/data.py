@@ -197,7 +197,17 @@ def _table_lines(header: str, lead: Iterable[str], matrix: np.ndarray) -> Iterat
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write the dataset in the documented ``id,y,f0,...`` format."""
+    """Write the dataset in the documented ``id,y,f0,...`` format.
+
+    An id holding a comma or a line break of ``str.splitlines``, which
+    load_csv would split, raises InputError before the file is touched.
+    """
+    for row, row_id in enumerate(dataset.ids):
+        if "," in row_id or row_id.splitlines() not in ([], [row_id]):
+            raise InputError(
+                f"row {row}: id {row_id!r} holds a comma or a line break, "
+                "which a dataset CSV cannot carry"
+            )
     header = "id,y," + ",".join(f"f{j}" for j in range(dataset.feature_dim))
     lead = (f"{i},{y!r}" for i, y in zip(dataset.ids, dataset.labels.tolist()))
     _write_lines_atomic(path, _table_lines(header, lead, dataset.features))

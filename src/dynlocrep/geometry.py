@@ -8,6 +8,7 @@ O(n^2) dense operations; no approximate indices.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -100,6 +101,8 @@ def distance_matrix(points: np.ndarray, norm: DistanceNorm) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 2:
         raise InputError(f"need an n x m matrix with n >= 2, got shape {points.shape}")
+    if not isinstance(norm, DistanceNorm):
+        raise ConfigError(f"unknown distance norm: {norm!r}")
     if norm is DistanceNorm.COSINE:
         points = np.ascontiguousarray(points)
         g = points @ points.T  # exactly symmetric, as in similarity_matrix
@@ -107,21 +110,43 @@ def distance_matrix(points: np.ndarray, norm: DistanceNorm) -> np.ndarray:
         d = 1.0 - g / np.outer(norms, norms)
         np.fill_diagonal(d, 0.0)
         return np.maximum(d, 0.0)
-    # One (n, n, d) transient, reused for |diff| and diff**2. Keep it whole: freeing 16 MB
-    # (n = 256, d = 32) raises glibc's mmap and trim thresholds, which keeps the loss core's
-    # 512 KB (256, 256) temporaries off freshly faulted mmap pages.
-    n, d = points.shape
-    diff = np.repeat(points, n, axis=0).reshape(n, n, d)
+    # Each unordered pair once, folded: row o - 1 holds p[(i + o) % n] - p[i] for
+    # o = 1 .. n // 2 (for even n, offset n / 2 holds each of its pairs twice). Every pair is
+    # still reduced over a contiguous last axis, and |a - b| == |b - a| exactly, so the bytes
+    # are those of the full (n, n, d) difference tensor. Keep the transient whole: freeing
+    # 8.4 MB (n = 256, d = 32) raises glibc's mmap and trim thresholds, which keeps the loss
+    # core's 512 KB (256, 256) temporaries off freshly faulted mmap pages. In a fresh process,
+    # 50 yaware loss calls at n = 256 took 51 600 minor faults, but 1 024 after one distance.
+    n = points.shape[0]
+    partner, upper, lower = _fold_layout(n)
+    diff = points.take(partner, axis=0)
     diff -= points
     np.abs(diff, out=diff)
     if norm is DistanceNorm.MANHATTAN:
-        return diff.sum(axis=-1)
-    if norm is DistanceNorm.EUCLIDEAN:
+        folded = diff.sum(axis=-1)
+    elif norm is DistanceNorm.EUCLIDEAN:
         diff *= diff
-        return np.sqrt(diff.sum(axis=-1))
-    if norm is DistanceNorm.CHEBYSHEV:
-        return diff.max(axis=-1)
-    raise ConfigError(f"unknown distance norm: {norm!r}")
+        folded = np.sqrt(diff.sum(axis=-1))
+    else:
+        folded = diff.max(axis=-1)
+    del diff  # free the transient before the (n, n) result is allocated
+    out = np.zeros((n, n))
+    out.put(upper, folded)
+    out.put(lower, folded)
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _fold_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The folded pair layout of an n-row batch, as read-only (n // 2, n) arrays:
+    each row's partner (i + o) % n at offset o, and the flat indices of (i, partner)
+    and (partner, i) in an n x n matrix. A training run uses two batch sizes."""
+    rows = np.arange(n)
+    partner = (rows + np.arange(1, n // 2 + 1)[:, None]) % n
+    layout = (partner, rows * n + partner, partner * n + rows)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def select_neighbors(distances: np.ndarray, count: int) -> np.ndarray:

@@ -273,6 +273,34 @@ def test_failed_replace_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path
     assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
 
+# a comma ends a cell; each of the rest ends a line for str.splitlines
+CELL_BREAKS = [
+    ",", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
+
+
+@pytest.mark.parametrize("bad", CELL_BREAKS, ids=repr)
+def test_write_csv_rejects_an_id_its_reader_would_split(tmp_path, bad):
+    path = tmp_path / "data.csv"
+    path.write_text("previous\n")
+    ds = generate_synthetic(SyntheticSpec(n=5, feature_dim=3, informative_dims=2), seed=2)
+    ids = list(ds.ids)
+    ids[3] = f"s{bad}3"
+    with pytest.raises(InputError, match="row 3: id"):
+        write_csv(Dataset(features=ds.features, labels=ds.labels, ids=tuple(ids)), path)
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+def test_csv_round_trips_an_empty_id(tmp_path):
+    ds = generate_synthetic(SyntheticSpec(n=3, feature_dim=2, informative_dims=1), seed=4)
+    ds = Dataset(features=ds.features, labels=ds.labels, ids=("", "a b", "\tc"))
+    write_csv(ds, tmp_path / "data.csv")
+    loaded = load_csv(tmp_path / "data.csv")
+    assert loaded.ids == ds.ids
+    assert loaded.features.tobytes() == ds.features.tobytes()
+
+
 def test_split_sizes_and_partition():
     ds = generate_synthetic(SyntheticSpec(n=10), seed=2)
     train_ds, test_ds = split(ds, test_fraction=0.2, seed=0)

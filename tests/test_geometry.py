@@ -1,21 +1,33 @@
 """Geometry: normalization, similarities, the four distance norms, neighbors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import dynlocrep.geometry as geometry_module
+import dynlocrep.losses as losses_module
 from dynlocrep import (
     ConfigError,
     DistanceNorm,
+    EncoderConfig,
+    NeighborSpace,
     NumericalError,
+    OptimConfig,
+    SyntheticSpec,
+    TrainConfig,
     distance_matrix,
+    generate_synthetic,
     l2_normalize,
     select_neighbors,
     similarity_matrix,
+    train,
 )
+
+COORDINATE_NORMS = (DistanceNorm.MANHATTAN, DistanceNorm.EUCLIDEAN, DistanceNorm.CHEBYSHEV)
 
 small_matrices = arrays(
     np.float64,
@@ -191,3 +203,103 @@ def test_euclidean_and_cosine_agree_on_unit_rows():
         assert np.array_equal(
             select_neighbors(d_euc, count), select_neighbors(d_cos, count)
         )
+
+
+# ---------------------------------------------------------------------------
+# the folded coordinate distances give the bytes of the full difference tensor
+# ---------------------------------------------------------------------------
+
+
+def repeat_reference(points, norm):
+    """The full (n, n, d) difference-tensor formula, kept verbatim as the
+    bit-for-bit reference for the folded coordinate distances; cosine, which
+    builds no difference tensor, goes to distance_matrix itself."""
+    if norm is DistanceNorm.COSINE:
+        return distance_matrix(points, norm)
+    points = np.asarray(points, dtype=np.float64)
+    n, d = points.shape
+    diff = np.repeat(points, n, axis=0).reshape(n, n, d)
+    diff -= points
+    np.abs(diff, out=diff)
+    if norm is DistanceNorm.MANHATTAN:
+        return diff.sum(axis=-1)
+    if norm is DistanceNorm.EUCLIDEAN:
+        diff *= diff
+        return np.sqrt(diff.sum(axis=-1))
+    return diff.max(axis=-1)
+
+
+def reference_cases():
+    """(points, label) over n in [2, 70], d in [1, 130] (past NumPy's
+    128-element pairwise block), scales 1e-3 to 1e3, and C-ordered,
+    F-ordered and row-strided layouts."""
+    rng = np.random.default_rng(17)
+    shapes = [(2, 1), (3, 1), (2, 130), (3, 129), (70, 130), (69, 128), (64, 8), (65, 9)]
+    shapes += [(int(rng.integers(2, 71)), int(rng.integers(1, 131))) for _ in range(100)]
+    for case, (n, d) in enumerate(shapes):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        layout = ("C", "F", "strided")[case % 3]
+        if layout == "strided":
+            points = (rng.normal(size=(2 * n, d)) * scale)[::2]
+        else:
+            points = np.asarray(rng.normal(size=(n, d)) * scale, order=layout)
+        yield points, f"n={n} d={d} scale={scale:.3g} {layout}"
+
+
+def test_coordinate_distances_equal_the_full_tensor_bit_for_bit():
+    for points, label in reference_cases():
+        for norm in COORDINATE_NORMS:
+            got = distance_matrix(points, norm)
+            assert got.tobytes() == repeat_reference(points, norm).tobytes(), (label, norm)
+
+
+@pytest.mark.parametrize("batch_size", [7, 32])
+def test_training_through_the_reference_distance_gives_the_same_bits(monkeypatch, batch_size):
+    """45 rows leave trailing batches of 3 and 13 rows. nn_final 3 takes the
+    count below n - 1, so the 7-, 13- and 32-row batches compute distances."""
+    dataset = generate_synthetic(SyntheticSpec(n=45, feature_dim=8, informative_dims=4), 3)
+    encoder_config = EncoderConfig(input_dim=8, hidden_dims=(16,), output_dim=8)
+    configs = [
+        TrainConfig(
+            epochs=4, batch_size=batch_size, nn_final=3, distance_norm=norm, nn_space=space
+        )
+        for norm in DistanceNorm
+        for space in NeighborSpace
+    ]
+    shipped = [train(dataset, config, OptimConfig(), encoder_config) for config in configs]
+    sizes = set()
+
+    def reference(points, norm):
+        sizes.add(len(points))
+        return repeat_reference(points, norm)
+
+    monkeypatch.setattr(losses_module, "distance_matrix", reference)
+    for config, ours in zip(configs, shipped):
+        theirs = train(dataset, config, OptimConfig(), encoder_config)
+        assert ours.encoder.params.tobytes() == theirs.encoder.params.tobytes(), config
+        assert [e["mean_loss"] for e in ours.trace] == [e["mean_loss"] for e in theirs.trace]
+    assert sizes == ({7} if batch_size == 7 else {13, 32})
+
+
+def test_distance_transient_is_half_the_full_tensor():
+    """Warm, a (256, 32) manhattan distance peaks at 8.65 MB (10^6 bytes):
+    the (128, 256, 32) folded transient plus its (128, 256) sums. The full
+    (256, 256, 32) difference tensor that the fold replaced peaked at
+    17.3 MB, so this fails on the unfolded code."""
+    points = np.random.default_rng(18).normal(size=(256, 32))
+    distance_matrix(points, DistanceNorm.MANHATTAN)  # builds the cached layout
+    tracemalloc.start()
+    try:
+        distance_matrix(points, DistanceNorm.MANHATTAN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5e6
+
+
+def test_cached_fold_layout_is_read_only():
+    distance_matrix(np.eye(5), DistanceNorm.MANHATTAN)
+    for array in geometry_module._fold_layout(5):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
