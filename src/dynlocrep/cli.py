@@ -387,8 +387,8 @@ def _train_config(args: argparse.Namespace, **fields) -> TrainConfig:
         nn_final=args.nn_final,
         nn_step_size=args.nn_step_size,
         temperature=args.temperature,
-        nn_space=NeighborSpace(args.nn_space),
-        reduction=Reduction(args.reduction),
+        nn_space=args.nn_space,
+        reduction=args.reduction,
         **fields,
     )
 
@@ -461,8 +461,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = _train_config(
         args,
         seed=args.seed,
-        variant=LossVariant(args.loss),
-        distance_norm=DistanceNorm(args.distance_norm),
+        variant=args.loss,
+        distance_norm=args.distance_norm,
         export_epochs=tuple(args.export_epochs),
     )
     optim, encoder_config = _optim_config(args), _encoder_config(args, dataset.feature_dim)
@@ -515,7 +515,7 @@ def _write_report(
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     dataset, source = _load_dataset(args)
-    config = _train_config(args, distance_norm=DistanceNorm(args.distance_norm))
+    config = _train_config(args, distance_norm=args.distance_norm)
     protocol = _protocol_configs(args, dataset, source)
     with _output_dir(Path(args.out).parent):
         report = benchmark(

@@ -3,6 +3,9 @@
 The encoder is an affine/ReLU stack whose final layer is linear. Raw
 outputs are what the optimizer differentiates through (the normalization
 Jacobian lives in the loss module); the unit rows feed the similarities.
+An encoder holds the layer inputs of its latest forward pass only, for
+``backward``; a new pass frees them before it allocates its own, so two
+full-data passes in a row never hold two sets of activations.
 
 All parameters live in one flat float64 vector, ``Encoder.params``: for
 each layer its weight matrix (row-major) and then its bias. The per-layer
@@ -102,11 +105,17 @@ class Encoder:
         return (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
 
     def forward(self, features: np.ndarray) -> EmbeddingBatch:
-        """Run the stack and cache every layer's input for ``backward``."""
+        """Run the stack and cache every layer's input for ``backward``.
+
+        Only this pass is cached: once the features pass the width check,
+        the previous pass's inputs are freed before any layer runs. A
+        rejected call leaves the previous pass in place.
+        """
         x = np.asarray(features, dtype=np.float64)
         width = self.weights[0].shape[0]
         if x.ndim != 2 or x.shape[1] != width:
             raise InputError(f"features must be (n, {width}), got shape {x.shape}")
+        self._inputs = None
         inputs: list[np.ndarray] = []
         h = x
         for w, b in zip(self.weights, self.biases):

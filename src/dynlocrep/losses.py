@@ -109,7 +109,12 @@ class Reduction(str, enum.Enum):
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Everything a loss evaluation needs besides the batch itself."""
+    """Everything a loss evaluation needs besides the batch itself.
+
+    Each enum field takes a member or its string value and holds the
+    member, so the loss dispatch, which compares members by identity,
+    sees every spelling alike.
+    """
 
     variant: LossVariant = LossVariant.DYN_LOC_REP
     kernel: KernelSpec = KernelSpec()
@@ -119,6 +124,21 @@ class LossConfig:
     reduction: Reduction = Reduction.SUM
 
     def __post_init__(self) -> None:
+        enums = {
+            "variant": LossVariant,
+            "distance_norm": DistanceNorm,
+            "nn_space": NeighborSpace,
+            "reduction": Reduction,
+        }
+        for name, kind in enums.items():
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, kind(value))
+            except ValueError:
+                allowed = ", ".join(member.value for member in kind)
+                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}") from None
+        if not isinstance(self.kernel, KernelSpec):
+            raise ConfigError(f"kernel must be a KernelSpec, got {self.kernel!r}")
         if not (np.isfinite(self.temperature) and self.temperature > 0):
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
 

@@ -48,7 +48,7 @@ class TrainConfig(LossConfig):
             raise ConfigError(
                 f"export epochs must be <= epochs = {self.epochs}, got {max(self.export_epochs)}"
             )
-        super().__post_init__()  # LossConfig owns the temperature range
+        super().__post_init__()  # LossConfig owns the loss fields
 
     def schedule_config(self) -> ScheduleConfig | None:
         """The neighbor schedule, or None where no epoch reads one: the

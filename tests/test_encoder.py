@@ -1,6 +1,7 @@
 """Encoder: initialization, forward/backward, Adam, checkpoints."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,14 +90,9 @@ def test_encoder_needs_a_hidden_layer():
         EncoderConfig(input_dim=4, hidden_dims=(), output_dim=2)
 
 
-def test_backward_matches_finite_differences():
-    """With loss = sum of raw outputs, parameter gradients check against
-    central differences to 1e-5 relative error."""
-    rng = np.random.default_rng(7)
-    encoder = init_encoder(CONFIG, seed=7)
-    x = rng.normal(size=(9, 6))
-    batch = encoder.forward(x)
-    grad = encoder.backward(np.ones_like(batch.raw))
+def assert_gradient_of_output_sum(encoder, x, grad):
+    """``grad`` is d(sum of raw outputs on x)/d(params) to 1e-5 relative
+    error against central differences. Runs forward passes of its own."""
     assert grad.shape == encoder.params.shape
     step = 1e-6
     start = 0
@@ -114,6 +110,59 @@ def test_backward_matches_finite_differences():
         scale = max(np.max(np.abs(numeric)), 1e-12)
         assert np.max(np.abs(grad[start : start + param.size] - numeric)) / scale < 1e-5
         start += param.size
+
+
+def test_backward_matches_finite_differences():
+    """With loss = sum of raw outputs, parameter gradients check against
+    central differences to 1e-5 relative error."""
+    rng = np.random.default_rng(7)
+    encoder = init_encoder(CONFIG, seed=7)
+    x = rng.normal(size=(9, 6))
+    batch = encoder.forward(x)
+    assert_gradient_of_output_sum(encoder, x, encoder.backward(np.ones_like(batch.raw)))
+
+
+def test_backward_differentiates_the_latest_pass_only():
+    rng = np.random.default_rng(9)
+    encoder = init_encoder(CONFIG, seed=9)
+    encoder.forward(rng.normal(size=(7, 6)))
+    x = rng.normal(size=(5, 6))
+    grad = encoder.backward(np.ones_like(encoder.forward(x).raw))
+    assert_gradient_of_output_sum(encoder, x, grad)
+    with pytest.raises(ValueError):  # the 7-row pass is gone
+        encoder.backward(np.ones((7, 8)))
+
+
+def test_a_rejected_forward_keeps_the_previous_pass():
+    rng = np.random.default_rng(10)
+    encoder = init_encoder(CONFIG, seed=10)
+    g = rng.normal(size=(5, 8))
+    encoder.forward(rng.normal(size=(5, 6)))
+    before = encoder.backward(g)
+    with pytest.raises(InputError):
+        encoder.forward(np.zeros((3, 5)))
+    assert encoder.backward(g).tobytes() == before.tobytes()
+
+
+def test_a_forward_frees_the_previous_pass_before_allocating_its_own():
+    """Two back-to-back full-data passes, as the export and readout passes
+    run them: the second may add at most 8 MiB to what the first left held.
+    Freeing the old layer inputs first adds 5.1 MiB here (h1, h2 and raw
+    outputs, then the unit rows, less the old h1 and h2); with the old
+    inputs still cached while the new ones were built it was 12.3 MiB."""
+    encoder = init_encoder(EncoderConfig(input_dim=16), seed=0)
+    x = np.random.default_rng(11).normal(size=(10_000, 16))
+    tracemalloc.start()
+    try:
+        first = encoder.forward(x)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        second = encoder.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.raw.tobytes() == second.raw.tobytes()
+    assert peak - held < 8 * 2**20
 
 
 def test_backward_before_forward_rejected():

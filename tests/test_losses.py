@@ -609,6 +609,48 @@ def test_input_space_requires_features():
         )
 
 
+ENUM_FIELDS = {
+    "variant": LossVariant,
+    "distance_norm": DistanceNorm,
+    "nn_space": NeighborSpace,
+    "reduction": Reduction,
+}
+
+
+@pytest.mark.parametrize(
+    ("name", "member"),
+    [(name, member) for name, kind in ENUM_FIELDS.items() for member in kind],
+)
+def test_a_string_setting_evaluates_like_its_enum_member(name, member):
+    """The loss dispatch compares members by identity; a plain string must
+    still reach the member's branch, bit for bit."""
+    by_string = LossConfig(kernel=KERNEL, temperature=TAU, **{name: member.value})
+    by_member = LossConfig(kernel=KERNEL, temperature=TAU, **{name: member})
+    assert getattr(by_string, name) is member
+    assert by_string == by_member
+    batch, labels = random_batch(13, n=10, d=4)
+    features = np.random.default_rng(14).normal(size=(10, 5))
+    string_out, member_out = (
+        loss_with_gradient(config, batch, labels, neighbor_count=3, input_features=features)
+        for config in (by_string, by_member)
+    )
+    assert string_out.value.hex() == member_out.value.hex()
+    assert string_out.grad_raw.tobytes() == member_out.grad_raw.tobytes()
+
+
+@pytest.mark.parametrize("name", list(ENUM_FIELDS))
+def test_an_unknown_setting_is_rejected_naming_its_field(name):
+    allowed = ", ".join(member.value for member in ENUM_FIELDS[name])
+    with pytest.raises(ConfigError, match=f"^{name} must be one of {allowed}, got 'bogus'$"):
+        LossConfig(**{name: "bogus"})
+
+
+@pytest.mark.parametrize("kernel", [6.0, "gaussian", None])
+def test_a_kernel_that_is_not_a_kernel_spec_is_rejected(kernel):
+    with pytest.raises(ConfigError, match="kernel must be a KernelSpec"):
+        LossConfig(kernel=kernel)
+
+
 def test_dimension_mismatch_rejected():
     batch, labels = random_batch(6, n=4)
     sim, weights, _ = forward_pieces(batch, labels)

@@ -169,6 +169,27 @@ def test_train_config_checks_its_run_fields_before_the_loss_fields():
         tiny_config(epochs=-1, temperature=0.0)
 
 
+def test_train_config_checks_its_run_fields_before_an_unknown_loss_field():
+    with pytest.raises(ConfigError, match="epochs must be >= 0, got -1"):
+        tiny_config(epochs=-1, variant="bogus")
+
+
+def test_a_string_variant_trains_the_localized_loss():
+    """The loss and the schedule compare variants by identity: the string
+    must reach the localized loss and its neighbor counts, bit for bit."""
+    by_string, by_member = (
+        train(tiny_dataset(), tiny_config(variant=variant), OPT, ENC)
+        for variant in ("dynlocrep", LossVariant.DYN_LOC_REP)
+    )
+    counts = [entry["nn_count"] for entry in by_string.trace]
+    assert counts == [entry["nn_count"] for entry in by_member.trace]
+    assert None not in counts
+    assert [entry["mean_loss"].hex() for entry in by_string.trace] == [
+        entry["mean_loss"].hex() for entry in by_member.trace
+    ]
+    assert by_string.encoder.params.tobytes() == by_member.encoder.params.tobytes()
+
+
 @pytest.mark.parametrize("variant", list(LossVariant))
 def test_a_train_config_evaluates_like_its_loss_config(variant):
     """loss_with_gradient reads a TrainConfig through its six loss fields
