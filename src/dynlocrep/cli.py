@@ -518,9 +518,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     config = _train_config(args, distance_norm=args.distance_norm)
     protocol = _protocol_configs(args, dataset, source)
     with _output_dir(Path(args.out).parent):
-        report = benchmark(
-            dataset, [LossVariant(name) for name in args.variants], args.seeds, config, **protocol
-        )
+        report = benchmark(dataset, args.variants, args.seeds, config, **protocol)
         return _write_report(args, report, "benchmark", "variants", "variant")
 
 
@@ -528,9 +526,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     dataset, source = _load_dataset(args)
     config, protocol = _train_config(args), _protocol_configs(args, dataset, source)
     with _output_dir(Path(args.out).parent):
-        report = ablate_norms(
-            dataset, [DistanceNorm(name) for name in args.norms], args.seeds, config, **protocol
-        )
+        report = ablate_norms(dataset, args.norms, args.seeds, config, **protocol)
         return _write_report(args, report, "distance-norm ablation", "norms", "norm")
 
 

@@ -152,44 +152,11 @@ def _run_record(
     return record
 
 
-def _protocol_summary(
-    base: TrainConfig,
-    optim: OptimConfig,
-    encoder_config: EncoderConfig,
-    ridge: RidgeConfig,
-    seeds: list[int],
-    test_fraction: float,
-) -> dict:
-    return {
-        "seeds": list(seeds),
-        "test_fraction": test_fraction,
-        "resplit_per_seed": True,
-        "readout_embeddings": "unit",
-        "epochs": base.epochs,
-        "batch_size": base.batch_size,
-        "temperature": base.temperature,
-        "kernel": {"kind": "gaussian", "bandwidth": base.kernel.bandwidth},
-        "nn_final": base.nn_final,
-        "nn_step_size": base.nn_step_size,
-        "nn_space": base.nn_space.value,
-        "reduction": base.reduction.value,
-        "learning_rate": optim.learning_rate,
-        "decay_factor": optim.decay_factor,
-        "decay_every": optim.decay_every,
-        "weight_decay": optim.weight_decay,
-        "encoder": {
-            "input_dim": encoder_config.input_dim,
-            "hidden_dims": list(encoder_config.hidden_dims),
-            "output_dim": encoder_config.output_dim,
-        },
-        "ridge_lambda": ridge.regularization,
-    }
-
-
 def _run_grid(
     kind: str,
     entries_key: str,
-    cells: list[tuple[str, TrainConfig]],
+    field: str,
+    values: list,
     dataset: Dataset,
     seeds: list[int],
     base: TrainConfig,
@@ -199,33 +166,40 @@ def _run_grid(
     test_fraction: float,
     dataset_source: str,
 ) -> dict:
-    """Train and score every (cell, seed) pair in order; returns the report.
+    """Sweep ``base`` over one config field; returns the report.
 
-    Each cell is a named training config; entries are grouped per cell name
-    in (cell, seed) order, and a failing run aborts with its identity
-    attached. Splits and schedules are checked before any run: each seed is
-    split once, for every cell and both baselines. Repeated seeds or cell
-    names are rejected: they would count one run's result twice.
+    Each value of ``field`` gives one cell, ``replace(base, field=value)``,
+    so the config checks and converts it before any run, and the cell is
+    named by the member it holds: a member and its string value are one
+    name. Entries are grouped per cell in (cell, seed) order, and a failing
+    run aborts with its identity attached. Splits and schedules are checked
+    before any run: each seed is split once, for every cell and both
+    baselines. Repeated seeds or cell names are rejected: they would count
+    one run's result twice.
     """
+    if not values:
+        raise ConfigError(f"need at least one {field.replace('_', ' ')}")
     if not seeds:
         raise ConfigError("need at least one seed")
     if min(seeds) < 0:
         raise ConfigError(f"seeds must be >= 0, got {min(seeds)}")
-    names = [name for name, _ in cells]
-    for what, values in (("seeds", seeds), (entries_key, names)):
-        if len(set(values)) != len(values):
-            raise ConfigError(f"duplicate {what} in {values}: each would count one run twice")
+    configs = [replace(base, **{field: value}) for value in values]  # checks each value
+    names = [getattr(config, field).value for config in configs]
+    for what, items in (("seeds", seeds), (entries_key, names)):
+        if len(set(items)) != len(items):
+            raise ConfigError(f"duplicate {what} in {items}: each would count one run twice")
+    cells = dict(zip(names, configs))
     started = time.perf_counter()
-    for _, config in cells:
+    for config in cells.values():
         config.schedule_config()  # its range errors surface before any run
     label_range = (float(dataset.labels.min()), float(dataset.labels.max()))
     sides = {}
     for seed in seeds:
         train_ds, test_ds = split(dataset, test_fraction, seed)
         sides[seed] = (train_ds, test_ds, _label_summary(test_ds.labels, label_range))
-    grouped: dict[str, list[dict]] = {name: [] for name in names}
-    seconds: dict[str, list[float]] = {name: [] for name in names}
-    for name, config in cells:
+    grouped: dict[str, list[dict]] = {name: [] for name in cells}
+    seconds: dict[str, list[float]] = {name: [] for name in cells}
+    for name, config in cells.items():
         for seed in seeds:
             run_started = time.perf_counter()
             training = (replace(config, seed=seed), optim, encoder_config)
@@ -239,7 +213,30 @@ def _run_grid(
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
-        "protocol": _protocol_summary(base, optim, encoder_config, ridge, seeds, test_fraction),
+        "protocol": {
+            "seeds": list(seeds),
+            "test_fraction": test_fraction,
+            "resplit_per_seed": True,
+            "readout_embeddings": "unit",
+            "epochs": base.epochs,
+            "batch_size": base.batch_size,
+            "temperature": base.temperature,
+            "kernel": {"kind": "gaussian", "bandwidth": base.kernel.bandwidth},
+            "nn_final": base.nn_final,
+            "nn_step_size": base.nn_step_size,
+            "nn_space": base.nn_space.value,
+            "reduction": base.reduction.value,
+            "learning_rate": optim.learning_rate,
+            "decay_factor": optim.decay_factor,
+            "decay_every": optim.decay_every,
+            "weight_decay": optim.weight_decay,
+            "encoder": {
+                "input_dim": encoder_config.input_dim,
+                "hidden_dims": list(encoder_config.hidden_dims),
+                "output_dim": encoder_config.output_dim,
+            },
+            "ridge_lambda": ridge.regularization,
+        },
         "dataset": {
             "source": dataset_source,
             "n": dataset.n,
@@ -258,7 +255,7 @@ def _run_grid(
 
 def benchmark(
     dataset: Dataset,
-    variants: list[LossVariant],
+    variants: list[LossVariant | str],
     seeds: list[int],
     base: TrainConfig,
     optim: OptimConfig,
@@ -272,12 +269,9 @@ def benchmark(
     Everything outside the "timing" subtree is a pure function of the
     configuration, so two identical invocations serialize identically.
     """
-    if not variants:
-        raise ConfigError("need at least one loss variant")
-    cells = [(variant.value, replace(base, variant=variant)) for variant in variants]
     report = _run_grid(
-        "benchmark", "variants", cells, dataset, seeds, base, optim, encoder_config, ridge,
-        test_fraction, dataset_source,
+        "benchmark", "variants", "variant", variants, dataset, seeds, base, optim,
+        encoder_config, ridge, test_fraction, dataset_source,
     )
     report["protocol"]["distance_norm"] = base.distance_norm.value
     return report
@@ -285,7 +279,7 @@ def benchmark(
 
 def ablate_norms(
     dataset: Dataset,
-    norms: list[DistanceNorm],
+    norms: list[DistanceNorm | str],
     seeds: list[int],
     base: TrainConfig,
     optim: OptimConfig,
@@ -300,14 +294,9 @@ def ablate_norms(
     flagged with "paper_reference": true so it cannot be mistaken for a
     measured value.
     """
-    if not norms:
-        raise ConfigError("need at least one distance norm")
-    cells = [
-        (norm.value, replace(base, variant=LossVariant.DYN_LOC_REP, distance_norm=norm))
-        for norm in norms
-    ]
     report = _run_grid(
-        "ablation", "norms", cells, dataset, seeds, base, optim, encoder_config, ridge,
+        "ablation", "norms", "distance_norm", norms, dataset, seeds,
+        replace(base, variant=LossVariant.DYN_LOC_REP), optim, encoder_config, ridge,
         test_fraction, dataset_source,
     )
     for name, entry in report["norms"].items():

@@ -70,7 +70,10 @@ from .geometry import (
 from .kernels import KernelSpec, positiveness_matrix
 
 # An anchor whose off-diagonal kernel weights sum below this contributes 0
-# instead of dividing by ~0. Unreachable with a gaussian kernel.
+# instead of dividing by ~0. A gaussian kernel reaches it: with every other
+# label of the batch d bandwidths or more from the anchor's, the weights sum
+# to at most (n - 1) exp(-d^2 / 2), below 1e-12 beyond d = 7.44 in a
+# two-row batch and beyond d = 7.89 at batch 32.
 WEIGHT_SUM_EPS = 1e-12
 
 # The widest span of finite entries a row may have for _log_cumsum to sum
@@ -397,7 +400,7 @@ def dynlocrep_forward(sim: np.ndarray, weights: np.ndarray, neighbors: np.ndarra
 
 
 def baseline_forward(
-    variant: LossVariant,
+    variant: LossVariant | str,
     sim: np.ndarray,
     weights: np.ndarray | None = None,
     labels: np.ndarray | None = None,
@@ -405,8 +408,10 @@ def baseline_forward(
     """Total loss for one of the four global (non-localized) baselines.
 
     Rank-N-Contrast consumes raw labels; the other three consume the
-    positiveness matrix.
+    positiveness matrix. ``variant`` is a member or its string value, as
+    in LossConfig.
     """
+    variant = LossConfig(variant=variant).variant
     if variant is LossVariant.DYN_LOC_REP:
         raise ConfigError("use dynlocrep_forward for the localized loss")
     n = sim.shape[0]

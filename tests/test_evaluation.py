@@ -10,9 +10,11 @@ from dynlocrep import (
     ConfigError,
     EncoderConfig,
     InputError,
+    KernelSpec,
     LossVariant,
     NumericalError,
     OptimConfig,
+    Reduction,
     RidgeConfig,
     SyntheticSpec,
     TrainConfig,
@@ -183,17 +185,93 @@ def test_empty_variant_or_seed_lists_rejected():
         ablate_norms(
             small_dataset(), [DistanceNorm.MANHATTAN] * 2, [0], **SMALL, dataset_source="test"
         )
+    # a member and its string value name one cell
+    with pytest.raises(ConfigError, match="duplicate variants"):
+        benchmark(
+            small_dataset(), [LossVariant.Y_AWARE, "yaware"], [0], **SMALL, dataset_source="test"
+        )
+    with pytest.raises(ConfigError, match="duplicate norms"):
+        ablate_norms(
+            small_dataset(), ["cosine", DistanceNorm.COSINE], [0], **SMALL, dataset_source="test"
+        )
+
+
+def must_not_train(*args, **kwargs):
+    pytest.fail("a run started although the grid is invalid")
 
 
 def test_negative_seed_rejected_before_any_run(monkeypatch):
     import dynlocrep.evaluation as evaluation_module
 
-    def must_not_train(*args, **kwargs):
-        pytest.fail("a run started although a seed is negative")
-
     monkeypatch.setattr(evaluation_module, "train", must_not_train)
     with pytest.raises(ConfigError, match="seeds must be >= 0, got -3"):
         benchmark(small_dataset(), [LossVariant.Y_AWARE], [0, -3], **SMALL, dataset_source="test")
+
+
+def test_string_and_member_cells_give_equal_reports():
+    variants = [LossVariant.DYN_LOC_REP, LossVariant.RANK_N_CONTRAST]
+    norms = [DistanceNorm.COSINE, DistanceNorm.MANHATTAN]
+    for runner, cells in ((benchmark, variants), (ablate_norms, norms)):
+        by_member, by_string = (
+            json.dumps(strip_timing(
+                runner(small_dataset(), spelled, [0], **SMALL, dataset_source="test")
+            ))
+            for spelled in (cells, [cell.value for cell in cells])
+        )
+        assert by_string == by_member, runner.__name__
+
+
+def test_unknown_cell_name_rejected_before_any_run(monkeypatch):
+    import dynlocrep.evaluation as evaluation_module
+
+    monkeypatch.setattr(evaluation_module, "train", must_not_train)
+    with pytest.raises(ConfigError, match="variant must be one of .*, got 'bogus'"):
+        benchmark(small_dataset(), ["yaware", "bogus"], [0], **SMALL, dataset_source="test")
+    with pytest.raises(ConfigError, match="distance_norm must be one of .*, got 'taxicab'"):
+        ablate_norms(small_dataset(), ["taxicab"], [0], **SMALL, dataset_source="test")
+
+
+def test_protocol_block_is_read_from_the_base_config():
+    """The protocol lists the shared settings in report order; the
+    benchmark appends its distance norm, which the ablation sweeps."""
+    base = TrainConfig(
+        epochs=4, batch_size=8, nn_final=3, nn_step_size=2, temperature=0.25,
+        kernel=KernelSpec(bandwidth=3.0), distance_norm=DistanceNorm.COSINE,
+        reduction=Reduction.MEAN,
+    )
+    protocol = {
+        "seeds": [1],
+        "test_fraction": 0.25,
+        "resplit_per_seed": True,
+        "readout_embeddings": "unit",
+        "epochs": 4,
+        "batch_size": 8,
+        "temperature": 0.25,
+        "kernel": {"kind": "gaussian", "bandwidth": 3.0},
+        "nn_final": 3,
+        "nn_step_size": 2,
+        "nn_space": "embedding",
+        "reduction": "mean",
+        "learning_rate": 1e-4,
+        "decay_factor": 0.9,
+        "decay_every": 10,
+        "weight_decay": 5e-5,
+        "encoder": {"input_dim": 8, "hidden_dims": [16, 16], "output_dim": 8},
+        "ridge_lambda": 2.0,
+    }
+    settings = dict(SMALL, base=base, ridge=RidgeConfig(2.0))
+    reports = {
+        "benchmark": benchmark(
+            small_dataset(), [LossVariant.Y_AWARE], [1], **settings, test_fraction=0.25
+        ),
+        "ablation": ablate_norms(
+            small_dataset(), [DistanceNorm.EUCLIDEAN], [1], **settings, test_fraction=0.25
+        ),
+    }
+    expected = {"benchmark": {**protocol, "distance_norm": "cosine"}, "ablation": protocol}
+    for kind, report in reports.items():
+        # json keeps the key order, which a dict comparison ignores
+        assert json.dumps(report["protocol"]) == json.dumps(expected[kind]), kind
 
 
 def test_ablation_report_structure_and_reference_values():

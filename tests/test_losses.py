@@ -668,6 +668,27 @@ def test_baseline_forward_rejects_localized_variant():
         baseline_forward(LossVariant.DYN_LOC_REP, sim, weights=weights)
 
 
+def test_baseline_forward_takes_a_variant_or_its_string_value():
+    # a string used to fall through to the exponential branch: on this batch
+    # "yaware" and "threshold" both gave exponential's 15.5338
+    rng = np.random.default_rng(0)
+    batch = EmbeddingBatch.from_raw(rng.normal(size=(8, 4)))
+    labels = rng.uniform(20.0, 70.0, size=8)
+    sim = similarity_matrix(batch.unit, 0.5)
+    weights = positiveness_matrix(labels, KernelSpec(bandwidth=6.0))
+    for variant in BASELINES:
+        by_member = baseline_forward(variant, sim, weights=weights, labels=labels)
+        by_string = baseline_forward(variant.value, sim, weights=weights, labels=labels)
+        assert by_string.hex() == by_member.hex(), variant
+    assert baseline_forward("rnc", sim, labels=labels) == baseline_forward(
+        LossVariant.RANK_N_CONTRAST, sim, labels=labels
+    )
+    with pytest.raises(ConfigError, match="use dynlocrep_forward"):
+        baseline_forward("dynlocrep", sim, weights=weights)
+    with pytest.raises(ConfigError, match=r"variant must be one of .*rnc, got 'bogus'"):
+        baseline_forward("bogus", sim, weights=weights)
+
+
 def test_single_sample_batch_rejected():
     batch = EmbeddingBatch.from_raw(np.array([[1.0, 2.0]]))
     with pytest.raises(InputError):
