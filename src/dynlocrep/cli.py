@@ -541,11 +541,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             args = parser.parse_args(_config_tokens(argv, args))
         return args.handler(args)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return EXIT_OK
-        return code if isinstance(code, int) else EXIT_USAGE
+    except SystemExit as exc:  # argparse's exit: 0 after --help, EXIT_USAGE on an error
+        return exc.code
     except _UnreadableInput as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

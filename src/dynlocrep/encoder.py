@@ -32,6 +32,9 @@ from .geometry import EmbeddingBatch
 CHECKPOINT_MAGIC = "dynlocrep-encoder-checkpoint"
 CHECKPOINT_VERSION = 1
 
+# Adam's moment coefficients and epsilon, the defaults of Kingma & Ba (ICLR 2015)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -56,19 +59,17 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Adam hyperparameters with a step-decayed learning rate.
+    """The learning rate, its step decay and the weight decay of Adam.
 
     Weight decay is a classic L2 term added to the gradient before the
-    moment updates, applied to every parameter.
+    moment updates, applied to every parameter. Adam's moment coefficients
+    and epsilon are not settings: every run uses the published defaults.
     """
 
     learning_rate: float = 1e-4
     decay_factor: float = 0.9
     decay_every: int = 10
     weight_decay: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -79,10 +80,6 @@ class OptimConfig:
             raise ConfigError(f"decay_every must be >= 1, got {self.decay_every}")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("moment coefficients must lie in [0, 1)")
-        if not (np.isfinite(self.eps) and self.eps > 0):
-            raise ConfigError(f"eps must be positive, got {self.eps}")
 
     def learning_rate_at_epoch(self, epoch: int) -> float:
         """lr0 * decay_factor ** floor(epoch / decay_every), epochs 0-indexed."""
@@ -179,18 +176,17 @@ class Adam:
         """Update params in place from grad plus the L2 weight-decay term."""
         if np.shape(grad) != self.params.shape:
             raise InputError(f"gradient shape {np.shape(grad)} != parameters {self.params.shape}")
-        cfg = self.config
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - cfg.beta1**t
-        bias2 = 1.0 - cfg.beta2**t
+        bias1 = 1.0 - _BETA1**t
+        bias2 = 1.0 - _BETA2**t
         m, v, (g, tmp) = self._m, self._v, self._scratch
-        g = np.add(grad, np.multiply(self.params, cfg.weight_decay, out=g), out=g)
-        m *= cfg.beta1
-        m += np.multiply(g, 1.0 - cfg.beta1, out=tmp)
-        v *= cfg.beta2
-        v += np.multiply(np.multiply(g, g, out=g), 1.0 - cfg.beta2, out=g)
-        denom = np.add(np.sqrt(np.divide(v, bias2, out=g), out=g), cfg.eps, out=g)
+        g = np.add(grad, np.multiply(self.params, self.config.weight_decay, out=g), out=g)
+        m *= _BETA1
+        m += np.multiply(g, 1.0 - _BETA1, out=tmp)
+        v *= _BETA2
+        v += np.multiply(np.multiply(g, g, out=g), 1.0 - _BETA2, out=g)
+        denom = np.add(np.sqrt(np.divide(v, bias2, out=g), out=g), _EPS, out=g)
         update = np.multiply(np.divide(m, bias1, out=tmp), lr, out=tmp)
         self.params -= np.divide(update, denom, out=tmp)
 

@@ -90,8 +90,8 @@ def similarity_matrix(unit: np.ndarray, temperature: float) -> np.ndarray:
     return (unit @ unit.T) / temperature
 
 
-def distance_matrix(points: np.ndarray, norm: DistanceNorm) -> np.ndarray:
-    """Pairwise distances under the requested norm.
+def distance_matrix(points: np.ndarray, norm: DistanceNorm | str) -> np.ndarray:
+    """Pairwise distances under the requested norm, a member or its string value.
 
     Returns a symmetric, nonnegative matrix with zero diagonal.
     Cosine distance is 1 - cos(a, b) with epsilon-guarded norms, which
@@ -101,8 +101,11 @@ def distance_matrix(points: np.ndarray, norm: DistanceNorm) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 2:
         raise InputError(f"need an n x m matrix with n >= 2, got shape {points.shape}")
-    if not isinstance(norm, DistanceNorm):
-        raise ConfigError(f"unknown distance norm: {norm!r}")
+    try:
+        norm = DistanceNorm(norm)
+    except ValueError:
+        allowed = ", ".join(member.value for member in DistanceNorm)
+        raise ConfigError(f"distance norm must be one of {allowed}, got {norm!r}") from None
     if norm is DistanceNorm.COSINE:
         points = np.ascontiguousarray(points)
         g = points @ points.T  # exactly symmetric, as in similarity_matrix

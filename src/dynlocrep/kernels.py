@@ -24,14 +24,17 @@ class KernelSpec:
     The default bandwidth of 6 keeps pairs up to roughly a decade apart
     inside the attraction window, which the default benchmark needs for
     within-mode ordering; narrower kernels only supervise near-duplicate
-    labels.
+    labels. A bandwidth must lie in about [1.1e-162, 9.5e153], where the
+    kernel's divisor 2 * bandwidth**2 is finite and positive.
     """
 
     bandwidth: float = 6.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ConfigError(f"kernel bandwidth must be positive, got {self.bandwidth}")
+        if not (self.bandwidth > 0 and 0 < 2.0 * self.bandwidth * self.bandwidth < math.inf):
+            raise ConfigError(
+                f"kernel bandwidth must lie in about [1.1e-162, 9.5e153], got {self.bandwidth}"
+            )
 
 
 def positiveness_matrix(labels: np.ndarray, spec: KernelSpec) -> np.ndarray:

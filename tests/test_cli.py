@@ -508,6 +508,8 @@ BAD_VALUES = [
     ("train", "--lr-decay-every", "0"),
     ("train", "--weight-decay", "-1"),
     ("train", "--kernel-sigma", "-6"),
+    ("train", "--kernel-sigma", "1e-170"),
+    ("train", "--kernel-sigma", "1e160"),
     ("train", "--temperature", "0"),
     ("train", "--temperature", "nan"),
     ("train", "--nn-final", "0"),

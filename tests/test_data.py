@@ -83,6 +83,24 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize(
+    ("features", "labels", "ids", "message"),
+    [
+        (np.zeros(3), np.zeros(3), ("a", "b", "c"), "features must be 2-D"),
+        (np.zeros((3, 2)), np.zeros(2), ("a", "b", "c"), "row counts disagree"),
+        (np.zeros((3, 2)), np.zeros(3), ("a", "b"), "row counts disagree"),
+        (np.zeros((0, 2)), np.zeros(0), (), "dataset is empty"),
+        (np.array([[0.0], [np.nan]]), np.zeros(2), ("a", "b"), "contains non-finite values"),
+        (np.zeros((2, 1)), np.array([0.0, np.inf]), ("a", "b"), "contains non-finite values"),
+        (np.zeros((2, 1)), np.zeros(2), ("a", "a"), "ids are not unique"),
+    ],
+    ids=["1-d-features", "short-labels", "short-ids", "empty", "nan-feature", "inf-label", "dup-id"],
+)
+def test_dataset_rejects_inconsistent_columns(features, labels, ids, message):
+    with pytest.raises(InputError, match=message):
+        Dataset(features=features, labels=labels, ids=ids)
+
+
+@pytest.mark.parametrize(
     ("field", "value"),
     [
         ("mixture_means", (float("nan"), 68.0)),

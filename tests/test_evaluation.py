@@ -1,5 +1,6 @@
 """Evaluation: ridge readout, MAE, and the benchmark/ablation reports."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -71,6 +72,27 @@ def test_singular_unregularized_solve_is_surfaced():
     x = np.ones((5, 3))  # rank 0 after centering
     with pytest.raises(NumericalError):
         ridge_fit(x, np.arange(5.0), RidgeConfig(0.0))
+
+
+@pytest.mark.parametrize(
+    ("x", "y", "message"),
+    [
+        (np.zeros(3), np.zeros(3), "shapes disagree"),
+        (np.zeros((3, 2)), np.zeros(2), "shapes disagree"),
+        (np.zeros((0, 2)), np.zeros(0), "cannot fit a readout on zero rows"),
+    ],
+    ids=["1-d-embeddings", "short-labels", "zero-rows"],
+)
+def test_ridge_rejects_inconsistent_inputs(x, y, message):
+    with pytest.raises(InputError, match=message):
+        ridge_fit(x, y, RidgeConfig(1.0))
+
+
+def test_non_finite_ridge_coefficients_are_surfaced():
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(10, 3)) * 1e160  # the gram matrix overflows
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite coeff"):
+        ridge_fit(x, rng.normal(size=10), RidgeConfig(1.0))
 
 
 def test_ridge_config_validation():
@@ -272,6 +294,36 @@ def test_protocol_block_is_read_from_the_base_config():
     for kind, report in reports.items():
         # json keeps the key order, which a dict comparison ignores
         assert json.dumps(report["protocol"]) == json.dumps(expected[kind]), kind
+
+
+# Settings that shape a run but that the protocol block does not list, and why.
+NOT_IN_PROTOCOL = {
+    "variant": "the benchmark sweeps it: each entry under 'variants' is one",
+    "distance_norm": "the ablation sweeps it; the benchmark adds it as its own last key",
+    "seed": "each run record carries its own seed",
+    "export_epochs": "exports read the encoder between epochs and change no training",
+}
+
+
+def test_protocol_records_every_setting_that_shapes_a_run():
+    """A report explains its numbers: every config field appears in the
+    protocol under its report name, the encoder's in its own block."""
+    settings = dict(SMALL, base=TrainConfig(epochs=2, batch_size=8, nn_final=3))
+    reports = [
+        benchmark(small_dataset(40), [LossVariant.Y_AWARE], [0], **settings),
+        ablate_norms(small_dataset(40), [DistanceNorm.COSINE], [0], **settings),
+    ]
+    report_names = {"regularization": "ridge_lambda"}
+    configs = (TrainConfig, OptimConfig, EncoderConfig, RidgeConfig)
+    every_field = {f.name for config in configs for f in dataclasses.fields(config)}
+    assert NOT_IN_PROTOCOL.keys() <= every_field
+    for report in reports:
+        protocol = report["protocol"]
+        for config in configs:
+            block = protocol["encoder"] if config is EncoderConfig else protocol
+            for f in dataclasses.fields(config):
+                if f.name not in NOT_IN_PROTOCOL:
+                    assert report_names.get(f.name, f.name) in block, (report["kind"], f.name)
 
 
 def test_ablation_report_structure_and_reference_values():

@@ -13,7 +13,9 @@ import dynlocrep.losses as losses_module
 from dynlocrep import (
     ConfigError,
     DistanceNorm,
+    EmbeddingBatch,
     EncoderConfig,
+    InputError,
     NeighborSpace,
     NumericalError,
     OptimConfig,
@@ -147,6 +149,33 @@ def test_cosine_distance_range():
     rng = np.random.default_rng(8)
     d = distance_matrix(rng.normal(size=(30, 4)), DistanceNorm.COSINE)
     assert np.all(d <= 2.0 + 1e-12)
+
+
+@pytest.mark.parametrize("norm", list(DistanceNorm))
+def test_distance_takes_a_norm_or_its_string_value(norm):
+    points = np.random.default_rng(12).normal(size=(7, 3))
+    by_string = distance_matrix(points, norm.value)
+    assert by_string.tobytes() == distance_matrix(points, norm).tobytes()
+
+
+def test_an_unknown_distance_norm_lists_the_choices():
+    allowed = ", ".join(norm.value for norm in DistanceNorm)
+    with pytest.raises(ConfigError, match=f"^distance norm must be one of {allowed}, got 'bogus'$"):
+        distance_matrix(np.eye(3), "bogus")
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: EmbeddingBatch.from_raw(np.ones(3)), "embeddings must be an n x d matrix"),
+        (lambda: distance_matrix(np.ones((1, 3)), "manhattan"), "need an n x m matrix with n >= 2"),
+        (lambda: select_neighbors(np.zeros((3, 4)), 1), "distances must be square"),
+    ],
+    ids=["1-d-embeddings", "one-row-distance", "non-square-distances"],
+)
+def test_geometry_rejects_misshapen_inputs(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
 
 
 def test_full_neighborhood_is_all_other_indices():

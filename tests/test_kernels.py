@@ -41,6 +41,36 @@ def test_bandwidth_must_be_positive():
             KernelSpec(bandwidth=bad)
 
 
+# the extremes of the bandwidths for which 2 * bandwidth**2 is finite and positive
+SMALLEST_BANDWIDTH = 1.111379374742539e-162
+LARGEST_BANDWIDTH = 9.480751908109176e153
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        math.nextafter(SMALLEST_BANDWIDTH, 0.0),
+        1e-170,
+        math.nextafter(LARGEST_BANDWIDTH, math.inf),
+        1e160,
+    ],
+)
+def test_bandwidth_whose_kernel_divisor_underflows_or_overflows_rejected(bad):
+    with pytest.raises(ConfigError, match=r"must lie in about \[1.1e-162, 9.5e153\]"):
+        KernelSpec(bandwidth=bad)
+
+
+def test_the_accepted_extremes_keep_a_unit_diagonal():
+    """At the smallest bandwidth tied pairs weigh 1, where a divisor of 0
+    would give 0 / 0 = NaN, and untied ones weigh 0."""
+    with np.errstate(over="ignore"):  # untied pairs overflow to the correct weight 0
+        w = positiveness_matrix(np.array([0.0, 0.0, 1.0]), KernelSpec(SMALLEST_BANDWIDTH))
+    assert np.array_equal(w, [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    w = positiveness_matrix(np.array([0.0, 1e150]), KernelSpec(LARGEST_BANDWIDTH))
+    assert np.array_equal(np.diag(w), np.ones(2))
+    assert 0.0 < w[0, 1] < 1.0
+
+
 @given(delta=finite_deltas, bandwidth=st.floats(min_value=1e-3, max_value=1e3))
 def test_kernel_range(delta, bandwidth):
     """Strictly positive below the exp underflow threshold, 1 only near 0.
@@ -101,6 +131,11 @@ def test_matrix_is_bitwise_symmetric_with_unit_diagonal():
 def test_batch_too_small_rejected():
     with pytest.raises(InputError):
         positiveness_matrix(np.array([30.0]), SIGMA2)
+
+
+def test_two_dimensional_labels_rejected():
+    with pytest.raises(InputError, match="labels must be a 1-D vector"):
+        positiveness_matrix(np.array([[30.0], [40.0]]), SIGMA2)
 
 
 def test_non_finite_labels_rejected():

@@ -17,6 +17,7 @@ from dynlocrep import (
     LossConfig,
     LossVariant,
     NeighborSpace,
+    NumericalError,
     Reduction,
     baseline_forward,
     distance_matrix,
@@ -707,6 +708,48 @@ def test_dynlocrep_forward_rejects_invalid_neighbor_indices(row, column, index):
     neighbors[row, column] = neighbors[row, 1 - column] if index is None else index
     with pytest.raises(InputError):
         dynlocrep_forward(sim, weights, neighbors)
+
+
+@pytest.mark.parametrize(
+    ("reshape", "message"),
+    [
+        (lambda nb: nb[:4], r"neighbor sets must have shape \(5, count\)"),
+        (lambda nb: nb.ravel(), r"neighbor sets must have shape \(5, count\)"),
+        (lambda nb: nb[:, :0], "every anchor needs a non-empty neighbor set"),
+    ],
+    ids=["too-few-rows", "flat", "no-columns"],
+)
+def test_dynlocrep_forward_rejects_misshapen_neighbor_sets(reshape, message):
+    batch, labels = random_batch(8, n=5)
+    sim, weights, neighbors = forward_pieces(batch, labels, neighbor_count=2)
+    with pytest.raises(InputError, match=message):
+        dynlocrep_forward(sim, weights, reshape(neighbors))
+
+
+@pytest.mark.parametrize("variant", BASELINES)
+def test_a_baseline_without_its_supervision_is_rejected(variant):
+    batch, labels = random_batch(11, n=5)
+    sim, _, _ = forward_pieces(batch, labels)
+    rnc = variant is LossVariant.RANK_N_CONTRAST
+    message = "rank-n-contrast needs labels" if rnc else f"{variant.value} needs a positiveness"
+    with pytest.raises(InputError, match=message):
+        baseline_forward(variant, sim)
+
+
+def test_input_features_must_match_the_batch():
+    batch, labels = random_batch(12, n=5)
+    config = LossConfig(nn_space=NeighborSpace.INPUT)
+    with pytest.raises(InputError, match="input features must have 5 rows, got 4"):
+        loss_with_gradient(config, batch, labels, neighbor_count=2, input_features=np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("variant", list(LossVariant))
+def test_a_non_finite_loss_is_surfaced(variant):
+    """A temperature of 1e-310 overflows the similarities to inf."""
+    batch, labels = random_batch(13, n=6)
+    config = LossConfig(variant=variant, temperature=1e-310)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite output"):
+        loss_with_gradient(config, batch, labels, neighbor_count=2)
 
 
 def test_forwards_reject_a_non_square_similarity_matrix():

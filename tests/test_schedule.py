@@ -48,6 +48,13 @@ def test_invalid_configurations_rejected():
         ScheduleConfig(batch_size=1, nn_final=1, step_size=1, max_epochs=10)
 
 
+@pytest.mark.parametrize("field", ["step_size", "max_epochs"])
+def test_a_zero_step_size_or_epoch_count_is_rejected(field):
+    settings = {**dict(batch_size=32, nn_final=14, step_size=1, max_epochs=50), field: 0}
+    with pytest.raises(ConfigError, match=f"{field} must be >= 1, got 0"):
+        ScheduleConfig(**settings)
+
+
 def test_negative_epoch_rejected():
     with pytest.raises(ConfigError):
         neighbors_at_epoch(REFERENCE, -1)

@@ -11,6 +11,7 @@ from dynlocrep import (
     DistanceNorm,
     EmbeddingBatch,
     EncoderConfig,
+    InputError,
     KernelSpec,
     LossConfig,
     LossVariant,
@@ -128,6 +129,12 @@ def test_feature_width_mismatch_rejected():
     dataset = tiny_dataset()
     with pytest.raises(ConfigError):
         train(dataset, tiny_config(), OPT, EncoderConfig(input_dim=5))
+
+
+def test_a_one_row_dataset_is_rejected():
+    one_row = tiny_dataset().subset(np.array([0]))
+    with pytest.raises(InputError, match="need at least 2 samples to train, got 1"):
+        train(one_row, tiny_config(), OPT, ENC)
 
 
 def test_config_validation():
