@@ -19,6 +19,9 @@ from .errors import ConfigError, InputError, NumericalError
 # Guard divisor for rows with vanishing norm; a zero row stays zero.
 NORM_EPS = 1e-12
 
+# The largest block of folded coordinate differences distance_matrix holds at once.
+_FOLD_BLOCK_BYTES = 512 * 1024
+
 
 class DistanceNorm(str, enum.Enum):
     """Distance norms available for nearest-neighbor selection."""
@@ -74,11 +77,30 @@ def l2_normalize(raw: np.ndarray) -> np.ndarray:
     return raw / np.maximum(norms, NORM_EPS)
 
 
-def similarity_matrix(unit: np.ndarray, temperature: float) -> np.ndarray:
+def _square_out(out: np.ndarray | None, n: int) -> np.ndarray:
+    """A new (n, n) float64 array, or ``out`` once it is checked to be one
+    that is C-contiguous and writable: the ``out=`` of the functions here."""
+    if out is None:
+        return np.empty((n, n))
+    if not (
+        isinstance(out, np.ndarray)
+        and out.shape == (n, n)
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise InputError(f"out must be a writable C-contiguous float64 ({n}, {n}) array")
+    return out
+
+
+def similarity_matrix(
+    unit: np.ndarray, temperature: float, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Cosine similarities of unit rows divided by the temperature.
 
     Entries are bounded by 1/temperature in absolute value; the diagonal
-    is 1/temperature. Rows are assumed normalized already.
+    is 1/temperature. Rows are assumed normalized already. The result is
+    written to ``out`` if given, else to a new array.
     """
     if not (math.isfinite(temperature) and temperature > 0):
         raise ConfigError(f"temperature must be positive, got {temperature}")
@@ -87,16 +109,20 @@ def similarity_matrix(unit: np.ndarray, temperature: float) -> np.ndarray:
     # is exactly symmetric without a mirror. A column-strided view would
     # take a general product instead, whose triangles may round apart.
     unit = np.ascontiguousarray(unit, dtype=np.float64)
-    return (unit @ unit.T) / temperature
+    s = np.matmul(unit, unit.T, out=_square_out(out, len(unit)))
+    return np.divide(s, temperature, out=s)
 
 
-def distance_matrix(points: np.ndarray, norm: DistanceNorm | str) -> np.ndarray:
+def distance_matrix(
+    points: np.ndarray, norm: DistanceNorm | str, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Pairwise distances under the requested norm, a member or its string value.
 
-    Returns a symmetric, nonnegative matrix with zero diagonal.
-    Cosine distance is 1 - cos(a, b) with epsilon-guarded norms, which
-    lies in [0, 2]; the other three are computed from coordinate
-    differences, so their diagonal and symmetry are exact.
+    Returns a symmetric, nonnegative matrix with zero diagonal, written to
+    ``out`` if given, else to a new array. Cosine distance is
+    1 - cos(a, b) with epsilon-guarded norms, which lies in [0, 2]; the
+    other three are computed from coordinate differences, so their
+    diagonal and symmetry are exact.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 2:
@@ -106,36 +132,39 @@ def distance_matrix(points: np.ndarray, norm: DistanceNorm | str) -> np.ndarray:
     except ValueError:
         allowed = ", ".join(member.value for member in DistanceNorm)
         raise ConfigError(f"distance norm must be one of {allowed}, got {norm!r}") from None
+    n, d = points.shape
+    out = _square_out(out, n)
     if norm is DistanceNorm.COSINE:
         points = np.ascontiguousarray(points)
-        g = points @ points.T  # exactly symmetric, as in similarity_matrix
+        g = np.matmul(points, points.T, out=out)  # exactly symmetric, as in similarity_matrix
         norms = np.maximum(np.sqrt(np.diag(g)), NORM_EPS)
-        d = 1.0 - g / np.outer(norms, norms)
-        np.fill_diagonal(d, 0.0)
-        return np.maximum(d, 0.0)
+        np.divide(g, np.outer(norms, norms), out=out)
+        np.subtract(1.0, out, out=out)
+        np.fill_diagonal(out, 0.0)
+        return np.maximum(out, 0.0, out=out)
     # Each unordered pair once, folded: row o - 1 holds p[(i + o) % n] - p[i] for
     # o = 1 .. n // 2 (for even n, offset n / 2 holds each of its pairs twice). Every pair is
     # still reduced over a contiguous last axis, and |a - b| == |b - a| exactly, so the bytes
-    # are those of the full (n, n, d) difference tensor. Keep the transient whole: freeing
-    # 8.4 MB (n = 256, d = 32) raises glibc's mmap and trim thresholds, which keeps the loss
-    # core's 512 KB (256, 256) temporaries off freshly faulted mmap pages. In a fresh process,
-    # 50 yaware loss calls at n = 256 took 51 600 minor faults, but 1 024 after one distance.
-    n = points.shape[0]
+    # are those of the full (n, n, d) difference tensor. The offsets go in blocks of at most
+    # _FOLD_BLOCK_BYTES, so one block holds every offset up to n = 64 at d = 32.
     partner, upper, lower = _fold_layout(n)
-    diff = points.take(partner, axis=0)
-    diff -= points
-    np.abs(diff, out=diff)
-    if norm is DistanceNorm.MANHATTAN:
-        folded = diff.sum(axis=-1)
-    elif norm is DistanceNorm.EUCLIDEAN:
-        diff *= diff
-        folded = np.sqrt(diff.sum(axis=-1))
-    else:
-        folded = diff.max(axis=-1)
-    del diff  # free the transient before the (n, n) result is allocated
-    out = np.zeros((n, n))
-    out.put(upper, folded)
-    out.put(lower, folded)
+    step = max(1, _FOLD_BLOCK_BYTES // max(8 * n * d, 1))
+    for start in range(0, n // 2, step):
+        block = slice(start, start + step)
+        diff = points.take(partner[block], axis=0)
+        diff -= points
+        np.abs(diff, out=diff)
+        if norm is DistanceNorm.MANHATTAN:
+            folded = diff.sum(axis=-1)
+        elif norm is DistanceNorm.EUCLIDEAN:
+            diff *= diff
+            folded = np.sqrt(diff.sum(axis=-1))
+        else:
+            folded = diff.max(axis=-1)
+        del diff  # free the block before the next one is allocated
+        out.put(upper[block], folded)
+        out.put(lower[block], folded)
+    out.ravel()[:: n + 1] = 0.0  # the pairs cover everything else
     return out
 
 
@@ -152,7 +181,9 @@ def _fold_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return layout
 
 
-def select_neighbors(distances: np.ndarray, count: int) -> np.ndarray:
+def select_neighbors(
+    distances: np.ndarray, count: int, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Each anchor's set of ``count`` nearest other samples, as (n, count)
     indices.
 
@@ -163,7 +194,9 @@ def select_neighbors(distances: np.ndarray, count: int) -> np.ndarray:
     of a stable sort on (distance, index). Each row lists its set in
     ascending index order. The diagonal is ignored; a non-finite distance
     anywhere else raises InputError. Callers must clamp ``count`` into
-    [1, n - 1] beforehand.
+    [1, n - 1] beforehand. The selection partitions a copy of the
+    distances, made in ``out`` if given (which must not share memory with
+    ``distances``), else in a new array; the result is always a new array.
     """
     distances = np.asarray(distances, dtype=np.float64)
     n = distances.shape[0]
@@ -171,18 +204,28 @@ def select_neighbors(distances: np.ndarray, count: int) -> np.ndarray:
         raise InputError(f"distances must be square, got shape {distances.shape}")
     if not (1 <= count <= n - 1):
         raise ConfigError(f"neighbor count must lie in [1, {n - 1}], got {count}")
-    masked = distances.copy()
+    # O(n^2): everything up to the count-th smallest distance of its row,
+    # less the highest-index ties at that distance where there are too many
+    masked = _square_out(out, n)
+    if np.may_share_memory(masked, distances):
+        raise InputError("out must not share memory with the distances")
+    np.copyto(masked, distances)
     masked.ravel()[:: n + 1] = np.inf
     if np.count_nonzero(np.isfinite(masked)) != n * (n - 1):
         raise InputError("distances contain non-finite values off the diagonal")
-    # O(n^2): everything up to the count-th smallest distance of its row,
-    # less the highest-index ties at that distance where there are too many
-    kth = np.partition(masked, count - 1, axis=1)[:, count - 1 : count]
-    chosen = masked <= kth
+    masked.partition(count - 1, axis=1)
+    kth = masked[:, count - 1 : count]
+    # the diagonal is masked out: ignored, and never at or below kth
+    chosen = distances <= kth
+    chosen.ravel()[:: n + 1] = False
     if np.count_nonzero(chosen) != n * count:
         surplus = np.add.reduce(chosen, axis=1, dtype=np.intp) - count
         tied = np.flatnonzero(surplus)
-        at_kth = masked[tied] == kth[tied]
+        at_kth = distances[tied] == kth[tied]
+        at_kth[np.arange(tied.size), tied] = False
         ties_from_here = np.cumsum(at_kth[:, ::-1], axis=1)[:, ::-1]
         chosen[tied] &= ~(at_kth & (ties_from_here <= surplus[tied, None]))
-    return chosen.nonzero()[1].reshape(n, count)
+    # one index array, not nonzero's two: flat positions less each row's start
+    columns = np.flatnonzero(chosen).reshape(n, count)
+    columns -= n * np.arange(n)[:, None]
+    return columns

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .geometry import _square_out
 
 
 @dataclass(frozen=True)
@@ -37,21 +38,45 @@ class KernelSpec:
             )
 
 
-def positiveness_matrix(labels: np.ndarray, spec: KernelSpec) -> np.ndarray:
+def positiveness_matrix(
+    labels: np.ndarray, spec: KernelSpec, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Build the n x n matrix of kernel weights over all label pairs.
 
     Entry (i, k) is exp(-(y_i - y_k)^2 / (2 * bandwidth^2)), which lies in
-    (0, 1] and peaks at equal labels. Exact symmetry and a unit diagonal
-    follow from the kernel being computed on the squared difference.
+    [0, 1] and peaks at equal labels; it is written to ``out`` if given,
+    else to a new array. Exact symmetry and a unit diagonal follow from the
+    kernel being computed on the squared difference. A pair whose squared
+    difference overflows, a gap above about 1.34e154, is computed as
+    exp(-(gap / bandwidth)^2 / 2) instead.
     """
     labels = np.asarray(labels, dtype=np.float64)
     if labels.ndim != 1:
         raise InputError(f"labels must be a 1-D vector, got shape {labels.shape}")
-    if labels.shape[0] < 2:
-        raise InputError(f"need at least 2 samples to form pairs, got {labels.shape[0]}")
-    if not np.isfinite(labels).all():
+    n = labels.shape[0]
+    if n < 2:
+        raise InputError(f"need at least 2 samples to form pairs, got {n}")
+    low, high = float(np.minimum.reduce(labels)), float(np.maximum.reduce(labels))
+    if not (math.isfinite(low) and math.isfinite(high)):  # NaN propagates to both
         raise InputError("labels contain non-finite values")
-    delta = labels[:, None] - labels[None, :]
     # delta squared is bit-identical across the diagonal, so w is exactly
     # symmetric; (delta * delta) rather than delta**2 keeps it elementwise.
-    return np.exp(-(delta * delta) / (2.0 * spec.bandwidth * spec.bandwidth))
+    w = _square_out(out, n)
+    # no |delta| exceeds high - low, and Python floats overflow silently
+    if (high - low) * (high - low) < math.inf:
+        overflowed = None
+        np.subtract(labels[:, None], labels, out=w)
+        np.multiply(w, w, out=w)
+    else:  # pairs whose squared gap overflows are weighed from gap / bandwidth
+        with np.errstate(over="ignore"):
+            np.subtract(labels[:, None], labels, out=w)
+            np.multiply(w, w, out=w)
+            rows, cols = np.isinf(w).nonzero()
+            scaled = np.abs(labels[rows] - labels[cols]) / spec.bandwidth
+            overflowed = np.exp(-0.5 * (scaled * scaled))
+    np.negative(w, out=w)
+    np.divide(w, 2.0 * spec.bandwidth * spec.bandwidth, out=w)
+    np.exp(w, out=w)
+    if overflowed is not None:
+        w[rows, cols] = overflowed
+    return w

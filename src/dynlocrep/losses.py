@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,7 @@ from .geometry import (
     NORM_EPS,
     DistanceNorm,
     EmbeddingBatch,
+    _square_out,
     distance_matrix,
     select_neighbors,
     similarity_matrix,
@@ -84,6 +86,17 @@ LOG_CUMSUM_SPAN = 600.0
 
 # A row shifted by max(peak, _LOWEST) stays -inf if all -inf, where -inf gives NaN.
 _LOWEST = np.finfo(np.float64).min
+
+# Every (n, n)-sized intermediate of a step lives in (n, n) float64 work
+# arrays: the similarities, and _CORE_WORK for the weights or label gaps, the
+# distances and the loss core. Each thread keeps its own for its
+# _KEPT_SIZES most recent batch sizes (a training run uses two) while they
+# total at most _KEPT_BYTES (n <= 724), so a warm step faults in no fresh
+# pages; no result aliases them.
+_CORE_WORK = 7
+_KEPT_SIZES = 2
+_KEPT_BYTES = 32 << 20
+_thread = threading.local()
 
 
 class LossVariant(str, enum.Enum):
@@ -159,13 +172,44 @@ class LossOutput:
     weighted: bool
 
 
-def _normalized_pair_weights(w: np.ndarray) -> np.ndarray:
-    """Rows of w_{i,k} / sum_{t != i} w_{i,t} with zero diagonal.
+def _scratch(n: int) -> list[np.ndarray]:
+    """This thread's 1 + _CORE_WORK work arrays for an n-row batch."""
+    kept = getattr(_thread, "kept", None)
+    if kept is None:
+        kept = _thread.kept = {}  # batch size -> work arrays, most recently used last
+    work = kept.pop(n, None)
+    if work is None:
+        work = [np.empty((n, n)) for _ in range(1 + _CORE_WORK)]
+    if len(work) * work[0].nbytes <= _KEPT_BYTES:
+        kept[n] = work
+        if len(kept) > _KEPT_SIZES:
+            del kept[next(iter(kept))]
+    return work
+
+
+def _rows(work: np.ndarray, m: int, dtype: type = np.float64) -> np.ndarray:
+    """The first n * m items of an (n, n) work array as a C-contiguous
+    (n, m) array of ``dtype``, whose items are 8 bytes like a float64's."""
+    return np.ndarray((len(work), m), dtype, work)
+
+
+def _copy(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """x copied into ``out``, which may be x itself, or into a new array."""
+    if out is None:
+        return x.copy()
+    if out is not x:
+        np.copyto(out, x)
+    return out
+
+
+def _normalized_pair_weights(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows of w_{i,k} / sum_{t != i} w_{i,t} with zero diagonal, in ``out``
+    if given.
 
     Off-diagonal entries of each row sum to 1 unless the row's weight mass
     is below WEIGHT_SUM_EPS, in which case the whole row is zeroed.
     """
-    a = w.copy()
+    a = _copy(w, out)
     a.ravel()[:: len(a) + 1] = 0.0
     row_sums = np.add.reduce(a, axis=1, keepdims=True)
     if row_sums.min() < WEIGHT_SUM_EPS:
@@ -173,20 +217,35 @@ def _normalized_pair_weights(w: np.ndarray) -> np.ndarray:
     return np.divide(a, np.maximum(row_sums, WEIGHT_SUM_EPS), out=a)
 
 
-def _tie_groups(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, where each entry's run of equal keys starts and one past its end."""
-    positions = np.arange(sorted_keys.shape[1])
+def _tie_groups(
+    sorted_keys: np.ndarray, starts: np.ndarray | None = None, ends: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, where each entry's run of equal keys starts and one past its
+    end: the column positions if no row has a tie, else written to the intp
+    arrays ``starts`` and ``ends`` if given."""
+    m = sorted_keys.shape[1]
+    positions = np.arange(m)
     differs = sorted_keys[:, 1:] != sorted_keys[:, :-1]
     if differs.all():
         return positions, positions + 1
     first, last = np.ones((2, *sorted_keys.shape), dtype=bool)
     first[:, 1:] = last[:, :-1] = differs
-    starts = np.maximum.accumulate(np.where(first, positions, 0), axis=1)
-    ends = np.where(last, positions + 1, positions.size)[:, ::-1]
-    return starts, np.minimum.accumulate(ends, axis=1)[:, ::-1]
+    # a group's start where one starts, else 0; one past its end where it ends, else m
+    starts = np.multiply(first, positions, out=starts)
+    np.maximum.accumulate(starts, axis=1, out=starts)
+    ends = np.multiply(last, positions + 1 - m, out=ends)
+    ends += m
+    backwards = ends[:, ::-1]
+    np.minimum.accumulate(backwards, axis=1, out=backwards)
+    return starts, ends
 
 
-def _log_cumsum(x: np.ndarray, reverse: bool = False) -> np.ndarray:
+def _log_cumsum(
+    x: np.ndarray,
+    reverse: bool = False,
+    out: np.ndarray | None = None,
+    sums: np.ndarray | None = None,
+) -> np.ndarray:
     """Row-wise cumulative log-sum-exp, padded to m + 1 columns.
 
     Column j holds the log-sum-exp of the first j entries, or with
@@ -194,16 +253,22 @@ def _log_cumsum(x: np.ndarray, reverse: bool = False) -> np.ndarray:
     is shifted by its peak, exponentiated and summed in linear space,
     where every term is at most 1 and nothing is subtracted. A row whose
     finite entries span more than LOG_CUMSUM_SPAN would lose its smallest
-    terms to underflow and is accumulated with np.logaddexp instead.
+    terms to underflow and is accumulated with np.logaddexp instead. The
+    result goes to ``out`` (n, m + 1) and the sums are formed in ``sums``
+    (n, m) where given, both C-contiguous.
     """
     n, m = x.shape
-    out = np.full((n, m + 1), -np.inf)
+    if out is None:
+        out = np.empty((n, m + 1))
     if reverse:
         x, sums_at = x[:, ::-1], out[:, m - 1 :: -1]
+        out[:, m] = -np.inf
     else:
         sums_at = out[:, 1:]
+        out[:, 0] = -np.inf
     peak = x.max(axis=1, keepdims=True, initial=-np.inf)
-    sums = np.subtract(x, np.maximum(peak, _LOWEST))  # fresh, unlike the strided sums_at
+    # contiguous, unlike the strided sums_at
+    sums = np.subtract(x, np.maximum(peak, _LOWEST), out=sums)
     lowest = sums.min(initial=0.0)  # masked only where -inf entries hide it
     if lowest == -np.inf:
         lowest = sums.min(initial=0.0, where=sums > -np.inf)
@@ -221,8 +286,11 @@ def _log_cumsum(x: np.ndarray, reverse: bool = False) -> np.ndarray:
     return out
 
 
-def _log_sum_all_but(x: np.ndarray) -> np.ndarray:
-    """Per entry, the log-sum-exp of the rest of its row.
+def _log_sum_all_but(
+    x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Per entry, the log-sum-exp of the rest of its row, in ``out`` (which
+    may be x itself) if given; ``work`` is an array of x's shape to work in.
 
     Rows are shifted by their peak p. The rest of a non-peak entry j is
     p + log1p(R - e_j), with e the shifted terms and R their sum over the
@@ -235,10 +303,10 @@ def _log_sum_all_but(x: np.ndarray) -> np.ndarray:
     rows = x.shape[1] * np.arange(len(x))  # argmax and take beat a row-wise max
     top = x.argmax(axis=1) + rows
     peak = x.take(top)[:, None]
-    terms = x.copy()
+    terms = _copy(x, out)
     terms.put(top, -np.inf)
     runner = terms.take(terms.argmax(axis=1) + rows)[:, None]
-    shifted = np.subtract(terms, np.maximum(runner, _LOWEST))
+    shifted = np.subtract(terms, np.maximum(runner, _LOWEST), out=work)
     runner_mass = np.add.reduce(np.exp(shifted, out=shifted), axis=1)
     np.subtract(terms, np.maximum(peak, _LOWEST), out=terms)
     np.exp(terms, out=terms)
@@ -256,6 +324,7 @@ def _loss_core(
     w: np.ndarray | None,
     gaps: np.ndarray | None,
     neighbors: np.ndarray | None,
+    work: list[np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray, bool]:
     """Total loss, dL/ds (rows indexed by anchors) and whether any pair
     kept a weight, for any variant.
@@ -263,66 +332,85 @@ def _loss_core(
     ``w`` is needed by every variant but rnc, ``gaps`` (|y_i - y_t|) by
     rnc and ``neighbors`` (n, count) by dynlocrep, where None stands for
     everyone but the anchor. Each shape of candidate set in the module
-    docstring has its own branch.
+    docstring has its own branch. Every (n, n)-sized intermediate but
+    argsort's output, dL/ds included, lives in ``work``: _CORE_WORK
+    C-contiguous (n, n) float64 arrays, or new ones if None. No argument
+    may alias them, except that work[0] may be the ``w`` or ``gaps`` that
+    the variant reads, which is then overwritten.
     """
     n = s.shape[0]
+    if work is None:
+        work = [np.empty((n, n)) for _ in range(_CORE_WORK)]
     row_starts = n * np.arange(n)[:, None]
     at = None
     if variant is LossVariant.THRESHOLD or variant is LossVariant.RANK_N_CONTRAST:
         # the anchor's own column sorts last and is cut off
         suffix = variant is LossVariant.RANK_N_CONTRAST
-        keys = (gaps if suffix else w).copy()
+        keys = _copy(gaps if suffix else w, work[0])
         keys.ravel()[:: n + 1] = np.inf
-        at = keys.argsort(axis=1)[:, : n - 1] + row_starts
-        sorted_keys = keys.take(at)
+        order = keys.argsort(axis=1)
+        at = np.add(order[:, : n - 1], row_starts, out=_rows(work[1], n - 1, np.intp))
+        del order
+        sorted_keys = keys.take(at, out=_rows(work[2], n - 1), mode="clip")
         # threshold's M is the prefix before k's tie group, rnc's the
         # suffix from it on
-        starts, ends = _tie_groups(sorted_keys)
-        bound = starts + row_starts
+        bound, ends = _rows(work[0], n - 1, np.intp), _rows(work[3], n - 1, np.intp)
+        starts, group_ends = _tie_groups(sorted_keys, bound, ends)
+        np.add(starts, row_starts, out=bound)
+        np.add(group_ends, row_starts, out=ends)
+        a = _rows(work[5], n - 1)
         if suffix:
-            a = np.ones((n, n - 1))
+            a.fill(1.0)
         else:
-            mass = np.zeros((n, n))
+            mass = work[4]
+            mass[:, 0] = 0.0
             np.cumsum(sorted_keys, axis=1, out=mass[:, 1:])
-            mass = mass.take(bound)
+            mass.take(bound, out=a, mode="clip")
             # an empty or near-empty candidate set drops the pair instead of
             # blowing its weight up to ~1/underflow
-            a = np.where(
-                mass >= WEIGHT_SUM_EPS, sorted_keys / np.maximum(mass, WEIGHT_SUM_EPS), 0.0
-            )
+            light = a < WEIGHT_SUM_EPS
+            np.divide(sorted_keys, np.maximum(a, WEIGHT_SUM_EPS, out=a), out=a)
+            a[light] = 0.0
         b = 1.0
-        # from here on, pairs are indexed by the partner's sorted position
-        s = x = s.take(at)
-        log_denom = _log_cumsum(x, reverse=suffix).take(bound)
+        # from here on, pairs are indexed by the partner's sorted position;
+        # the sorted keys are spent
+        s = x = s.take(at, out=sorted_keys, mode="clip")
+        sums = _rows(work[6], n - 1)
+        log_denom = _log_cumsum(x, suffix, work[4], sums).take(bound, out=sums, mode="clip")
     else:
         # whole rows; x = -inf outside the candidates drops out of every max
         # and exponentiates to exactly 0
-        a = _normalized_pair_weights(w)
-        b = 1.0 if variant is LossVariant.Y_AWARE else 1.0 - w
-        x = b * s
-        np.fill_diagonal(x, -np.inf)  # x keeps the layout of s, which callers choose
+        b = 1.0 if variant is LossVariant.Y_AWARE else np.subtract(1.0, w, out=work[1])
+        a = _normalized_pair_weights(w, work[0])
+        x = np.multiply(b, s, out=work[2])
+        np.fill_diagonal(x, -np.inf)
         if variant is LossVariant.DYN_LOC_REP:
             # one candidate set per anchor: its neighbors, whatever the partner
             if neighbors is not None:
-                kept = x.take(neighbors + row_starts)
+                count = neighbors.shape[1]
+                flat = np.add(neighbors, row_starts, out=_rows(work[3], count, np.intp))
+                kept = x.take(flat, out=_rows(work[4], count), mode="clip")
                 x.fill(-np.inf)
-                x.put(neighbors + row_starts, kept)
+                x.put(flat, kept)
             peak = x.take(x.argmax(axis=1) + row_starts[:, 0])[:, None]
             terms = np.exp(np.subtract(x, peak, out=x), out=x)
             mass = np.add.reduce(terms, axis=1, keepdims=True)
-            total = -float(((s - (peak + np.log(mass))) * a).sum())
+            shifted = np.subtract(s, peak + np.log(mass), out=work[3])
+            total = -float(np.multiply(shifted, a, out=shifted).sum())
             # dL/ds_it = -a_it + b_it * softmax over the neighbor set * sum_k a_ik
             terms *= b
             terms *= np.add.reduce(a, axis=1, keepdims=True) / mass
             return total, np.subtract(terms, a, out=terms), bool((a > 0.0).any())
-        log_denom = _log_sum_all_but(x)
+        log_denom = _log_sum_all_but(x, work[3], work[4])
 
     # an empty candidate set (log_denom = -inf) drops the pair
     usable = log_denom > -np.inf
     if not usable.all():
-        a = np.where(usable, a, 0.0)
-        log_denom = np.where(usable, log_denom, 0.0)
-    total = -float(((s - log_denom) * a).sum())
+        dropped = ~usable
+        a[dropped] = 0.0
+        log_denom[dropped] = 0.0
+    pairs = _rows(work[4], a.shape[1])
+    total = -float(np.multiply(np.subtract(s, log_denom, out=pairs), a, out=pairs).sum())
 
     # dL/ds_it = -a_it + b_it * sum_k a_ik * exp(x_it - log_denom_ik) over
     # the k whose candidate set holds t: for yaware and exponential every k
@@ -332,19 +420,21 @@ def _loss_core(
     # #{k : bound_ik <= j} (rnc).
     weighted = bool((a > 0.0).any())
     with np.errstate(divide="ignore"):  # log(0) = -inf: an unweighted pair adds 0
-        log_share = np.log(a)
+        log_share = np.log(a, out=pairs)
     log_share -= log_denom
     if at is None:
-        grad_s = _log_sum_all_but(log_share)
+        grad_s = _log_sum_all_but(log_share, log_share, work[5])
     else:
         # #{k : bound_ik <= j} is one past the end of j's own tie group
-        grad_s = _log_cumsum(log_share, reverse=not suffix).take(ends + row_starts)
+        grad_s = _log_cumsum(log_share, not suffix, work[0], sums)
+        grad_s = grad_s.take(ends, out=log_share, mode="clip")
     grad_s += x
     grad_s = np.multiply(b, np.exp(grad_s, out=grad_s), out=grad_s)
     grad_s -= a
     if at is None:
         return total, grad_s, weighted
-    full = np.zeros((n, n))
+    full = work[0]
+    full.fill(0.0)
     full.put(at, grad_s)
     return total, full, weighted
 
@@ -361,11 +451,13 @@ def _checked_labels(labels: np.ndarray, n: int) -> np.ndarray:
     return labels
 
 
-def _label_gaps(labels: np.ndarray) -> np.ndarray:
-    """|y_i - y_t| for rnc; for the rest positiveness_matrix checks the labels."""
+def _label_gaps(labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|y_i - y_t| for rnc, in ``out`` if given; for the rest
+    positiveness_matrix checks the labels."""
     if not np.isfinite(labels).all():
         raise InputError("labels contain non-finite values")
-    return np.abs(labels[:, None] - labels)
+    gaps = np.subtract(labels[:, None], labels, out=_square_out(out, len(labels)))
+    return np.abs(gaps, out=gaps)
 
 
 def dynlocrep_forward(sim: np.ndarray, weights: np.ndarray, neighbors: np.ndarray) -> float:
@@ -450,15 +542,17 @@ def loss_with_gradient(
         raise InputError(f"need a batch of at least 2 samples, got {n}")
     labels = _checked_labels(labels, n)
     variant = config.variant
+    # s, then the core's work, whose first array holds w or gaps
+    work = _scratch(n)
     w = gaps = None
     if variant is LossVariant.RANK_N_CONTRAST:
-        gaps = _label_gaps(labels)
+        gaps = _label_gaps(labels, work[1])
     else:
-        w = positiveness_matrix(labels, config.kernel)
+        w = positiveness_matrix(labels, config.kernel, out=work[1])
     if not np.isfinite(batch.raw).all():
         raise NumericalError("embeddings contain non-finite values")
 
-    s = similarity_matrix(batch.unit, config.temperature)
+    s = similarity_matrix(batch.unit, config.temperature, out=work[0])
     neighbors = None
     if variant is LossVariant.DYN_LOC_REP:
         if neighbor_count is None:
@@ -474,13 +568,17 @@ def loss_with_gradient(
         # count n - 1 is everyone but the anchor (None); any other count,
         # out-of-range ones included, goes through select_neighbors
         if neighbor_count != n - 1:
-            distances = distance_matrix(points, config.distance_norm)
-            neighbors = select_neighbors(distances, neighbor_count)
+            distances = distance_matrix(points, config.distance_norm, out=work[2])
+            neighbors = select_neighbors(distances, neighbor_count, out=work[3])
 
-    value, grad_s, weighted = _loss_core(variant, s, w, gaps, neighbors)
+    value, grad_s, weighted = _loss_core(variant, s, w, gaps, neighbors, work[1:])
+    # The selection is the step's one large new array. Freed before the product
+    # below allocates, it leaves the heap's top too small for glibc to trim, so
+    # the next step reuses its pages instead of faulting in fresh ones.
+    del neighbors
 
     # Chain rule: s = U U^T / tau, then u = z / max(||z||, eps) per row.
-    grad_unit = (grad_s + grad_s.T) @ batch.unit
+    grad_unit = np.add(grad_s, grad_s.T, out=work[0]) @ batch.unit
     grad_unit /= config.temperature
     norms = np.sqrt(np.add.reduce(batch.raw * batch.raw, axis=1, keepdims=True))
     tangent = np.add.reduce(grad_unit * batch.unit, axis=1, keepdims=True) * batch.unit

@@ -261,10 +261,15 @@ def repeat_reference(points, norm):
 def reference_cases():
     """(points, label) over n in [2, 70], d in [1, 130] (past NumPy's
     128-element pairwise block), scales 1e-3 to 1e3, and C-ordered,
-    F-ordered and row-strided layouts."""
+    F-ordered and row-strided layouts; then shapes whose offsets the fold
+    splits into 512 KB blocks: 16 blocks of 8 at (256, 32), 18 of 7 and
+    one of 1 at (255, 33), exactly one at (91, 16), 50 of 2 at (200, 130),
+    and at (130, 32) four of 15 and a last one of 5 that holds offset
+    n / 2."""
     rng = np.random.default_rng(17)
     shapes = [(2, 1), (3, 1), (2, 130), (3, 129), (70, 130), (69, 128), (64, 8), (65, 9)]
     shapes += [(int(rng.integers(2, 71)), int(rng.integers(1, 131))) for _ in range(100)]
+    shapes += [(256, 32), (255, 33), (91, 16), (200, 130), (130, 32)]
     for case, (n, d) in enumerate(shapes):
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
         layout = ("C", "F", "strided")[case % 3]
@@ -298,9 +303,12 @@ def test_training_through_the_reference_distance_gives_the_same_bits(monkeypatch
     shipped = [train(dataset, config, OptimConfig(), encoder_config) for config in configs]
     sizes = set()
 
-    def reference(points, norm):
+    def reference(points, norm, *, out=None):
         sizes.add(len(points))
-        return repeat_reference(points, norm)
+        if out is None:
+            return repeat_reference(points, norm)
+        np.copyto(out, repeat_reference(points, norm))
+        return out
 
     monkeypatch.setattr(losses_module, "distance_matrix", reference)
     for config, ours in zip(configs, shipped):
@@ -310,11 +318,11 @@ def test_training_through_the_reference_distance_gives_the_same_bits(monkeypatch
     assert sizes == ({7} if batch_size == 7 else {13, 32})
 
 
-def test_distance_transient_is_half_the_full_tensor():
-    """Warm, a (256, 32) manhattan distance peaks at 8.65 MB (10^6 bytes):
-    the (128, 256, 32) folded transient plus its (128, 256) sums. The full
-    (256, 256, 32) difference tensor that the fold replaced peaked at
-    17.3 MB, so this fails on the unfolded code."""
+def test_distance_transient_is_one_block():
+    """Warm, a (256, 32) manhattan distance peaks at 1.08 MB (10^6 bytes):
+    the 512 KB (n, n) result, one 512 KB block of 8 folded offsets and its
+    (8, 256) sums. Folding all 128 offsets at once peaked at 8.65 MB, and
+    the full (256, 256, 32) difference tensor at 17.3 MB."""
     points = np.random.default_rng(18).normal(size=(256, 32))
     distance_matrix(points, DistanceNorm.MANHATTAN)  # builds the cached layout
     tracemalloc.start()
@@ -323,7 +331,7 @@ def test_distance_transient_is_half_the_full_tensor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9.5e6
+    assert peak <= 1.5e6
 
 
 def test_cached_fold_layout_is_read_only():

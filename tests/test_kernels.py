@@ -1,6 +1,7 @@
 """Kernel weights: closed forms, symmetry, and range properties."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,21 @@ def test_the_accepted_extremes_keep_a_unit_diagonal():
     w = positiveness_matrix(np.array([0.0, 1e150]), KernelSpec(LARGEST_BANDWIDTH))
     assert np.array_equal(np.diag(w), np.ones(2))
     assert 0.0 < w[0, 1] < 1.0
+
+
+def test_a_squared_gap_that_overflows_is_weighed_from_gap_over_bandwidth():
+    """A label gap above about 1.34e154 overflows (y_i - y_k)^2, which gave
+    weight 0 and a warning; such pairs weigh exp(-(gap / bandwidth)^2 / 2),
+    and every other pair keeps the bits of the squared-difference formula."""
+    labels = np.array([0.0, 1e155, 1.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = positiveness_matrix(labels, KernelSpec(LARGEST_BANDWIDTH))
+        rest = positiveness_matrix(labels[[0, 2, 3]], KernelSpec(LARGEST_BANDWIDTH))
+    assert w[0, 1] == 6.943325664886396e-25
+    assert w.tobytes() == w.T.copy().tobytes()
+    assert np.array_equal(np.diag(w), np.ones(4))
+    assert w[np.ix_([0, 2, 3], [0, 2, 3])].tobytes() == rest.tobytes()
 
 
 @given(delta=finite_deltas, bandwidth=st.floats(min_value=1e-3, max_value=1e3))
