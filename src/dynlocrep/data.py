@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError, ParseError, _check_int
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,9 @@ class SyntheticSpec:
     noise_std: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.feature_dim < 1:
-            raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        _check_int("n", self.n, 1)
+        _check_int("feature_dim", self.feature_dim, 1)
+        _check_int("informative_dims", self.informative_dims)
         if len(self.mixture_means) != len(self.mixture_stds) or len(self.mixture_means) != len(
             self.mixture_weights
         ):
@@ -125,8 +124,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     coefficients drawn once from the seeded generator, plus gaussian
     observation noise; the remaining dimensions are standard normal noise.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     means = np.array(spec.mixture_means)
     stds = np.array(spec.mixture_stds)
@@ -261,8 +259,7 @@ def split(dataset: Dataset, test_fraction: float = 0.2, seed: int = 0) -> tuple[
     """
     if not 0 < test_fraction < 1:
         raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _check_int("seed", seed, 0)
     n = dataset.n
     n_test = int(math.floor(n * test_fraction + 0.5))
     n_train = n - n_test

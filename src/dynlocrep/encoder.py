@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import _format_rows, _parse_floats, _write_lines_atomic
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError, ParseError, _check_int
 from .geometry import EmbeddingBatch
 
 CHECKPOINT_MAGIC = "dynlocrep-encoder-checkpoint"
@@ -49,8 +49,8 @@ class EncoderConfig:
         if not self.hidden_dims:
             raise ConfigError("the encoder needs at least one hidden width")
         widths = (self.input_dim, *self.hidden_dims, self.output_dim)
-        if any(int(v) != v or v < 1 for v in widths):
-            raise ConfigError(f"all layer widths must be integers >= 1, got {widths}")
+        for width in widths:
+            _check_int("each layer width", width, 1)
 
     @property
     def layer_dims(self) -> tuple[int, ...]:

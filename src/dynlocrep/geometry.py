@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError, _check_int
 
 # Guard divisor for rows with vanishing norm; a zero row stays zero.
 NORM_EPS = 1e-12
@@ -77,9 +77,10 @@ def l2_normalize(raw: np.ndarray) -> np.ndarray:
     return raw / np.maximum(norms, NORM_EPS)
 
 
-def _square_out(out: np.ndarray | None, n: int) -> np.ndarray:
+def _square_out(out: np.ndarray | None, n: int, given: np.ndarray) -> np.ndarray:
     """A new (n, n) float64 array, or ``out`` once it is checked to be one
-    that is C-contiguous and writable: the ``out=`` of the functions here."""
+    that is C-contiguous, writable and shares no memory with the input
+    ``given``: the one check of the ``out=`` of the functions here."""
     if out is None:
         return np.empty((n, n))
     if not (
@@ -90,6 +91,8 @@ def _square_out(out: np.ndarray | None, n: int) -> np.ndarray:
         and out.flags.writeable
     ):
         raise InputError(f"out must be a writable C-contiguous float64 ({n}, {n}) array")
+    if np.may_share_memory(out, given):
+        raise InputError("out must not share memory with the input")
     return out
 
 
@@ -99,8 +102,9 @@ def similarity_matrix(
     """Cosine similarities of unit rows divided by the temperature.
 
     Entries are bounded by 1/temperature in absolute value; the diagonal
-    is 1/temperature. Rows are assumed normalized already. The result is
-    written to ``out`` if given, else to a new array.
+    is 1/temperature. Rows are assumed normalized already; a ``unit`` that
+    is not 2-D raises InputError. The result is written to ``out`` if
+    given, else to a new array.
     """
     if not (math.isfinite(temperature) and temperature > 0):
         raise ConfigError(f"temperature must be positive, got {temperature}")
@@ -109,7 +113,9 @@ def similarity_matrix(
     # is exactly symmetric without a mirror. A column-strided view would
     # take a general product instead, whose triangles may round apart.
     unit = np.ascontiguousarray(unit, dtype=np.float64)
-    s = np.matmul(unit, unit.T, out=_square_out(out, len(unit)))
+    if unit.ndim != 2:
+        raise InputError(f"unit embeddings must be an n x d matrix, got shape {unit.shape}")
+    s = np.matmul(unit, unit.T, out=_square_out(out, len(unit), unit))
     return np.divide(s, temperature, out=s)
 
 
@@ -133,7 +139,7 @@ def distance_matrix(
         allowed = ", ".join(member.value for member in DistanceNorm)
         raise ConfigError(f"distance norm must be one of {allowed}, got {norm!r}") from None
     n, d = points.shape
-    out = _square_out(out, n)
+    out = _square_out(out, n, points)
     if norm is DistanceNorm.COSINE:
         points = np.ascontiguousarray(points)
         g = np.matmul(points, points.T, out=out)  # exactly symmetric, as in similarity_matrix
@@ -194,21 +200,20 @@ def select_neighbors(
     of a stable sort on (distance, index). Each row lists its set in
     ascending index order. The diagonal is ignored; a non-finite distance
     anywhere else raises InputError. Callers must clamp ``count`` into
-    [1, n - 1] beforehand. The selection partitions a copy of the
-    distances, made in ``out`` if given (which must not share memory with
-    ``distances``), else in a new array; the result is always a new array.
+    [1, n - 1] beforehand; it must be an integer. The selection partitions
+    a copy of the distances, made in ``out`` if given, else in a new
+    array; the result is always a new array.
     """
     distances = np.asarray(distances, dtype=np.float64)
     n = distances.shape[0]
     if distances.ndim != 2 or distances.shape != (n, n):
         raise InputError(f"distances must be square, got shape {distances.shape}")
+    _check_int("neighbor count", count)
     if not (1 <= count <= n - 1):
         raise ConfigError(f"neighbor count must lie in [1, {n - 1}], got {count}")
     # O(n^2): everything up to the count-th smallest distance of its row,
     # less the highest-index ties at that distance where there are too many
-    masked = _square_out(out, n)
-    if np.may_share_memory(masked, distances):
-        raise InputError("out must not share memory with the distances")
+    masked = _square_out(out, n, distances)
     np.copyto(masked, distances)
     masked.ravel()[:: n + 1] = np.inf
     if np.count_nonzero(np.isfinite(masked)) != n * (n - 1):

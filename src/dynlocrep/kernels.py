@@ -61,7 +61,7 @@ def positiveness_matrix(
         raise InputError("labels contain non-finite values")
     # delta squared is bit-identical across the diagonal, so w is exactly
     # symmetric; (delta * delta) rather than delta**2 keeps it elementwise.
-    w = _square_out(out, n)
+    w = _square_out(out, n, labels)
     # no |delta| exceeds high - low, and Python floats overflow silently
     if (high - low) * (high - low) < math.inf:
         overflowed = None

@@ -64,7 +64,6 @@ from .geometry import (
     NORM_EPS,
     DistanceNorm,
     EmbeddingBatch,
-    _square_out,
     distance_matrix,
     select_neighbors,
     similarity_matrix,
@@ -89,14 +88,20 @@ _LOWEST = np.finfo(np.float64).min
 
 # Every (n, n)-sized intermediate of a step lives in (n, n) float64 work
 # arrays: the similarities, and _CORE_WORK for the weights or label gaps, the
-# distances and the loss core. Each thread keeps its own for its
-# _KEPT_SIZES most recent batch sizes (a training run uses two) while they
-# total at most _KEPT_BYTES (n <= 724), so a warm step faults in no fresh
-# pages; no result aliases them.
+# distances and the loss core. Each thread keeps one buffer, as large as the
+# largest batch it has run while that fits in _KEPT_BYTES (n <= 724), and
+# every batch size works in (n, n) views of it, so a warm step faults in no
+# fresh pages; no result aliases them.
 _CORE_WORK = 7
-_KEPT_SIZES = 2
 _KEPT_BYTES = 32 << 20
-_thread = threading.local()
+
+
+class _Kept(threading.local):
+    buffer = np.empty(0)  # per thread: the buffer and its views for the latest batch size
+    work = [np.empty((0, 0))] * (1 + _CORE_WORK)
+
+
+_kept = _Kept()
 
 
 class LossVariant(str, enum.Enum):
@@ -173,17 +178,16 @@ class LossOutput:
 
 
 def _scratch(n: int) -> list[np.ndarray]:
-    """This thread's 1 + _CORE_WORK work arrays for an n-row batch."""
-    kept = getattr(_thread, "kept", None)
-    if kept is None:
-        kept = _thread.kept = {}  # batch size -> work arrays, most recently used last
-    work = kept.pop(n, None)
-    if work is None:
-        work = [np.empty((n, n)) for _ in range(1 + _CORE_WORK)]
-    if len(work) * work[0].nbytes <= _KEPT_BYTES:
-        kept[n] = work
-        if len(kept) > _KEPT_SIZES:
-            del kept[next(iter(kept))]
+    """This thread's 1 + _CORE_WORK work arrays for an n-row batch: C-contiguous
+    (n, n) views of its kept buffer, or of a new one where that is too small,
+    which replaces it if it fits in _KEPT_BYTES; a warm step reuses the views."""
+    if len(_kept.work[0]) == n:
+        return _kept.work
+    size = (1 + _CORE_WORK) * n * n
+    buffer = _kept.buffer if _kept.buffer.size >= size else np.empty(size)
+    work = list(buffer[:size].reshape(1 + _CORE_WORK, n, n))
+    if buffer.nbytes <= _KEPT_BYTES:
+        _kept.buffer, _kept.work = buffer, work
     return work
 
 
@@ -193,18 +197,16 @@ def _rows(work: np.ndarray, m: int, dtype: type = np.float64) -> np.ndarray:
     return np.ndarray((len(work), m), dtype, work)
 
 
-def _copy(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """x copied into ``out``, which may be x itself, or into a new array."""
-    if out is None:
-        return x.copy()
+def _copy(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x copied into ``out``, which may be x itself."""
     if out is not x:
         np.copyto(out, x)
     return out
 
 
-def _normalized_pair_weights(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _normalized_pair_weights(w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Rows of w_{i,k} / sum_{t != i} w_{i,t} with zero diagonal, in ``out``
-    if given.
+    (which may be w itself).
 
     Off-diagonal entries of each row sum to 1 unless the row's weight mass
     is below WEIGHT_SUM_EPS, in which case the whole row is zeroed.
@@ -218,11 +220,11 @@ def _normalized_pair_weights(w: np.ndarray, out: np.ndarray | None = None) -> np
 
 
 def _tie_groups(
-    sorted_keys: np.ndarray, starts: np.ndarray | None = None, ends: np.ndarray | None = None
+    sorted_keys: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row, where each entry's run of equal keys starts and one past its
     end: the column positions if no row has a tie, else written to the intp
-    arrays ``starts`` and ``ends`` if given."""
+    arrays ``starts`` and ``ends``."""
     m = sorted_keys.shape[1]
     positions = np.arange(m)
     differs = sorted_keys[:, 1:] != sorted_keys[:, :-1]
@@ -240,12 +242,7 @@ def _tie_groups(
     return starts, ends
 
 
-def _log_cumsum(
-    x: np.ndarray,
-    reverse: bool = False,
-    out: np.ndarray | None = None,
-    sums: np.ndarray | None = None,
-) -> np.ndarray:
+def _log_cumsum(x: np.ndarray, reverse: bool, out: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """Row-wise cumulative log-sum-exp, padded to m + 1 columns.
 
     Column j holds the log-sum-exp of the first j entries, or with
@@ -255,11 +252,9 @@ def _log_cumsum(
     finite entries span more than LOG_CUMSUM_SPAN would lose its smallest
     terms to underflow and is accumulated with np.logaddexp instead. The
     result goes to ``out`` (n, m + 1) and the sums are formed in ``sums``
-    (n, m) where given, both C-contiguous.
+    (n, m), both C-contiguous.
     """
-    n, m = x.shape
-    if out is None:
-        out = np.empty((n, m + 1))
+    m = x.shape[1]
     if reverse:
         x, sums_at = x[:, ::-1], out[:, m - 1 :: -1]
         out[:, m] = -np.inf
@@ -286,11 +281,9 @@ def _log_cumsum(
     return out
 
 
-def _log_sum_all_but(
-    x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
-) -> np.ndarray:
+def _log_sum_all_but(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Per entry, the log-sum-exp of the rest of its row, in ``out`` (which
-    may be x itself) if given; ``work`` is an array of x's shape to work in.
+    may be x itself); ``work`` is an array of x's shape to work in.
 
     Rows are shifted by their peak p. The rest of a non-peak entry j is
     p + log1p(R - e_j), with e the shifted terms and R their sum over the
@@ -324,7 +317,7 @@ def _loss_core(
     w: np.ndarray | None,
     gaps: np.ndarray | None,
     neighbors: np.ndarray | None,
-    work: list[np.ndarray] | None = None,
+    work: list[np.ndarray],
 ) -> tuple[float, np.ndarray, bool]:
     """Total loss, dL/ds (rows indexed by anchors) and whether any pair
     kept a weight, for any variant.
@@ -334,13 +327,11 @@ def _loss_core(
     everyone but the anchor. Each shape of candidate set in the module
     docstring has its own branch. Every (n, n)-sized intermediate but
     argsort's output, dL/ds included, lives in ``work``: _CORE_WORK
-    C-contiguous (n, n) float64 arrays, or new ones if None. No argument
-    may alias them, except that work[0] may be the ``w`` or ``gaps`` that
-    the variant reads, which is then overwritten.
+    C-contiguous (n, n) float64 arrays, such as _scratch's. No argument may
+    alias them, except that work[0] may be the ``w`` or ``gaps`` that the
+    variant reads, which is then overwritten; every other input is only read.
     """
     n = s.shape[0]
-    if work is None:
-        work = [np.empty((n, n)) for _ in range(_CORE_WORK)]
     row_starts = n * np.arange(n)[:, None]
     at = None
     if variant is LossVariant.THRESHOLD or variant is LossVariant.RANK_N_CONTRAST:
@@ -451,12 +442,12 @@ def _checked_labels(labels: np.ndarray, n: int) -> np.ndarray:
     return labels
 
 
-def _label_gaps(labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|y_i - y_t| for rnc, in ``out`` if given; for the rest
-    positiveness_matrix checks the labels."""
+def _label_gaps(labels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|y_i - y_t| for rnc, in ``out``; for the rest positiveness_matrix
+    checks the labels."""
     if not np.isfinite(labels).all():
         raise InputError("labels contain non-finite values")
-    gaps = np.subtract(labels[:, None], labels, out=_square_out(out, len(labels)))
+    gaps = np.subtract(labels[:, None], labels, out=out)
     return np.abs(gaps, out=gaps)
 
 
@@ -488,7 +479,7 @@ def dynlocrep_forward(sim: np.ndarray, weights: np.ndarray, neighbors: np.ndarra
         raise InputError(
             f"neighbor indices must be distinct integers in [0, {n}) other than their anchor"
         )
-    return _loss_core(LossVariant.DYN_LOC_REP, sim, weights, None, neighbors)[0]
+    return _loss_core(LossVariant.DYN_LOC_REP, sim, weights, None, neighbors, _scratch(n)[1:])[0]
 
 
 def baseline_forward(
@@ -508,16 +499,16 @@ def baseline_forward(
         raise ConfigError("use dynlocrep_forward for the localized loss")
     n = sim.shape[0]
     _check_square("similarity matrix", sim, n)
-    gaps = None
+    work, gaps = _scratch(n)[1:], None
     if variant is LossVariant.RANK_N_CONTRAST:
         if labels is None:
             raise InputError("rank-n-contrast needs labels")
-        gaps = _label_gaps(_checked_labels(labels, n))
+        gaps = _label_gaps(_checked_labels(labels, n), work[0])
     else:
         if weights is None:
             raise InputError(f"{variant.value} needs a positiveness matrix")
         _check_square("positiveness matrix", weights, n)
-    return _loss_core(variant, sim, weights, gaps, None)[0]
+    return _loss_core(variant, sim, weights, gaps, None, work)[0]
 
 
 def loss_with_gradient(

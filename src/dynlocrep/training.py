@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .encoder import Adam, Encoder, EncoderConfig, OptimConfig, init_encoder
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError, _check_int
 from .losses import LossConfig, LossVariant, loss_with_gradient
 from .schedule import ScheduleConfig, neighbors_at_epoch
 
@@ -30,20 +30,13 @@ class TrainConfig(LossConfig):
     export_epochs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 4:
-            raise ConfigError(f"batch_size must be >= 4, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # every variant checks the schedule fields, though only the localized
         # loss reads them, so a config is valid or not whatever its variant
-        if self.nn_final < 1:
-            raise ConfigError(f"nn_final must be >= 1, got {self.nn_final}")
-        if self.nn_step_size < 1:
-            raise ConfigError(f"nn_step_size must be >= 1, got {self.nn_step_size}")
-        if any(e < 1 for e in self.export_epochs):
-            raise ConfigError("export epochs are 1-based and must be >= 1")
+        lows = {"epochs": 0, "batch_size": 4, "seed": 0, "nn_final": 1, "nn_step_size": 1}
+        for name, low in lows.items():
+            _check_int(name, getattr(self, name), low)
+        for epoch in self.export_epochs:  # 1-based
+            _check_int("each export epoch", epoch, 1)
         if any(e > self.epochs for e in self.export_epochs):
             raise ConfigError(
                 f"export epochs must be <= epochs = {self.epochs}, got {max(self.export_epochs)}"

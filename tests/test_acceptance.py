@@ -293,7 +293,7 @@ def test_criterion_10_weight_normalization():
         # a 14-year window keeps every anchor's weight mass above the guard
         labels = rng.uniform(30.0, 44.0, size=12)
         weights = positiveness_matrix(labels, KERNEL)
-        sums = _normalized_pair_weights(weights).sum(axis=1)
+        sums = _normalized_pair_weights(weights, np.empty_like(weights)).sum(axis=1)
         worst = max(worst, float(np.max(np.abs(sums - 1.0))))
         assert np.all(np.abs(sums - 1.0) <= 1e-9)
     _passed(10, f"50 batches, worst deviation from 1 is {worst:.2e} <= 1e-9")

@@ -115,6 +115,28 @@ def test_spec_rejects_non_finite_values(field, value):
         SyntheticSpec(n=10, **{field: value})
 
 
+@pytest.mark.parametrize("value", [10.5, 12.0, True], ids=repr)
+@pytest.mark.parametrize("field", ["n", "feature_dim", "informative_dims"])
+def test_spec_sizes_must_be_integers(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got"):
+        SyntheticSpec(**{"n": 10, "feature_dim": 16, "informative_dims": 8, field: value})
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True], ids=repr)
+def test_seeds_must_be_integers(seed):
+    with pytest.raises(ConfigError, match="^seed must be an integer, got"):
+        generate_synthetic(DEFAULT, seed=seed)
+    with pytest.raises(ConfigError, match="^seed must be an integer, got"):
+        split(generate_synthetic(DEFAULT, seed=0), 0.2, seed)
+
+
+def test_numpy_integer_sizes_and_seeds_are_accepted():
+    spec = SyntheticSpec(n=np.int64(100), feature_dim=np.int32(16), informative_dims=np.uint8(8))
+    dataset = generate_synthetic(spec, np.int64(0))
+    assert dataset.features.tobytes() == generate_synthetic(DEFAULT, 0).features.tobytes()
+    assert split(dataset, 0.2, np.int64(1))[1].ids == split(dataset, 0.2, 1)[1].ids
+
+
 def test_negative_seeds_rejected():
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
         generate_synthetic(DEFAULT, seed=-1)

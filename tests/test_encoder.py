@@ -85,6 +85,28 @@ def test_invalid_widths_rejected():
         EncoderConfig(input_dim=4, hidden_dims=(0,), output_dim=2)
 
 
+@pytest.mark.parametrize(
+    "widths",
+    [
+        dict(input_dim=64.0),
+        dict(input_dim=True),
+        dict(input_dim=4, hidden_dims=(8, 8.0)),
+        dict(input_dim=4, output_dim=np.float64(2.0)),
+    ],
+    ids=["float-input", "bool-input", "float-hidden", "numpy-float-output"],
+)
+def test_layer_widths_must_be_integers(widths):
+    """64.0 and True passed an int(v) == v check and then failed in
+    init_encoder."""
+    with pytest.raises(ConfigError, match="^each layer width must be an integer, got"):
+        EncoderConfig(**widths)
+
+
+def test_numpy_integer_widths_build_an_encoder():
+    config = EncoderConfig(input_dim=np.int64(6), hidden_dims=(np.int32(16), 16), output_dim=8)
+    assert init_encoder(config, 0).params.tobytes() == init_encoder(CONFIG, 0).params.tobytes()
+
+
 def test_encoder_needs_a_hidden_layer():
     with pytest.raises(ConfigError, match="at least one hidden width"):
         EncoderConfig(input_dim=4, hidden_dims=(), output_dim=2)

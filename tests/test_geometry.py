@@ -16,6 +16,7 @@ from dynlocrep import (
     EmbeddingBatch,
     EncoderConfig,
     InputError,
+    KernelSpec,
     NeighborSpace,
     NumericalError,
     OptimConfig,
@@ -24,6 +25,7 @@ from dynlocrep import (
     distance_matrix,
     generate_synthetic,
     l2_normalize,
+    positiveness_matrix,
     select_neighbors,
     similarity_matrix,
     train,
@@ -170,12 +172,85 @@ def test_an_unknown_distance_norm_lists_the_choices():
         (lambda: EmbeddingBatch.from_raw(np.ones(3)), "embeddings must be an n x d matrix"),
         (lambda: distance_matrix(np.ones((1, 3)), "manhattan"), "need an n x m matrix with n >= 2"),
         (lambda: select_neighbors(np.zeros((3, 4)), 1), "distances must be square"),
+        (lambda: similarity_matrix(np.ones(3), 0.5), "unit embeddings must be an n x d matrix"),
     ],
-    ids=["1-d-embeddings", "one-row-distance", "non-square-distances"],
+    ids=["1-d-embeddings", "one-row-distance", "non-square-distances", "1-d-unit"],
 )
 def test_geometry_rejects_misshapen_inputs(call, message):
     with pytest.raises(InputError, match=message):
         call()
+
+
+def out_cases():
+    """Each function that takes ``out=``, as (input, call(input, out)), on an
+    n = 256 batch at d = 32."""
+    rng = np.random.default_rng(19)
+    points = rng.normal(size=(256, 32))
+    return {
+        "similarity_matrix": (
+            l2_normalize(points),
+            lambda unit, out: similarity_matrix(unit, 0.5, out=out),
+        ),
+        "positiveness_matrix": (
+            rng.uniform(0.0, 60.0, size=256),
+            lambda labels, out: positiveness_matrix(labels, KernelSpec(), out=out),
+        ),
+        "distance_matrix": (points, lambda points, out: distance_matrix(points, "manhattan", out=out)),
+        "select_neighbors": (
+            distance_matrix(points, DistanceNorm.MANHATTAN),
+            lambda distances, out: select_neighbors(distances, 5, out=out),
+        ),
+    }
+
+
+def read_only_out():
+    out = np.empty((256, 256))
+    out.flags.writeable = False
+    return out
+
+
+BAD_OUTS = {
+    "wrong shape": lambda: np.empty((256, 255)),
+    "wrong dtype": lambda: np.empty((256, 256), dtype=np.float32),
+    "fortran order": lambda: np.empty((256, 256), order="F"),
+    "read-only": read_only_out,
+    "not an array": lambda: np.empty((256, 256)).tolist(),
+}
+
+
+@pytest.mark.parametrize("name", list(out_cases()))
+def test_a_given_out_receives_the_result(name):
+    """A checked ``out`` holds the bytes of a call without one, and is the
+    result, except for select_neighbors, whose indices are always new."""
+    given, call = out_cases()[name]
+    out = np.full((256, 256), np.nan)
+    result = call(given, out)
+    assert np.asarray(result).tobytes() == np.asarray(call(given, None)).tobytes()
+    assert (result is out) == (name != "select_neighbors")
+
+
+@pytest.mark.parametrize("defect", list(BAD_OUTS))
+@pytest.mark.parametrize("name", list(out_cases()))
+def test_a_malformed_out_is_refused(name, defect):
+    given, call = out_cases()[name]
+    with pytest.raises(InputError, match=r"out must be a writable C-contiguous float64 \(256, 256\)"):
+        call(given, BAD_OUTS[defect]())
+
+
+@pytest.mark.parametrize("name", list(out_cases()))
+def test_an_out_that_shares_memory_with_the_input_is_refused(name):
+    """The input is placed in the out's own memory: in its first columns
+    (where distance_matrix used to overwrite points it had still to read),
+    in its first items, or as the whole of it."""
+    given, call = out_cases()[name]
+    out = np.zeros((256, 256))
+    if name == "distance_matrix":
+        placed = out[:, : given.shape[1]]
+    else:
+        placed = out.ravel()[: given.size].reshape(given.shape)
+    placed[...] = given
+    with pytest.raises(InputError, match="^out must not share memory with the input$"):
+        call(placed, out)
 
 
 def test_full_neighborhood_is_all_other_indices():
@@ -207,6 +282,14 @@ def test_neighbor_count_bounds_enforced():
         select_neighbors(d, 0)
     with pytest.raises(ConfigError):
         select_neighbors(d, 4)
+
+
+@pytest.mark.parametrize("count", [2.0, 2.5, True, np.float64(2.0)], ids=repr)
+def test_a_neighbor_count_must_be_an_integer(count):
+    d = distance_matrix(np.eye(4), DistanceNorm.EUCLIDEAN)
+    with pytest.raises(ConfigError, match="^neighbor count must be an integer, got"):
+        select_neighbors(d, count)
+    assert select_neighbors(d, np.int64(2)).tolist() == select_neighbors(d, 2).tolist()
 
 
 def test_neighbors_never_contain_anchor_and_share_cardinality():

@@ -1,6 +1,8 @@
 """Losses: oracle equivalence, closed forms, gradients, and invariances."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from dynlocrep import (
 )
 from dynlocrep.geometry import NORM_EPS
 from dynlocrep.losses import (
+    _CORE_WORK,
+    _KEPT_BYTES,
     WEIGHT_SUM_EPS,
     _log_cumsum,
     _log_sum_all_but,
@@ -208,7 +212,7 @@ def test_pair_weights_sum_to_one_per_anchor():
     for seed in range(20):
         _, labels = random_batch(seed, n=10, label_range=(30.0, 44.0))
         w = positiveness_matrix(labels, KERNEL)
-        sums = _normalized_pair_weights(w).sum(axis=1)
+        sums = _normalized_pair_weights(w, np.empty_like(w)).sum(axis=1)
         assert np.all(np.abs(sums - 1.0) <= 1e-9)
 
 
@@ -216,7 +220,7 @@ def test_pair_weights_guard_zeroes_isolated_anchors():
     # an anchor ~40 sigma from everyone has off-diagonal mass below 1e-12
     labels = np.array([30.0, 30.5, 31.0, 130.0])
     w = positiveness_matrix(labels, KERNEL)
-    sums = _normalized_pair_weights(w).sum(axis=1)
+    sums = _normalized_pair_weights(w, np.empty_like(w)).sum(axis=1)
     assert np.allclose(sums[:3], 1.0, atol=1e-9)
     assert sums[3] == 0.0
 
@@ -297,9 +301,10 @@ def assert_log_sums_close(got, expected, rows):
 def test_log_sum_helpers_match_an_fsum_reference():
     rows = [list(row) for row in LOG_SUM_ROWS]
     m = len(rows[0])
-    all_but = _log_sum_all_but(LOG_SUM_ROWS)
-    prefix = _log_cumsum(LOG_SUM_ROWS)
-    suffix = _log_cumsum(LOG_SUM_ROWS, reverse=True)
+    shape, padded = LOG_SUM_ROWS.shape, (len(rows), m + 1)
+    all_but = _log_sum_all_but(LOG_SUM_ROWS, np.empty(shape), np.empty(shape))
+    prefix = _log_cumsum(LOG_SUM_ROWS, False, np.empty(padded), np.empty(shape))
+    suffix = _log_cumsum(LOG_SUM_ROWS, True, np.empty(padded), np.empty(shape))
     assert all_but.shape == LOG_SUM_ROWS.shape
     assert prefix.shape == suffix.shape == (len(rows), m + 1)
     assert_log_sums_close(
@@ -840,7 +845,7 @@ def guard_cases():
 def test_pair_weights_match_the_masked_reference_bit_for_bit(case):
     _, _, labels = case
     w = positiveness_matrix(labels, KERNEL)
-    assert _normalized_pair_weights(w).tobytes() == reference_pair_weights(w).tobytes()
+    assert _normalized_pair_weights(w, np.empty_like(w)).tobytes() == reference_pair_weights(w).tobytes()
 
 
 @pytest.mark.parametrize("count", ["all", 1, 2])
@@ -857,7 +862,8 @@ def test_dynlocrep_step_matches_the_masked_reference_bit_for_bit(case, count):
     neighbors = None
     if count != n - 1:
         neighbors = select_neighbors(distance_matrix(batch.unit, DistanceNorm.MANHATTAN), count)
-    value, grad_s, weighted = _loss_core(LossVariant.DYN_LOC_REP, s, w, None, neighbors)
+    work = list(np.empty((_CORE_WORK, n, n)))
+    value, grad_s, weighted = _loss_core(LossVariant.DYN_LOC_REP, s, w, None, neighbors, work)
     ref_value, ref_grad_s, ref_weighted = reference_dynlocrep_core(s, w, neighbors)
     assert (value, weighted) == (ref_value, ref_weighted)
     assert grad_s.tobytes() == ref_grad_s.tobytes()
@@ -874,7 +880,8 @@ def test_chain_rule_matches_the_masked_reference_bit_for_bit(case, variant):
     config = LossConfig(variant=variant, kernel=KERNEL, temperature=TAU)
     s, w = similarity_matrix(batch.unit, TAU), positiveness_matrix(labels, KERNEL)
     gaps = np.abs(labels[:, None] - labels[None, :])
-    value, grad_s, _ = _loss_core(variant, s, w, gaps, None)
+    work = list(np.empty((_CORE_WORK, len(labels), len(labels))))
+    value, grad_s, _ = _loss_core(variant, s, w, gaps, None, work)
     out = loss_with_gradient(config, batch, labels)
     assert float(out.value).hex() == float(value).hex()
     assert out.grad_raw.tobytes() == reference_chain_rule(grad_s, batch, TAU).tobytes()
@@ -894,3 +901,31 @@ def test_forwards_do_not_depend_on_the_memory_layout(variant):
             got = baseline_forward(variant, layout(sim), weights=layout(weights), labels=labels)
             expected = baseline_forward(variant, sim, weights=weights, labels=labels)
         assert float(got).hex() == float(expected).hex()
+
+
+def test_a_thread_keeps_one_work_buffer_of_at_most_the_kept_bytes():
+    """After steps at n = 700 and then n = 720, a new thread holds one buffer
+    for the larger batch (31.6 MiB), not one set of work arrays per batch
+    size (61.5 MiB together)."""
+    rng = np.random.default_rng(23)
+    batches = [
+        (EmbeddingBatch.from_raw(rng.normal(size=(n, 4))), np.arange(n, dtype=float))
+        for n in (700, 720)
+    ]
+    config = LossConfig(variant=LossVariant.Y_AWARE)
+    held = []
+
+    def steps():
+        before = tracemalloc.get_traced_memory()[0]
+        for batch, labels in batches:
+            loss_with_gradient(config, batch, labels)
+        held.append(tracemalloc.get_traced_memory()[0] - before)
+
+    tracemalloc.start()
+    try:
+        thread = threading.Thread(target=steps)
+        thread.start()
+        thread.join()
+    finally:
+        tracemalloc.stop()
+    assert (1 + _CORE_WORK) * 720 * 720 * 8 <= held[0] <= _KEPT_BYTES

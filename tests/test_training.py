@@ -164,6 +164,28 @@ def test_config_bounds_hold_for_every_variant(overrides, message):
         tiny_config(**overrides)
 
 
+@pytest.mark.parametrize("value", [2.5, 4.0, True, np.float64(3.0)], ids=repr)
+@pytest.mark.parametrize("field", ["epochs", "batch_size", "seed", "nn_final", "nn_step_size"])
+def test_run_counts_and_the_seed_must_be_integers(field, value):
+    """A float such as 3.5 used to train epoch 0 before numpy refused it,
+    and 1.5 or True ran; each is refused when the config is built."""
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got"):
+        tiny_config(**{field: value})
+
+
+@pytest.mark.parametrize("value", [1.0, True], ids=repr)
+def test_export_epochs_must_be_integers(value):
+    with pytest.raises(ConfigError, match="^each export epoch must be an integer, got"):
+        tiny_config(export_epochs=(2, value))
+
+
+def test_numpy_integers_are_counts_and_seeds():
+    config = tiny_config(epochs=np.int64(4), seed=np.uint32(0), export_epochs=(np.int32(2),))
+    assert train(tiny_dataset(), config, OPT, ENC).trace == train(
+        tiny_dataset(), tiny_config(export_epochs=(2,)), OPT, ENC
+    ).trace
+
+
 def test_train_config_is_the_loss_config_plus_the_run_fields():
     loss_fields = [f.name for f in dataclasses.fields(LossConfig)]
     run_fields = ["epochs", "batch_size", "seed", "nn_final", "nn_step_size", "export_epochs"]
