@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError, _check_int
+from .errors import ConfigError, InputError, ParseError, _check_int, _check_real
 
 
 @dataclass(frozen=True)
@@ -76,30 +76,24 @@ class SyntheticSpec:
     noise_std: float = 0.1
 
     def __post_init__(self) -> None:
-        _check_int("n", self.n, 1)
-        _check_int("feature_dim", self.feature_dim, 1)
-        _check_int("informative_dims", self.informative_dims)
-        if len(self.mixture_means) != len(self.mixture_stds) or len(self.mixture_means) != len(
-            self.mixture_weights
-        ):
+        for name, low in (("n", 1), ("feature_dim", 1), ("informative_dims", 0)):
+            _check_int(name, getattr(self, name), low)
+        if not len(self.mixture_means) == len(self.mixture_stds) == len(self.mixture_weights):
             raise ConfigError("mixture means, stds and weights must have equal length")
-        for name in ("mixture_means", "mixture_stds", "mixture_weights"):
-            values = getattr(self, name)
-            if not all(math.isfinite(v) for v in values):
-                raise ConfigError(f"{name} must be finite, got {values}")
-        if any(s <= 0 for s in self.mixture_stds):
-            raise ConfigError(f"mixture stds must be positive, got {self.mixture_stds}")
-        if any(w < 0 for w in self.mixture_weights):
-            raise ConfigError(f"mixture weights must be >= 0, got {self.mixture_weights}")
+        for mean in self.mixture_means:
+            _check_real("mixture_means", mean, "be finite", lambda m: True)
+        for std in self.mixture_stds:
+            _check_real("mixture_stds", std, "be finite and positive", lambda s: s > 0)
+        for weight in self.mixture_weights:
+            _check_real("mixture_weights", weight, "be finite and >= 0", lambda w: w >= 0)
         if abs(sum(self.mixture_weights) - 1.0) > 1e-9:
             raise ConfigError(f"mixture weights must sum to 1, got {self.mixture_weights}")
-        if not 0 <= self.informative_dims <= self.feature_dim:
+        if self.informative_dims > self.feature_dim:
             raise ConfigError(
                 f"informative_dims must lie in [0, {self.feature_dim}], "
                 f"got {self.informative_dims}"
             )
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        _check_real("noise_std", self.noise_std, "be finite and >= 0", lambda std: std >= 0)
 
 
 # Labels are centered and scaled by these constants before entering the
@@ -257,8 +251,7 @@ def split(dataset: Dataset, test_fraction: float = 0.2, seed: int = 0) -> tuple[
     The test side gets round(n * test_fraction) rows (half up). Indices
     are re-sorted within each side so row order stays stable.
     """
-    if not 0 < test_fraction < 1:
-        raise ConfigError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    _check_real("test_fraction", test_fraction, "lie in (0, 1)", lambda f: 0 < f < 1)
     _check_int("seed", seed, 0)
     n = dataset.n
     n_test = int(math.floor(n * test_fraction + 0.5))

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import _format_rows, _parse_floats, _write_lines_atomic
-from .errors import ConfigError, InputError, ParseError, _check_int
+from .errors import ConfigError, InputError, ParseError, _check_int, _check_real
 from .geometry import EmbeddingBatch
 
 CHECKPOINT_MAGIC = "dynlocrep-encoder-checkpoint"
@@ -48,8 +48,7 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         if not self.hidden_dims:
             raise ConfigError("the encoder needs at least one hidden width")
-        widths = (self.input_dim, *self.hidden_dims, self.output_dim)
-        for width in widths:
+        for width in self.layer_dims:
             _check_int("each layer width", width, 1)
 
     @property
@@ -72,14 +71,10 @@ class OptimConfig:
     weight_decay: float = 5e-5
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not (0 < self.decay_factor <= 1):
-            raise ConfigError(f"decay_factor must lie in (0, 1], got {self.decay_factor}")
-        if self.decay_every < 1:
-            raise ConfigError(f"decay_every must be >= 1, got {self.decay_every}")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        _check_real("learning_rate", self.learning_rate, "be positive", lambda lr: lr > 0)
+        _check_real("decay_factor", self.decay_factor, "lie in (0, 1]", lambda f: 0 < f <= 1)
+        _check_int("decay_every", self.decay_every, 1)
+        _check_real("weight_decay", self.weight_decay, "be finite and >= 0", lambda w: w >= 0)
 
     def learning_rate_at_epoch(self, epoch: int) -> float:
         """lr0 * decay_factor ** floor(epoch / decay_every), epochs 0-indexed."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset, split
 from .encoder import Encoder, EncoderConfig, OptimConfig, init_encoder
-from .errors import ConfigError, DynLocRepError, InputError, NumericalError
+from .errors import ConfigError, DynLocRepError, InputError, NumericalError, _check_real
 from .geometry import DistanceNorm
 from .losses import LossVariant
 from .training import TrainConfig, train
@@ -42,10 +42,8 @@ class RidgeConfig:
     regularization: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.regularization) and self.regularization >= 0):
-            raise ConfigError(
-                f"ridge regularization must be finite and >= 0, got {self.regularization}"
-            )
+        _check_real("ridge regularization", self.regularization, "be finite and >= 0",
+                    lambda r: r >= 0)
 
 
 @dataclass(frozen=True)

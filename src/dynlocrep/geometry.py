@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericalError, _check_int
+from .errors import ConfigError, InputError, NumericalError, _check_int, _check_real, _member
 
 # Guard divisor for rows with vanishing norm; a zero row stays zero.
 NORM_EPS = 1e-12
+
+_FLOAT64 = np.dtype(np.float64)
 
 # The largest block of folded coordinate differences distance_matrix holds at once.
 _FOLD_BLOCK_BYTES = 512 * 1024
@@ -49,7 +51,7 @@ class EmbeddingBatch:
 
     @classmethod
     def from_raw(cls, raw: np.ndarray) -> "EmbeddingBatch":
-        raw = np.asarray(raw, dtype=np.float64)
+        raw = np.asarray(raw, dtype=_FLOAT64)
         if raw.ndim != 2:
             raise InputError(f"embeddings must be an n x d matrix, got shape {raw.shape}")
         return cls(raw=raw, unit=l2_normalize(raw))
@@ -63,7 +65,7 @@ def l2_normalize(raw: np.ndarray) -> np.ndarray:
     norm is not finite, because it holds a non-finite entry or because its
     squares overflow (entries above about 1e154), raises NumericalError.
     """
-    raw = np.asarray(raw, dtype=np.float64)
+    raw = np.asarray(raw, dtype=_FLOAT64)
     # np.linalg.norm's own formula, without its dispatch: bit for bit the same
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.add.reduce(raw * raw, axis=-1, keepdims=True))
@@ -86,14 +88,18 @@ def _square_out(out: np.ndarray | None, n: int, given: np.ndarray) -> np.ndarray
     if not (
         isinstance(out, np.ndarray)
         and out.shape == (n, n)
-        and out.dtype == np.float64
-        and out.flags.c_contiguous
-        and out.flags.writeable
+        and out.dtype == _FLOAT64
+        and (flags := out.flags).c_contiguous
+        and flags.writeable
     ):
         raise InputError(f"out must be a writable C-contiguous float64 ({n}, {n}) array")
     if np.may_share_memory(out, given):
         raise InputError("out must not share memory with the input")
     return out
+
+
+def _positive(value: float) -> bool:
+    return value > 0
 
 
 def similarity_matrix(
@@ -106,13 +112,12 @@ def similarity_matrix(
     is not 2-D raises InputError. The result is written to ``out`` if
     given, else to a new array.
     """
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ConfigError(f"temperature must be positive, got {temperature}")
+    _check_real("temperature", temperature, "be positive", _positive)
     # NumPy evaluates a BLAS-ready array times its own transpose as one
     # symmetric product (syrk) and copies one triangle into the other, so s
     # is exactly symmetric without a mirror. A column-strided view would
     # take a general product instead, whose triangles may round apart.
-    unit = np.ascontiguousarray(unit, dtype=np.float64)
+    unit = np.ascontiguousarray(unit, dtype=_FLOAT64)
     if unit.ndim != 2:
         raise InputError(f"unit embeddings must be an n x d matrix, got shape {unit.shape}")
     s = np.matmul(unit, unit.T, out=_square_out(out, len(unit), unit))
@@ -130,14 +135,10 @@ def distance_matrix(
     other three are computed from coordinate differences, so their
     diagonal and symmetry are exact.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.asarray(points, dtype=_FLOAT64)
     if points.ndim != 2 or points.shape[0] < 2:
         raise InputError(f"need an n x m matrix with n >= 2, got shape {points.shape}")
-    try:
-        norm = DistanceNorm(norm)
-    except ValueError:
-        allowed = ", ".join(member.value for member in DistanceNorm)
-        raise ConfigError(f"distance norm must be one of {allowed}, got {norm!r}") from None
+    norm = _member("distance norm", DistanceNorm, norm)
     n, d = points.shape
     out = _square_out(out, n, points)
     if norm is DistanceNorm.COSINE:
@@ -204,7 +205,7 @@ def select_neighbors(
     a copy of the distances, made in ``out`` if given, else in a new
     array; the result is always a new array.
     """
-    distances = np.asarray(distances, dtype=np.float64)
+    distances = np.asarray(distances, dtype=_FLOAT64)
     n = distances.shape[0]
     if distances.ndim != 2 or distances.shape != (n, n):
         raise InputError(f"distances must be square, got shape {distances.shape}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import InputError, _check_real
 from .geometry import _square_out
 
 
@@ -32,10 +32,8 @@ class KernelSpec:
     bandwidth: float = 6.0
 
     def __post_init__(self) -> None:
-        if not (self.bandwidth > 0 and 0 < 2.0 * self.bandwidth * self.bandwidth < math.inf):
-            raise ConfigError(
-                f"kernel bandwidth must lie in about [1.1e-162, 9.5e153], got {self.bandwidth}"
-            )
+        _check_real("kernel bandwidth", self.bandwidth, "lie in about [1.1e-162, 9.5e153]",
+                    lambda b: b > 0 and 0 < 2.0 * b * b < math.inf)
 
 
 def positiveness_matrix(

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError, _check_int, _check_real, _member
 from .geometry import (
     NORM_EPS,
     DistanceNorm,
@@ -145,23 +145,12 @@ class LossConfig:
     reduction: Reduction = Reduction.SUM
 
     def __post_init__(self) -> None:
-        enums = {
-            "variant": LossVariant,
-            "distance_norm": DistanceNorm,
-            "nn_space": NeighborSpace,
-            "reduction": Reduction,
-        }
-        for name, kind in enums.items():
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, kind(value))
-            except ValueError:
-                allowed = ", ".join(member.value for member in kind)
-                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}") from None
+        for name in ("variant", "distance_norm", "nn_space", "reduction"):
+            kind = type(getattr(LossConfig, name))  # the enum of the field's default
+            object.__setattr__(self, name, _member(name, kind, getattr(self, name)))
         if not isinstance(self.kernel, KernelSpec):
             raise ConfigError(f"kernel must be a KernelSpec, got {self.kernel!r}")
-        if not (np.isfinite(self.temperature) and self.temperature > 0):
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        _check_real("temperature", self.temperature, "be positive", lambda t: t > 0)
 
 
 @dataclass(frozen=True)
@@ -431,8 +420,12 @@ def _loss_core(
 
 
 def _check_square(name: str, values: np.ndarray, n: int) -> None:
+    if n < 2:
+        raise InputError(f"need a batch of at least 2 samples, got {n}")
     if values.shape != (n, n):
         raise InputError(f"{name} must have shape ({n}, {n}), got {values.shape}")
+    if not np.isfinite(values).all():
+        raise InputError(f"{name} contains non-finite values")
 
 
 def _checked_labels(labels: np.ndarray, n: int) -> np.ndarray:
@@ -454,11 +447,11 @@ def _label_gaps(labels: np.ndarray, out: np.ndarray) -> np.ndarray:
 def dynlocrep_forward(sim: np.ndarray, weights: np.ndarray, neighbors: np.ndarray) -> float:
     """Total dynamic localized repulsion loss over all anchors.
 
-    Takes the similarity matrix s, the positiveness matrix w and the
-    (n, count) neighbor indices: per row, distinct integers in [0, n)
-    other than the anchor. The numerator sum runs over every partner
-    k != i; only the repulsion denominator is restricted to the anchor's
-    neighbor set (which may include k itself).
+    Takes the similarity matrix s, the positiveness matrix w and the (n, count)
+    neighbor indices: per row, distinct integers in [0, n) other than the
+    anchor. The numerator sum runs over every partner k != i; only the repulsion
+    denominator is restricted to the anchor's neighbor set (which may include k
+    itself). Fewer than 2 rows or a non-finite s or w raise InputError.
     """
     n = sim.shape[0]
     _check_square("similarity matrix", sim, n)
@@ -492,9 +485,9 @@ def baseline_forward(
 
     Rank-N-Contrast consumes raw labels; the other three consume the
     positiveness matrix. ``variant`` is a member or its string value, as
-    in LossConfig.
+    in LossConfig. Fewer than 2 rows or a non-finite s or w raise InputError.
     """
-    variant = LossConfig(variant=variant).variant
+    variant = _member("variant", LossVariant, variant)
     if variant is LossVariant.DYN_LOC_REP:
         raise ConfigError("use dynlocrep_forward for the localized loss")
     n = sim.shape[0]
@@ -548,6 +541,7 @@ def loss_with_gradient(
     if variant is LossVariant.DYN_LOC_REP:
         if neighbor_count is None:
             raise ConfigError("the localized variant needs a neighbor count")
+        _check_int("neighbor count", neighbor_count)
         if config.nn_space is NeighborSpace.INPUT:
             if input_features is None:
                 raise ConfigError("input-space neighbor selection needs input features")

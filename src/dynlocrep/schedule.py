@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_int
 
 
 @dataclass(frozen=True)
@@ -34,18 +34,12 @@ class ScheduleConfig:
     max_epochs: int
 
     def __post_init__(self) -> None:
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.nn_final < 1:
-            raise ConfigError(f"nn_final must be >= 1, got {self.nn_final}")
+        for name, low in (("batch_size", 2), ("nn_final", 1), ("step_size", 1), ("max_epochs", 1)):
+            _check_int(name, getattr(self, name), low)
         if self.nn_final > self.batch_size - 1:
             raise ConfigError(
                 f"nn_final must be <= batch_size - 1 = {self.batch_size - 1}, got {self.nn_final}"
             )
-        if self.step_size < 1:
-            raise ConfigError(f"step_size must be >= 1, got {self.step_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.max_epochs < 2 * self.step_size:
             # fewer than two decay steps leave the decrement undefined
             raise ConfigError(
@@ -60,8 +54,7 @@ def neighbors_at_epoch(config: ScheduleConfig, epoch: int) -> int:
     Monotone non-increasing in the epoch and always within
     [nn_final, batch_size - 1].
     """
-    if epoch < 0:
-        raise ConfigError(f"epoch must be >= 0, got {epoch}")
+    _check_int("epoch", epoch, 0)
     steps_completed = epoch // config.step_size
     total_steps = config.max_epochs // config.step_size
     decrement = (config.batch_size - config.nn_final) / (total_steps - 1)

@@ -10,7 +10,10 @@ import io
 import json
 import math
 import os
+import runpy
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -837,3 +840,14 @@ def test_help_exits_zero(capsys):
 def test_no_command_prints_help_and_exits_usage(capsys):
     assert main([]) == EXIT_USAGE
     assert "COMMAND" in capsys.readouterr().out
+
+
+def test_the_module_runs_as_a_script(monkeypatch, capsys):
+    """python -m dynlocrep.cli exits with main's status."""
+    monkeypatch.setattr(sys, "argv", ["dynlocrep.cli", "--bogus"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exited:
+        # runpy warns that this process imported dynlocrep.cli already
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("dynlocrep.cli", run_name="__main__")
+    assert exited.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err

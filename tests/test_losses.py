@@ -778,6 +778,50 @@ def test_rnc_rejects_non_finite_labels(bad):
         loss_with_gradient(LossConfig(variant=LossVariant.RANK_N_CONTRAST), batch, labels)
 
 
+def forward(variant, sim, weights, labels, neighbors):
+    if variant is LossVariant.DYN_LOC_REP:
+        return dynlocrep_forward(sim, weights, neighbors)
+    return baseline_forward(variant, sim, weights=weights, labels=labels)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("variant", list(LossVariant))
+def test_forwards_reject_a_batch_under_two_rows(variant, n):
+    """At n = 1 yaware and exponential returned -0.0, and at n = 0 every
+    variant raised a raw ValueError."""
+    sim, weights = np.zeros((n, n)), np.ones((n, n))
+    with pytest.raises(InputError, match=f"^need a batch of at least 2 samples, got {n}$"):
+        forward(variant, sim, weights, np.zeros(n), np.zeros((n, 1), dtype=np.intp))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    ("variant", "target"),
+    [(variant, "similarity matrix") for variant in LossVariant]
+    + [(variant, "positiveness matrix") for variant in [LossVariant.DYN_LOC_REP, *BASELINES[:3]]],
+)
+def test_forwards_reject_non_finite_entries(variant, target, bad):
+    """A NaN entry gave a loss of nan for every variant."""
+    batch, labels = random_batch(16, n=5)
+    sim, weights, neighbors = forward_pieces(batch, labels, neighbor_count=2)
+    (sim if target == "similarity matrix" else weights)[1, 3] = bad
+    with pytest.raises(InputError, match=f"^{target} contains non-finite values$"):
+        forward(variant, sim, weights, labels, neighbors)
+
+
+@pytest.mark.parametrize(("n", "count"), [(32, 31.0), (32, 30.0), (2, True)], ids=repr)
+def test_loss_with_gradient_takes_only_an_integer_neighbor_count(n, count):
+    """31.0 at n = 32 and True at n = 2 reached the everyone-but-the-anchor
+    shortcut and trained, while 30.0 raised."""
+    batch, labels = random_batch(17, n=n)
+    with pytest.raises(ConfigError, match=f"^neighbor count must be an integer, got {count!r}$"):
+        loss_with_gradient(LossConfig(), batch, labels, neighbor_count=count)
+    by_numpy = loss_with_gradient(LossConfig(), batch, labels, neighbor_count=np.int64(n - 1))
+    by_int = loss_with_gradient(LossConfig(), batch, labels, neighbor_count=n - 1)
+    assert by_numpy.value.hex() == by_int.value.hex()
+    assert by_numpy.grad_raw.tobytes() == by_int.grad_raw.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Bit-for-bit references for the passes the step skips when nothing is
 # dropped: the earlier masked formulas, kept verbatim.
