@@ -405,7 +405,7 @@ def _optim_config(args: argparse.Namespace) -> OptimConfig:
 def _encoder_config(args: argparse.Namespace, input_dim: int) -> EncoderConfig:
     return EncoderConfig(
         input_dim=input_dim,
-        hidden_dims=tuple(args.hidden_dims),
+        hidden_dims=args.hidden_dims,
         output_dim=args.embed_dim,
     )
 
@@ -435,9 +435,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     spec = SyntheticSpec(
         n=args.n,
         feature_dim=args.feature_dim,
-        mixture_means=tuple(args.mix_means),
-        mixture_stds=tuple(args.mix_stds),
-        mixture_weights=tuple(args.mix_weights),
+        mixture_means=args.mix_means,
+        mixture_stds=args.mix_stds,
+        mixture_weights=args.mix_weights,
         informative_dims=args.informative_dims,
         noise_std=args.noise_std,
     )
@@ -463,7 +463,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         variant=args.loss,
         distance_norm=args.distance_norm,
-        export_epochs=tuple(args.export_epochs),
+        export_epochs=args.export_epochs,
     )
     optim, encoder_config = _optim_config(args), _encoder_config(args, dataset.feature_dim)
     trace_path = out_dir / "trace.jsonl"

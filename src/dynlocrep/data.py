@@ -20,32 +20,31 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError, _check_int, _check_real
+from .errors import (ConfigError, InputError, ParseError, _check_array, _check_int, _check_real,
+                     _sequence)
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix, labels in native units, and per-row identifiers."""
+    """Feature matrix, labels in native units, and per-row identifiers; the
+    arrays are held as float64 and the ids, distinct strings, as a tuple."""
 
     features: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
     ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.features.ndim != 2:
-            raise InputError(f"features must be 2-D, got shape {self.features.shape}")
-        n = self.features.shape[0]
-        if self.labels.shape != (n,) or len(self.ids) != n:
-            raise InputError(
-                f"row counts disagree: {n} feature rows, {self.labels.shape[0]} labels, "
-                f"{len(self.ids)} ids"
-            )
+        features = _check_array("features", self.features, ("n", "d"), finite=True)
+        n = len(features)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", _check_array("labels", self.labels, (n,), finite=True))
+        ids = self.ids
+        if not (isinstance(ids, (list, tuple)) and all(isinstance(i, str) for i in ids)
+                and len(ids) == len(set(ids)) == n):
+            raise InputError(f"ids must be a list or tuple of {n} distinct strings")
+        object.__setattr__(self, "ids", tuple(ids))
         if n < 1:
             raise InputError("dataset is empty")
-        if not (np.all(np.isfinite(self.features)) and np.all(np.isfinite(self.labels))):
-            raise InputError("dataset contains non-finite values")
-        if len(set(self.ids)) != n:
-            raise InputError("dataset ids are not unique")
 
     @property
     def n(self) -> int:
@@ -78,14 +77,13 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         for name, low in (("n", 1), ("feature_dim", 1), ("informative_dims", 0)):
             _check_int(name, getattr(self, name), low)
+        for name, rule, ok in (("mixture_means", "be finite", lambda m: True),
+                               ("mixture_stds", "be finite and positive", lambda s: s > 0),
+                               ("mixture_weights", "be finite and >= 0", lambda w: w >= 0)):
+            entries = _sequence(name, getattr(self, name), lambda v: _check_real(name, v, rule, ok))
+            object.__setattr__(self, name, entries)
         if not len(self.mixture_means) == len(self.mixture_stds) == len(self.mixture_weights):
             raise ConfigError("mixture means, stds and weights must have equal length")
-        for mean in self.mixture_means:
-            _check_real("mixture_means", mean, "be finite", lambda m: True)
-        for std in self.mixture_stds:
-            _check_real("mixture_stds", std, "be finite and positive", lambda s: s > 0)
-        for weight in self.mixture_weights:
-            _check_real("mixture_weights", weight, "be finite and >= 0", lambda w: w >= 0)
         if abs(sum(self.mixture_weights) - 1.0) > 1e-9:
             raise ConfigError(f"mixture weights must sum to 1, got {self.mixture_weights}")
         if self.informative_dims > self.feature_dim:

@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import _format_rows, _parse_floats, _write_lines_atomic
-from .errors import ConfigError, InputError, ParseError, _check_int, _check_real
+from .errors import (ConfigError, InputError, ParseError, _check_array, _check_int, _check_real,
+                     _sequence)
 from .geometry import EmbeddingBatch
 
 CHECKPOINT_MAGIC = "dynlocrep-encoder-checkpoint"
@@ -46,9 +47,12 @@ class EncoderConfig:
     output_dim: int = 32
 
     def __post_init__(self) -> None:
-        if not self.hidden_dims:
+        hidden = _sequence("hidden_dims", self.hidden_dims,
+                           lambda width: _check_int("each layer width", width, 1))
+        object.__setattr__(self, "hidden_dims", hidden)
+        if not hidden:
             raise ConfigError("the encoder needs at least one hidden width")
-        for width in self.layer_dims:
+        for width in (self.input_dim, self.output_dim):
             _check_int("each layer width", width, 1)
 
     @property
@@ -85,8 +89,12 @@ class Encoder:
     """One flat parameter vector, per-layer views of it, and cached activations."""
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
-        pieces = [p for pair in zip(weights, biases) for p in pair]
-        self.params = np.concatenate(pieces, axis=None, dtype=np.float64)
+        pieces: list[np.ndarray] = []
+        for layer, (w, b) in enumerate(zip(weights, biases)):
+            fan_in = len(pieces[-1]) if pieces else "d"  # the width of the bias below
+            pieces.append(_check_array(f"layer {layer} weight", w, (fan_in, "m")))
+            pieces.append(_check_array(f"layer {layer} bias", b, (pieces[-1].shape[1],)))
+        self.params = np.concatenate(pieces, axis=None)
         flat = np.split(self.params, np.cumsum([np.size(p) for p in pieces])[:-1])
         views = [view.reshape(np.shape(p)) for view, p in zip(flat, pieces)]
         self.weights, self.biases = views[0::2], views[1::2]
@@ -103,10 +111,7 @@ class Encoder:
         the previous pass's inputs are freed before any layer runs. A
         rejected call leaves the previous pass in place.
         """
-        x = np.asarray(features, dtype=np.float64)
-        width = self.weights[0].shape[0]
-        if x.ndim != 2 or x.shape[1] != width:
-            raise InputError(f"features must be (n, {width}), got shape {x.shape}")
+        x = _check_array("features", features, ("n", self.weights[0].shape[0]))
         self._inputs = None
         inputs: list[np.ndarray] = []
         h = x
@@ -127,7 +132,7 @@ class Encoder:
         if self._inputs is None:
             raise InputError("backward called before forward")
         grads: list[np.ndarray] = []
-        g = np.asarray(grad_raw, dtype=np.float64)
+        g = _check_array("gradient", grad_raw, (len(self._inputs[0]), self.weights[-1].shape[1]))
         for layer in range(len(self.weights) - 1, -1, -1):
             grads.append(np.add.reduce(g, axis=0))
             grads.append(self._inputs[layer].T @ g)
@@ -160,17 +165,16 @@ class Adam:
     """
 
     def __init__(self, params: np.ndarray, config: OptimConfig):
-        self.params = params
+        self.params = _check_array("params", params, ("p",))
         self.config = config
         self.step_count = 0
-        self._m = np.zeros_like(params)
-        self._v = np.zeros_like(params)
-        self._scratch = np.empty_like(params), np.empty_like(params)
+        self._m = np.zeros_like(self.params)
+        self._v = np.zeros_like(self.params)
+        self._scratch = np.empty_like(self.params), np.empty_like(self.params)
 
     def step(self, grad: np.ndarray, lr: float) -> None:
         """Update params in place from grad plus the L2 weight-decay term."""
-        if np.shape(grad) != self.params.shape:
-            raise InputError(f"gradient shape {np.shape(grad)} != parameters {self.params.shape}")
+        grad = _check_array("gradient", grad, self.params.shape)
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - _BETA1**t

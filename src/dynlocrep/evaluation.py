@@ -17,7 +17,8 @@ import numpy as np
 
 from .data import Dataset, split
 from .encoder import Encoder, EncoderConfig, OptimConfig, init_encoder
-from .errors import ConfigError, DynLocRepError, InputError, NumericalError, _check_real
+from .errors import (ConfigError, DynLocRepError, InputError, NumericalError, _check_array,
+                     _check_int, _check_real, _sequence)
 from .geometry import DistanceNorm
 from .losses import LossVariant
 from .training import TrainConfig, train
@@ -54,7 +55,8 @@ class RidgeReadout:
     intercept: float
 
     def predict(self, embeddings: np.ndarray) -> np.ndarray:
-        return np.asarray(embeddings, dtype=np.float64) @ self.coef + self.intercept
+        x = _check_array("embeddings", embeddings, ("n", len(self.coef)))
+        return x @ self.coef + self.intercept
 
 
 def ridge_fit(embeddings: np.ndarray, labels: np.ndarray, config: RidgeConfig) -> RidgeReadout:
@@ -63,11 +65,9 @@ def ridge_fit(embeddings: np.ndarray, labels: np.ndarray, config: RidgeConfig) -
     The intercept restores the label mean at the column means. A singular
     or non-finite solve raises NumericalError rather than being masked.
     """
-    x = np.asarray(embeddings, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise InputError(f"shapes disagree: embeddings {x.shape}, labels {y.shape}")
-    if x.shape[0] < 1:
+    x = _check_array("embeddings", embeddings, ("n", "d"))
+    y = _check_array("labels", labels, (len(x),))
+    if len(x) < 1:
         raise InputError("cannot fit a readout on zero rows")
     col_means = x.mean(axis=0)
     y_mean = y.mean()
@@ -85,12 +85,10 @@ def ridge_fit(embeddings: np.ndarray, labels: np.ndarray, config: RidgeConfig) -
 
 def mae(predictions: np.ndarray, truth: np.ndarray) -> float:
     """Mean absolute error."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if predictions.shape != truth.shape or predictions.ndim != 1 or predictions.size < 1:
-        raise InputError(
-            f"prediction/truth shapes disagree: {predictions.shape} vs {truth.shape}"
-        )
+    predictions = _check_array("predictions", predictions, ("n",))
+    truth = _check_array("truth", truth, (len(predictions),))
+    if len(predictions) < 1:
+        raise InputError("mae needs at least one prediction")
     return float(np.mean(np.abs(predictions - truth)))
 
 
@@ -175,17 +173,16 @@ def _run_grid(
     baselines. Repeated seeds or cell names are rejected: they would count
     one run's result twice.
     """
-    if not values:
+    configs = _sequence(entries_key, values, lambda value: replace(base, **{field: value}))
+    seeds = _sequence("seeds", seeds, lambda seed: _check_int("seeds", seed, 0))
+    if not configs:
         raise ConfigError(f"need at least one {field.replace('_', ' ')}")
     if not seeds:
         raise ConfigError("need at least one seed")
-    if min(seeds) < 0:
-        raise ConfigError(f"seeds must be >= 0, got {min(seeds)}")
-    configs = [replace(base, **{field: value}) for value in values]  # checks each value
     names = [getattr(config, field).value for config in configs]
     for what, items in (("seeds", seeds), (entries_key, names)):
         if len(set(items)) != len(items):
-            raise ConfigError(f"duplicate {what} in {items}: each would count one run twice")
+            raise ConfigError(f"duplicate {what} in {list(items)}: each would count one run twice")
     cells = dict(zip(names, configs))
     started = time.perf_counter()
     for config in cells.values():

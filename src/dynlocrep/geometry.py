@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericalError, _check_int, _check_real, _member
+from .errors import (_FLOAT64, ConfigError, InputError, NumericalError, _check_array, _check_int,
+                     _check_real, _member)
 
 # Guard divisor for rows with vanishing norm; a zero row stays zero.
 NORM_EPS = 1e-12
-
-_FLOAT64 = np.dtype(np.float64)
 
 # The largest block of folded coordinate differences distance_matrix holds at once.
 _FOLD_BLOCK_BYTES = 512 * 1024
@@ -51,9 +50,7 @@ class EmbeddingBatch:
 
     @classmethod
     def from_raw(cls, raw: np.ndarray) -> "EmbeddingBatch":
-        raw = np.asarray(raw, dtype=_FLOAT64)
-        if raw.ndim != 2:
-            raise InputError(f"embeddings must be an n x d matrix, got shape {raw.shape}")
+        raw = _check_array("embeddings", raw, ("n", "d"))
         return cls(raw=raw, unit=l2_normalize(raw))
 
 
@@ -65,7 +62,7 @@ def l2_normalize(raw: np.ndarray) -> np.ndarray:
     norm is not finite, because it holds a non-finite entry or because its
     squares overflow (entries above about 1e154), raises NumericalError.
     """
-    raw = np.asarray(raw, dtype=_FLOAT64)
+    raw = _check_array("embeddings", raw, ("n", "d"))
     # np.linalg.norm's own formula, without its dispatch: bit for bit the same
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.add.reduce(raw * raw, axis=-1, keepdims=True))
@@ -77,6 +74,13 @@ def l2_normalize(raw: np.ndarray) -> np.ndarray:
             "they hold non-finite values or overflow when squared"
         )
     return raw / np.maximum(norms, NORM_EPS)
+
+
+def _batch_size(n: int) -> int:
+    """``n``, the rows of a batch, once it is checked to hold a pair."""
+    if n < 2:
+        raise InputError(f"need a batch of at least 2 samples, got {n}")
+    return n
 
 
 def _square_out(out: np.ndarray | None, n: int, given: np.ndarray) -> np.ndarray:
@@ -108,18 +112,15 @@ def similarity_matrix(
     """Cosine similarities of unit rows divided by the temperature.
 
     Entries are bounded by 1/temperature in absolute value; the diagonal
-    is 1/temperature. Rows are assumed normalized already; a ``unit`` that
-    is not 2-D raises InputError. The result is written to ``out`` if
-    given, else to a new array.
+    is 1/temperature. Rows are assumed normalized already. The result is
+    written to ``out`` if given, else to a new array.
     """
     _check_real("temperature", temperature, "be positive", _positive)
     # NumPy evaluates a BLAS-ready array times its own transpose as one
     # symmetric product (syrk) and copies one triangle into the other, so s
     # is exactly symmetric without a mirror. A column-strided view would
     # take a general product instead, whose triangles may round apart.
-    unit = np.ascontiguousarray(unit, dtype=_FLOAT64)
-    if unit.ndim != 2:
-        raise InputError(f"unit embeddings must be an n x d matrix, got shape {unit.shape}")
+    unit = np.ascontiguousarray(_check_array("unit embeddings", unit, ("n", "d")))
     s = np.matmul(unit, unit.T, out=_square_out(out, len(unit), unit))
     return np.divide(s, temperature, out=s)
 
@@ -135,9 +136,8 @@ def distance_matrix(
     other three are computed from coordinate differences, so their
     diagonal and symmetry are exact.
     """
-    points = np.asarray(points, dtype=_FLOAT64)
-    if points.ndim != 2 or points.shape[0] < 2:
-        raise InputError(f"need an n x m matrix with n >= 2, got shape {points.shape}")
+    points = _check_array("points", points, ("n", "m"))
+    _batch_size(len(points))
     norm = _member("distance norm", DistanceNorm, norm)
     n, d = points.shape
     out = _square_out(out, n, points)
@@ -205,10 +205,8 @@ def select_neighbors(
     a copy of the distances, made in ``out`` if given, else in a new
     array; the result is always a new array.
     """
-    distances = np.asarray(distances, dtype=_FLOAT64)
-    n = distances.shape[0]
-    if distances.ndim != 2 or distances.shape != (n, n):
-        raise InputError(f"distances must be square, got shape {distances.shape}")
+    distances = _check_array("distances", distances, ("n", "n"))
+    n = len(distances)
     _check_int("neighbor count", count)
     if not (1 <= count <= n - 1):
         raise ConfigError(f"neighbor count must lie in [1, {n - 1}], got {count}")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _check_real
-from .geometry import _square_out
+from .errors import InputError, _check_array, _check_real
+from .geometry import _batch_size, _square_out
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,11 @@ def positiveness_matrix(
     difference overflows, a gap above about 1.34e154, is computed as
     exp(-(gap / bandwidth)^2 / 2) instead.
     """
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.ndim != 1:
-        raise InputError(f"labels must be a 1-D vector, got shape {labels.shape}")
-    n = labels.shape[0]
-    if n < 2:
-        raise InputError(f"need at least 2 samples to form pairs, got {n}")
+    labels = _check_array("labels", labels, ("n",))
+    n = _batch_size(len(labels))
     low, high = float(np.minimum.reduce(labels)), float(np.maximum.reduce(labels))
     if not (math.isfinite(low) and math.isfinite(high)):  # NaN propagates to both
-        raise InputError("labels contain non-finite values")
+        raise InputError("labels contains non-finite values")
     # delta squared is bit-identical across the diagonal, so w is exactly
     # symmetric; (delta * delta) rather than delta**2 keeps it elementwise.
     w = _square_out(out, n, labels)

@@ -59,11 +59,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericalError, _check_int, _check_real, _member
+from .errors import (ConfigError, InputError, NumericalError, _check_array, _check_int,
+                     _check_real, _member)
 from .geometry import (
     NORM_EPS,
     DistanceNorm,
     EmbeddingBatch,
+    _batch_size,
     distance_matrix,
     select_neighbors,
     similarity_matrix,
@@ -419,27 +421,8 @@ def _loss_core(
     return total, full, weighted
 
 
-def _check_square(name: str, values: np.ndarray, n: int) -> None:
-    if n < 2:
-        raise InputError(f"need a batch of at least 2 samples, got {n}")
-    if values.shape != (n, n):
-        raise InputError(f"{name} must have shape ({n}, {n}), got {values.shape}")
-    if not np.isfinite(values).all():
-        raise InputError(f"{name} contains non-finite values")
-
-
-def _checked_labels(labels: np.ndarray, n: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.shape != (n,):
-        raise InputError(f"labels must have shape ({n},), got {labels.shape}")
-    return labels
-
-
 def _label_gaps(labels: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|y_i - y_t| for rnc, in ``out``; for the rest positiveness_matrix
-    checks the labels."""
-    if not np.isfinite(labels).all():
-        raise InputError("labels contain non-finite values")
+    """|y_i - y_t| of finite labels for rnc, in ``out``."""
     gaps = np.subtract(labels[:, None], labels, out=out)
     return np.abs(gaps, out=gaps)
 
@@ -451,16 +434,14 @@ def dynlocrep_forward(sim: np.ndarray, weights: np.ndarray, neighbors: np.ndarra
     neighbor indices: per row, distinct integers in [0, n) other than the
     anchor. The numerator sum runs over every partner k != i; only the repulsion
     denominator is restricted to the anchor's neighbor set (which may include k
-    itself). Fewer than 2 rows or a non-finite s or w raise InputError.
+    itself). InputError reports fewer than 2 rows or a non-finite s or w.
     """
-    n = sim.shape[0]
-    _check_square("similarity matrix", sim, n)
-    _check_square("positiveness matrix", weights, n)
+    sim = _check_array("similarity matrix", sim, ("n", "n"), finite=True)
+    n = _batch_size(len(sim))
+    weights = _check_array("positiveness matrix", weights, (n, n), finite=True)
     neighbors = np.asarray(neighbors)
-    if neighbors.ndim != 2 or neighbors.shape[0] != n:
-        raise InputError(f"neighbor sets must have shape ({n}, count), got {neighbors.shape}")
-    if neighbors.shape[1] < 1:
-        raise InputError("every anchor needs a non-empty neighbor set")
+    if neighbors.ndim != 2 or len(neighbors) != n or neighbors.shape[1] < 1:
+        raise InputError(f"neighbor sets must have shape ({n}, count >= 1), got {neighbors.shape}")
     ordered = np.sort(neighbors, axis=1)
     if (
         not np.issubdtype(neighbors.dtype, np.integer)
@@ -485,22 +466,22 @@ def baseline_forward(
 
     Rank-N-Contrast consumes raw labels; the other three consume the
     positiveness matrix. ``variant`` is a member or its string value, as
-    in LossConfig. Fewer than 2 rows or a non-finite s or w raise InputError.
+    in LossConfig. InputError reports fewer than 2 rows or a non-finite s or w.
     """
     variant = _member("variant", LossVariant, variant)
     if variant is LossVariant.DYN_LOC_REP:
         raise ConfigError("use dynlocrep_forward for the localized loss")
-    n = sim.shape[0]
-    _check_square("similarity matrix", sim, n)
+    sim = _check_array("similarity matrix", sim, ("n", "n"), finite=True)
+    n = _batch_size(len(sim))
     work, gaps = _scratch(n)[1:], None
     if variant is LossVariant.RANK_N_CONTRAST:
         if labels is None:
             raise InputError("rank-n-contrast needs labels")
-        gaps = _label_gaps(_checked_labels(labels, n), work[0])
+        gaps = _label_gaps(_check_array("labels", labels, (n,), finite=True), work[0])
     else:
         if weights is None:
             raise InputError(f"{variant.value} needs a positiveness matrix")
-        _check_square("positiveness matrix", weights, n)
+        weights = _check_array("positiveness matrix", weights, (n, n), finite=True)
     return _loss_core(variant, sim, weights, gaps, None, work)[0]
 
 
@@ -521,11 +502,10 @@ def loss_with_gradient(
     neighbors are selected in input space. Non-finite embeddings raise
     NumericalError before anything is computed from them.
     """
-    n = batch.n
-    if n < 2:
-        raise InputError(f"need a batch of at least 2 samples, got {n}")
-    labels = _checked_labels(labels, n)
+    n = _batch_size(batch.n)
     variant = config.variant
+    # rnc reads the labels' gaps; positiveness_matrix checks them for the rest
+    labels = _check_array("labels", labels, (n,), finite=variant is LossVariant.RANK_N_CONTRAST)
     # s, then the core's work, whose first array holds w or gaps
     work = _scratch(n)
     w = gaps = None
@@ -545,9 +525,7 @@ def loss_with_gradient(
         if config.nn_space is NeighborSpace.INPUT:
             if input_features is None:
                 raise ConfigError("input-space neighbor selection needs input features")
-            points = np.asarray(input_features, dtype=np.float64)
-            if points.shape[0] != n:
-                raise InputError(f"input features must have {n} rows, got {points.shape[0]}")
+            points = _check_array("input features", input_features, (n, "m"))
         else:
             points = batch.unit
         # count n - 1 is everyone but the anchor (None); any other count,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .encoder import Adam, Encoder, EncoderConfig, OptimConfig, init_encoder
-from .errors import ConfigError, InputError, NumericalError, _check_int
+from .errors import ConfigError, InputError, NumericalError, _check_int, _sequence
 from .losses import LossConfig, LossVariant, loss_with_gradient
 from .schedule import ScheduleConfig, neighbors_at_epoch
 
@@ -35,8 +35,9 @@ class TrainConfig(LossConfig):
         lows = {"epochs": 0, "batch_size": 4, "seed": 0, "nn_final": 1, "nn_step_size": 1}
         for name, low in lows.items():
             _check_int(name, getattr(self, name), low)
-        for epoch in self.export_epochs:  # 1-based
-            _check_int("each export epoch", epoch, 1)
+        exports = _sequence("export_epochs", self.export_epochs,  # 1-based
+                            lambda epoch: _check_int("each export epoch", epoch, 1))
+        object.__setattr__(self, "export_epochs", exports)
         if any(e > self.epochs for e in self.export_epochs):
             raise ConfigError(
                 f"export epochs must be <= epochs = {self.epochs}, got {max(self.export_epochs)}"

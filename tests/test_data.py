@@ -85,19 +85,34 @@ def test_spec_validation():
 @pytest.mark.parametrize(
     ("features", "labels", "ids", "message"),
     [
-        (np.zeros(3), np.zeros(3), ("a", "b", "c"), "features must be 2-D"),
-        (np.zeros((3, 2)), np.zeros(2), ("a", "b", "c"), "row counts disagree"),
-        (np.zeros((3, 2)), np.zeros(3), ("a", "b"), "row counts disagree"),
+        (np.zeros(3), np.zeros(3), ("a", "b", "c"), "features must have shape (n, d), got (3,)"),
+        (np.zeros((3, 2)), np.zeros(2), ("a", "b", "c"), "labels must have shape (3,), got (2,)"),
+        (np.zeros((3, 2)), np.zeros(3), ("a", "b"),
+         "ids must be a list or tuple of 3 distinct strings"),
         (np.zeros((0, 2)), np.zeros(0), (), "dataset is empty"),
-        (np.array([[0.0], [np.nan]]), np.zeros(2), ("a", "b"), "contains non-finite values"),
-        (np.zeros((2, 1)), np.array([0.0, np.inf]), ("a", "b"), "contains non-finite values"),
-        (np.zeros((2, 1)), np.zeros(2), ("a", "a"), "ids are not unique"),
+        (np.array([[0.0], [np.nan]]), np.zeros(2), ("a", "b"),
+         "features contains non-finite values"),
+        (np.zeros((2, 1)), np.array([0.0, np.inf]), ("a", "b"),
+         "labels contains non-finite values"),
+        (np.zeros((2, 1)), np.zeros(2), ("a", "a"),
+         "ids must be a list or tuple of 2 distinct strings"),
     ],
     ids=["1-d-features", "short-labels", "short-ids", "empty", "nan-feature", "inf-label", "dup-id"],
 )
 def test_dataset_rejects_inconsistent_columns(features, labels, ids, message):
-    with pytest.raises(InputError, match=message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         Dataset(features=features, labels=labels, ids=ids)
+
+
+@pytest.mark.parametrize("ids", [(1, 2), ("a", None), "ab", None], ids=repr)
+def test_dataset_ids_must_be_strings(tmp_path, ids):
+    """(1, 2) was accepted, and write_csv then raised a raw TypeError."""
+    with pytest.raises(InputError, match="^ids must be a list or tuple of 2 distinct strings$"):
+        Dataset(features=np.ones((2, 1)), labels=np.ones(2), ids=ids)
+    dataset = Dataset(features=np.ones((2, 1)), labels=np.ones(2), ids=["a", "b"])
+    assert dataset.ids == ("a", "b")
+    write_csv(dataset, tmp_path / "ids.csv")
+    assert load_csv(tmp_path / "ids.csv").ids == ("a", "b")
 
 
 @pytest.mark.parametrize(

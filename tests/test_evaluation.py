@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -77,14 +78,14 @@ def test_singular_unregularized_solve_is_surfaced():
 @pytest.mark.parametrize(
     ("x", "y", "message"),
     [
-        (np.zeros(3), np.zeros(3), "shapes disagree"),
-        (np.zeros((3, 2)), np.zeros(2), "shapes disagree"),
+        (np.zeros(3), np.zeros(3), "embeddings must have shape (n, d), got (3,)"),
+        (np.zeros((3, 2)), np.zeros(2), "labels must have shape (3,), got (2,)"),
         (np.zeros((0, 2)), np.zeros(0), "cannot fit a readout on zero rows"),
     ],
     ids=["1-d-embeddings", "short-labels", "zero-rows"],
 )
 def test_ridge_rejects_inconsistent_inputs(x, y, message):
-    with pytest.raises(InputError, match=message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         ridge_fit(x, y, RidgeConfig(1.0))
 
 
@@ -118,6 +119,11 @@ def test_mae_permutation_invariance():
 def test_mae_shape_mismatch_rejected():
     with pytest.raises(InputError):
         mae(np.array([1.0]), np.array([1.0, 2.0]))
+
+
+def test_mae_of_nothing_rejected():
+    with pytest.raises(InputError, match="^mae needs at least one prediction$"):
+        mae(np.array([]), np.array([]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Geometry: normalization, similarities, the four distance norms, neighbors."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -169,15 +170,19 @@ def test_an_unknown_distance_norm_lists_the_choices():
 @pytest.mark.parametrize(
     ("call", "message"),
     [
-        (lambda: EmbeddingBatch.from_raw(np.ones(3)), "embeddings must be an n x d matrix"),
-        (lambda: distance_matrix(np.ones((1, 3)), "manhattan"), "need an n x m matrix with n >= 2"),
-        (lambda: select_neighbors(np.zeros((3, 4)), 1), "distances must be square"),
-        (lambda: similarity_matrix(np.ones(3), 0.5), "unit embeddings must be an n x d matrix"),
+        (lambda: EmbeddingBatch.from_raw(np.ones(3)),
+         "embeddings must have shape (n, d), got (3,)"),
+        (lambda: distance_matrix(np.ones((1, 3)), "manhattan"),
+         "need a batch of at least 2 samples, got 1"),
+        (lambda: select_neighbors(np.zeros((3, 4)), 1),
+         "distances must have shape (n, n), got (3, 4)"),
+        (lambda: similarity_matrix(np.ones(3), 0.5),
+         "unit embeddings must have shape (n, d), got (3,)"),
     ],
     ids=["1-d-embeddings", "one-row-distance", "non-square-distances", "1-d-unit"],
 )
 def test_geometry_rejects_misshapen_inputs(call, message):
-    with pytest.raises(InputError, match=message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call()
 
 

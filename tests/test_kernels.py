@@ -150,7 +150,7 @@ def test_batch_too_small_rejected():
 
 
 def test_two_dimensional_labels_rejected():
-    with pytest.raises(InputError, match="labels must be a 1-D vector"):
+    with pytest.raises(InputError, match=r"^labels must have shape \(n,\), got \(2, 1\)$"):
         positiveness_matrix(np.array([[30.0], [40.0]]), SIGMA2)
 
 

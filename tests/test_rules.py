@@ -1,12 +1,15 @@
-"""The three rules for settings, one table per kind.
+"""The rules for settings, one table per kind.
 
 Every continuous setting passes the real rule (an int, a float or a NumPy
-real, not a bool, finite and in its range), every count the integer rule
-and every enum setting the member rule. A value that breaks its rule
-raises ConfigError naming the setting; NumPy scalars keep working.
+real, not a bool, finite as a double and in its range), every count the
+integer rule, every enum setting the member rule and every setting that
+holds several the sequence rule (a list or a tuple, held as a tuple). A
+value that breaks its rule raises ConfigError naming the setting; NumPy
+scalars keep working.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,13 +17,17 @@ import pytest
 from dynlocrep import (
     ConfigError,
     EmbeddingBatch,
+    EncoderConfig,
     KernelSpec,
     LossConfig,
     OptimConfig,
     RidgeConfig,
     ScheduleConfig,
     SyntheticSpec,
+    TrainConfig,
+    ablate_norms,
     baseline_forward,
+    benchmark,
     distance_matrix,
     generate_synthetic,
     l2_normalize,
@@ -85,7 +92,11 @@ ENUMS = {
 }
 
 
-@pytest.mark.parametrize("value", [None, "0.5", True, math.nan], ids=repr)
+@pytest.mark.parametrize(
+    "value",
+    [None, "0.5", True, math.nan, pytest.param(10**400, id="10**400"), np.float32("inf")],
+    ids=repr,
+)
 @pytest.mark.parametrize("where", list(REALS))
 def test_a_real_setting_outside_the_rule_is_rejected(where, value):
     name, call, _ = REALS[where]
@@ -166,3 +177,81 @@ def test_a_rejected_setting_leaves_out_untouched(call):
     with pytest.raises(ConfigError):
         call(out)
     assert (out == 7.0).all()
+
+
+def _grid(call, **change):
+    """``call`` (benchmark or ablate_norms) on a tiny grid, with ``change``
+    replacing its sweep values or seeds; every case here fails before a run."""
+    grid = {"values": ["yaware"] if call is benchmark else ["cosine"], "seeds": [0], **change}
+    return call(DATA, grid["values"], grid["seeds"], TrainConfig(epochs=2), OptimConfig(),
+                EncoderConfig(input_dim=DATA.feature_dim), RidgeConfig())
+
+
+# name in the message, a call that takes the value, a valid value as a list
+SEQUENCES = {
+    "SyntheticSpec.mixture_means": (
+        "mixture_means", lambda v: SyntheticSpec(n=10, mixture_means=v), [25.0, 68.0]
+    ),
+    "SyntheticSpec.mixture_stds": (
+        "mixture_stds", lambda v: SyntheticSpec(n=10, mixture_stds=v), [5.0, 6.0]
+    ),
+    "SyntheticSpec.mixture_weights": (
+        "mixture_weights", lambda v: SyntheticSpec(n=10, mixture_weights=v), [0.5, 0.5]
+    ),
+    "EncoderConfig.hidden_dims": (
+        "hidden_dims", lambda v: EncoderConfig(input_dim=4, hidden_dims=v), [8, 8]
+    ),
+    "TrainConfig.export_epochs": (
+        "export_epochs", lambda v: TrainConfig(epochs=5, export_epochs=v), [2, 5]
+    ),
+    "benchmark.variants": ("variants", lambda v: _grid(benchmark, values=v), None),
+    "ablate_norms.norms": ("norms", lambda v: _grid(ablate_norms, values=v), None),
+    "benchmark.seeds": ("seeds", lambda v: _grid(benchmark, seeds=v), None),
+}
+
+
+@pytest.mark.parametrize("value", [5, 64.0, "yaware", None, {1: 2}], ids=repr)
+@pytest.mark.parametrize("where", list(SEQUENCES))
+def test_a_sequence_setting_that_is_not_a_list_or_tuple_is_rejected(where, value):
+    """A scalar raised a raw TypeError, and a string was swept by character."""
+    name, call, _ = SEQUENCES[where]
+    message = f"{name} must be a list or tuple, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("where", [where for where, row in SEQUENCES.items() if row[2]])
+def test_a_sequence_setting_is_held_as_a_tuple(where):
+    name, call, valid = SEQUENCES[where]
+    config = call(valid)
+    assert getattr(config, name) == tuple(valid)
+    assert type(getattr(config, name)) is tuple
+    assert config == call(tuple(valid))
+    assert hash(config) == hash(call(tuple(valid)))
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: SyntheticSpec(n=10, mixture_means=(25.0, "68")), "mixture_means must be finite"),
+        (lambda: EncoderConfig(input_dim=4, hidden_dims=[8, 2.0]), "each layer width must be an"),
+        (lambda: TrainConfig(epochs=5, export_epochs=[0]), "each export epoch must be >= 1"),
+        (lambda: _grid(benchmark, values=["yaware", "bogus"]), "variant must be one of"),
+        (lambda: _grid(benchmark, seeds=[0, 1.5]), "seeds must be an integer, got 1.5"),
+        (lambda: _grid(benchmark, seeds=(0, -3)), "seeds must be >= 0, got -3"),
+    ],
+    ids=["mixture", "width", "export", "variant", "seed-float", "seed-below"],
+)
+def test_each_entry_of_a_sequence_passes_its_own_rule(call, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        call()
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [({"values": []}, "need at least one variant"), ({"seeds": ()}, "need at least one seed")],
+    ids=["no-variant", "no-seed"],
+)
+def test_an_empty_grid_list_keeps_its_message(change, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        _grid(benchmark, **change)
