@@ -89,6 +89,11 @@ class Encoder:
     """One flat parameter vector, per-layer views of it, and cached activations."""
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        if len(weights) != len(biases) or not weights:
+            raise InputError(
+                "an encoder needs one bias per weight and at least one layer, "
+                f"got {len(weights)} weights and {len(biases)} biases"
+            )
         pieces: list[np.ndarray] = []
         for layer, (w, b) in enumerate(zip(weights, biases)):
             fan_in = len(pieces[-1]) if pieces else "d"  # the width of the bias below

@@ -10,6 +10,10 @@ aggregation uses the population standard deviation over seeds.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -148,6 +152,88 @@ def _run_record(
     return record
 
 
+def _timed_record(job: tuple) -> tuple[dict, float]:
+    """``_run_record(*job)`` and the seconds it took, to the millisecond."""
+    started = time.perf_counter()
+    record = _run_record(*job)
+    return record, round(time.perf_counter() - started, 3)
+
+
+def _work(jobs: list[tuple], write_fd: int) -> None:
+    """A forked worker's life: pickle ``_timed_record`` of each job to the
+    pipe, in order, or in its place the first error with its traceback as
+    text, which ends the list; then exit without returning. Ctrl-C reaches
+    every process of the group, and the parent alone handles it."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        with os.fdopen(write_fd, "wb") as pipe:
+            for job in jobs:
+                try:
+                    result = _timed_record(job)
+                except Exception as exc:  # the parent raises it in job order
+                    import traceback
+
+                    pickle.dump((exc, traceback.format_exc()), pipe)
+                    break
+                pickle.dump(result, pipe)
+                pipe.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_jobs(jobs: list[tuple]) -> list[tuple[dict, float]]:
+    """``_timed_record`` of each job, in job order.
+
+    The jobs are independent runs, so they are dealt round-robin to one
+    forked worker per usable CPU, at most one per job; each worker sends its
+    results back through a pipe. They run in this process instead when there
+    is one job or one usable CPU, when the platform cannot fork, or when this
+    process is a multiprocessing daemon, which may not have children. Either
+    way the first failing job in job order raises its own error; a worker
+    that dies raises RuntimeError. No worker is left when this returns or
+    raises: the rest are killed once a job fails.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(len(jobs), cpus)
+    multiprocessing = sys.modules.get("multiprocessing")  # imported in any of its daemons
+    if workers < 2 or not hasattr(os, "fork") or (
+        multiprocessing is not None and multiprocessing.current_process().daemon
+    ):
+        return [_timed_record(job) for job in jobs]
+    pids, pipes = [], []
+    try:
+        for worker in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(jobs[worker::workers], write_fd)
+            pids.append(pid)
+            os.close(write_fd)
+            pipes.append(os.fdopen(read_fd, "rb"))
+        results = []
+        for index in range(len(jobs)):
+            try:
+                result = pickle.load(pipes[index % workers])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"the worker of run {index} of the grid died") from None
+            if isinstance(result[0], BaseException):
+                raise result[0] from RuntimeError(f"in the worker process:\n{result[1]}")
+            results.append(result)
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # a worker that has sent its last result has no more to do
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
 def _run_grid(
     kind: str,
     entries_key: str,
@@ -167,11 +253,12 @@ def _run_grid(
     Each value of ``field`` gives one cell, ``replace(base, field=value)``,
     so the config checks and converts it before any run, and the cell is
     named by the member it holds: a member and its string value are one
-    name. Entries are grouped per cell in (cell, seed) order, and a failing
-    run aborts with its identity attached. Splits and schedules are checked
-    before any run: each seed is split once, for every cell and both
-    baselines. Repeated seeds or cell names are rejected: they would count
-    one run's result twice.
+    name. The trains run through ``_run_jobs``; entries are grouped per cell
+    in (cell, seed) order, and the first failing run in that order aborts
+    with its identity attached. Splits and schedules are checked in this
+    process before any run: each seed is split once, for every cell and both
+    baselines, which are scored here after the trains. Repeated seeds or
+    cell names are rejected: they would count one run's result twice.
     """
     configs = _sequence(entries_key, values, lambda value: replace(base, **{field: value}))
     seeds = _sequence("seeds", seeds, lambda seed: _check_int("seeds", seed, 0))
@@ -192,14 +279,16 @@ def _run_grid(
     for seed in seeds:
         train_ds, test_ds = split(dataset, test_fraction, seed)
         sides[seed] = (train_ds, test_ds, _label_summary(test_ds.labels, label_range))
+    jobs = [
+        (name, seed, *sides[seed], ridge, None, (replace(config, seed=seed), optim, encoder_config))
+        for name, config in cells.items()
+        for seed in seeds
+    ]
     grouped: dict[str, list[dict]] = {name: [] for name in cells}
     seconds: dict[str, list[float]] = {name: [] for name in cells}
-    for name, config in cells.items():
-        for seed in seeds:
-            run_started = time.perf_counter()
-            training = (replace(config, seed=seed), optim, encoder_config)
-            grouped[name].append(_run_record(name, seed, *sides[seed], ridge, training=training))
-            seconds[name].append(round(time.perf_counter() - run_started, 3))
+    for (name, *_), (record, run_seconds) in zip(jobs, _run_jobs(jobs)):
+        grouped[name].append(record)
+        seconds[name].append(run_seconds)
     baselines: dict[str, list[dict]] = {"raw_features": [], "untrained_encoder": []}
     for seed in seeds:
         frozen = init_encoder(encoder_config, seed)

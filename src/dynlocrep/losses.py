@@ -439,9 +439,13 @@ def dynlocrep_forward(sim: np.ndarray, weights: np.ndarray, neighbors: np.ndarra
     sim = _check_array("similarity matrix", sim, ("n", "n"), finite=True)
     n = _batch_size(len(sim))
     weights = _check_array("positiveness matrix", weights, (n, n), finite=True)
-    neighbors = np.asarray(neighbors)
+    expected = f"neighbor sets must have shape ({n}, count >= 1)"
+    try:
+        neighbors = np.asarray(neighbors)
+    except ValueError:  # NumPy refuses rows of unequal length
+        raise InputError(f"{expected}, got rows of unequal length") from None
     if neighbors.ndim != 2 or len(neighbors) != n or neighbors.shape[1] < 1:
-        raise InputError(f"neighbor sets must have shape ({n}, count >= 1), got {neighbors.shape}")
+        raise InputError(f"{expected}, got {neighbors.shape}")
     ordered = np.sort(neighbors, axis=1)
     if (
         not np.issubdtype(neighbors.dtype, np.integer)

@@ -289,6 +289,20 @@ def test_encoder_copies_its_constructor_arrays():
     assert np.array_equal(bias, np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    ("weights", "biases", "counts"),
+    [
+        ([np.ones((2, 3)), np.ones((3, 1))], [np.zeros(3)], "2 weights and 1 biases"),
+        ([], [], "0 weights and 0 biases"),
+    ],
+    ids=["a-bias-short", "no-layers"],
+)
+def test_encoder_layer_counts_must_match_and_be_positive(weights, biases, counts):
+    message = f"an encoder needs one bias per weight and at least one layer, got {counts}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        Encoder(weights, biases)
+
+
 def test_learning_rate_decay_is_exact_power():
     optim = OptimConfig(learning_rate=1e-4, decay_factor=0.9, decay_every=10)
     for epoch in range(60):

@@ -1,7 +1,14 @@
 """The benchmark grid: one split per seed, one scoring path, settings
-checked before the first run."""
+checked before the first run, trains in forked workers."""
 
 import dataclasses
+import multiprocessing
+import os
+import pickle
+import re
+import signal
+import threading
+import time
 
 import pytest
 
@@ -10,11 +17,13 @@ from dynlocrep import (
     EncoderConfig,
     InputError,
     LossVariant,
+    NumericalError,
     OptimConfig,
     RidgeConfig,
     ScheduleConfig,
     SyntheticSpec,
     TrainConfig,
+    ablate_norms,
     benchmark,
     generate_synthetic,
     init_encoder,
@@ -24,7 +33,7 @@ from dynlocrep import (
     train,
     write_csv,
 )
-from dynlocrep.cli import EXIT_OK, EXIT_USAGE, main
+from dynlocrep.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 ENC = EncoderConfig(input_dim=8, hidden_dims=(16, 16), output_dim=8)
 BASE = TrainConfig(epochs=4, batch_size=8, nn_final=3, nn_step_size=1)
@@ -128,6 +137,229 @@ def test_grid_runs_match_their_direct_computation():
 def test_export_epochs_beyond_the_run_rejected():
     with pytest.raises(ConfigError, match="export epochs must be <= epochs = 4, got 9"):
         dataclasses.replace(BASE, export_epochs=(2, 9))
+
+
+# ---------------------------------------------------------------------------
+# Workers
+# ---------------------------------------------------------------------------
+
+SEEDS = [0, 1, 2]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs this process may use, so that the worker path runs
+    on any machine."""
+
+    def set_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return set_cpus
+
+
+@pytest.fixture
+def train_pids(monkeypatch, tmp_path):
+    """The grid's trains run as usual, and each appends its process id to a
+    file, which the returned function reads back as a set."""
+    import dynlocrep.evaluation as evaluation_module
+
+    pids = tmp_path / "pids"
+    pids.touch()
+
+    def recording_train(*args, **kwargs):
+        with pids.open("a") as out:
+            out.write(f"{os.getpid()}\n")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation_module, "train", recording_train)
+    return lambda: set(map(int, pids.read_text().split()))
+
+
+@pytest.fixture
+def no_worker_left():
+    """Fails the test if it waits for more than 60 s, or if it leaves a child
+    process, running or unreaped, or a new thread."""
+
+    def hung(signum, frame):
+        raise TimeoutError("the grid still waits for its workers after 60 s")
+
+    threads = threading.enumerate()
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.enumerate() == threads
+
+
+def ablate_grid(dataset, norms, seeds):
+    return ablate_norms(
+        dataset, norms, seeds, BASE, OptimConfig(), ENC, RIDGE, dataset_source="test"
+    )
+
+
+@pytest.mark.parametrize(
+    ("grid", "entries", "cells"),
+    [(run_grid, "variants", ["rnc", "yaware"]), (ablate_grid, "norms", ["cosine", "chebyshev"])],
+    ids=["benchmark", "ablate_norms"],
+)
+def test_worker_runs_equal_runs_made_one_seed_at_a_time(
+    grid, entries, cells, cpus, train_pids, no_worker_left
+):
+    cpus(2)
+    dataset = small_dataset()
+    report = grid(dataset, cells, SEEDS)
+    workers = train_pids()
+    assert workers and os.getpid() not in workers
+    for cell in cells:
+        alone = [grid(dataset, [cell], [seed])[entries][cell]["runs"][0] for seed in SEEDS]
+        assert report[entries][cell]["runs"] == alone
+        assert len(report["timing"]["per_run_seconds"][cell]) == len(SEEDS)
+    assert train_pids() - workers == {os.getpid()}  # a one-run grid stays in this process
+
+
+@pytest.mark.parametrize(
+    "no_workers",
+    [
+        lambda monkeypatch: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                                                raising=False),
+        lambda monkeypatch: (monkeypatch.delattr(os, "sched_getaffinity", raising=False),
+                             monkeypatch.setattr(os, "cpu_count", lambda: None)),
+        lambda monkeypatch: monkeypatch.delattr(os, "fork"),
+        lambda monkeypatch: monkeypatch.setattr(
+            multiprocessing, "current_process", lambda: multiprocessing.Process(daemon=True)
+        ),
+    ],
+    ids=["one-cpu", "cpu-count-unknown", "no-fork", "daemon"],
+)
+def test_grid_runs_in_this_process_where_it_cannot_fork_workers(
+    no_workers, cpus, train_pids, monkeypatch, no_worker_left
+):
+    cpus(2)
+    no_workers(monkeypatch)
+    report = run_grid(small_dataset(), [LossVariant.Y_AWARE], SEEDS)
+    assert len(report["variants"]["yaware"]["runs"]) == len(SEEDS)
+    assert train_pids() == {os.getpid()}
+
+
+@pytest.fixture
+def yaware_fails(monkeypatch):
+    """Every yaware train fails; the other losses train as usual."""
+    import dynlocrep.evaluation as evaluation_module
+
+    def train_or_fail(dataset, config, *args):
+        if config.variant is LossVariant.Y_AWARE:
+            raise NumericalError(f"made to fail at seed {config.seed}")
+        return train(dataset, config, *args)
+
+    monkeypatch.setattr(evaluation_module, "train", train_or_fail)
+
+
+@pytest.mark.parametrize("count", [1, 2], ids=["in-process", "workers"])
+def test_the_first_failing_run_in_grid_order_is_reported(count, cpus, yaware_fails, no_worker_left):
+    cpus(count)
+    message = "run (yaware, seed 0) failed: made to fail at seed 0"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$") as raised:
+        run_grid(small_dataset(), [LossVariant.RANK_N_CONTRAST, LossVariant.Y_AWARE], SEEDS)
+    assert "made to fail at seed 0" in str(raised.value.__cause__)  # a worker sends its traceback
+
+
+@pytest.mark.parametrize("count", [1, 2], ids=["in-process", "workers"])
+def test_cli_exit_code_of_a_failing_grid_is_unchanged(
+    count, cpus, yaware_fails, tmp_path, capsys, no_worker_left
+):
+    cpus(count)
+    out = tmp_path / "report.json"
+    argv = ["benchmark", "--variants", "rnc,yaware", "--epochs", "1", "--synthetic-n", "60",
+            "--seeds", "0,1,2", "--batch-size", "8", "--hidden-dims", "8,8", "--embed-dim", "4",
+            "--out", str(out)]
+    assert main(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "dynlocrep: error: numerical failure: run (yaware, seed 0) failed: made to fail at seed 0\n"
+    )
+    assert not out.exists()
+
+
+def test_a_dead_worker_makes_the_grid_raise_within_seconds(cpus, monkeypatch, no_worker_left):
+    import dynlocrep.evaluation as evaluation_module
+
+    parent = os.getpid()
+
+    def dying_train(*args, **kwargs):
+        if os.getpid() == parent:
+            pytest.fail("the run was not sent to a worker")
+        os._exit(3)
+
+    cpus(2)
+    monkeypatch.setattr(evaluation_module, "train", dying_train)
+    started = time.perf_counter()
+    with pytest.raises(RuntimeError, match="^the worker of run 0 of the grid died$"):
+        run_grid(small_dataset(), [LossVariant.Y_AWARE], SEEDS)
+    assert time.perf_counter() - started < 10
+
+
+class _Exited(Exception):
+    """Raised in place of os._exit, so that a worker's side runs in this process."""
+
+
+def test_a_worker_sends_each_result_then_the_first_error_and_exits(monkeypatch):
+    """A worker's life, run here: the coverage tool traces no worker."""
+    import dynlocrep.evaluation as evaluation_module
+
+    def timed_record(job):
+        if job == "bad":
+            raise NumericalError("made to fail")
+        return {"job": job}, 0.5
+
+    def exit_here(code):
+        raise _Exited(code)
+
+    monkeypatch.setattr(evaluation_module, "_timed_record", timed_record)
+    monkeypatch.setattr(os, "_exit", exit_here)
+    previous = signal.getsignal(signal.SIGINT)
+    read_fd, write_fd = os.pipe()
+    try:
+        with pytest.raises(_Exited) as exited:
+            evaluation_module._work(["a", "b", "bad", "c"], write_fd)
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN  # Ctrl-C is the parent's
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert exited.value.args == (0,)
+    with os.fdopen(read_fd, "rb") as pipe:
+        sent = [pickle.load(pipe) for _ in range(3)]
+        assert pipe.read() == b""
+    assert sent[:2] == [({"job": "a"}, 0.5), ({"job": "b"}, 0.5)]
+    error, text = sent[2]
+    assert type(error) is NumericalError and str(error) == "made to fail"
+    assert text.endswith("dynlocrep.errors.NumericalError: made to fail\n")
+
+
+def test_worker_w_of_w_workers_is_dealt_jobs_w_w_plus_w_and_so_on(monkeypatch, cpus):
+    """The child's side of the fork, run here: os.fork returns 0."""
+    import dynlocrep.evaluation as evaluation_module
+
+    read_fd, write_fd = os.pipe()
+    dealt = []
+
+    def work(jobs, fd):
+        dealt.append((jobs, fd))
+        raise _Exited()
+
+    cpus(2)
+    monkeypatch.setattr(os, "pipe", lambda: (read_fd, write_fd))
+    monkeypatch.setattr(os, "fork", lambda: 0)
+    monkeypatch.setattr(evaluation_module, "_work", work)
+    try:
+        with pytest.raises(_Exited):
+            evaluation_module._run_jobs(["a", "b", "c"])
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+    assert dealt == [(["a", "c"], write_fd)]
 
 
 # ---------------------------------------------------------------------------

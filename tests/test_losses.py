@@ -733,6 +733,14 @@ def test_dynlocrep_forward_rejects_misshapen_neighbor_sets(reshape, shape):
         dynlocrep_forward(sim, weights, reshape(neighbors))
 
 
+def test_dynlocrep_forward_rejects_ragged_neighbor_sets():
+    batch, labels = random_batch(8, n=3)
+    sim, weights, _ = forward_pieces(batch, labels, neighbor_count=1)
+    message = "neighbor sets must have shape (3, count >= 1), got rows of unequal length"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        dynlocrep_forward(sim, weights, [[1], [0, 2], [0]])
+
+
 @pytest.mark.parametrize("variant", BASELINES)
 def test_a_baseline_without_its_supervision_is_rejected(variant):
     batch, labels = random_batch(11, n=5)

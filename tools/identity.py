@@ -16,7 +16,11 @@ agree on a case only if they agree bit for bit:
   with one all-zero row and tied integer labels, as its value, gradient
   bytes and ``weighted``;
 - ``criterion8``: acceptance criterion 8's benchmark report (five losses,
-  five seeds, 50 epochs), outside ``timing``, with each entry's mean MAE.
+  five seeds, 50 epochs), outside ``timing``, with each entry's mean MAE;
+- ``criterion9``: acceptance criterion 9's ``dynlocrep ablate`` report (four
+  norms, two seeds), outside ``timing``, with each entry's mean MAE;
+- ``grid-error``: the exit code and error text of a ``dynlocrep benchmark``
+  whose every run diverges (learning rate 1e100, two losses, two seeds).
 
 It prints each case's verdict and the criterion-8 MAE deltas (this tree
 minus REV), and exits 1 naming the first case that differs, else 0.
@@ -108,6 +112,47 @@ def _criterion_8() -> dict:
     return fields
 
 
+def _cli(argv: list[str]) -> tuple[int, str, dict | None]:
+    """``dynlocrep argv --out <file>``: its exit code, its stderr and the
+    report it wrote, if any. Its stdout is dropped: ``_emit`` owns stdout."""
+    import contextlib
+    import tempfile
+
+    from dynlocrep.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = Path(tmp) / "report.json", io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--out", str(out)])
+        return code, err.getvalue(), json.loads(out.read_text()) if out.exists() else None
+
+
+def _criterion_9() -> dict:
+    from dynlocrep.evaluation import strip_timing
+
+    code, _, report = _cli(
+        ["ablate", "--synthetic-n", "80", "--seeds", "0,1", "--epochs", "6", "--batch-size", "8",
+         "--nn-final", "3", "--hidden-dims", "8,8", "--embed-dim", "4"]
+    )
+    text = json.dumps(strip_timing(report), sort_keys=True)
+    fields = {"exit": str(code), "report": hashlib.sha256(text.encode()).hexdigest()}
+    for name, entry in report["norms"].items():
+        fields[f"mae/{name}"] = float(entry["mean_mae"]).hex()
+    return fields
+
+
+def _grid_error() -> dict:
+    import warnings
+
+    warnings.simplefilter("ignore")  # an overflow warning would name its tree's file
+    code, err, report = _cli(
+        ["benchmark", "--variants", "rnc,yaware", "--synthetic-n", "80", "--seeds", "0,1",
+         "--epochs", "2", "--batch-size", "8", "--nn-final", "3", "--hidden-dims", "8,8",
+         "--embed-dim", "4", "--lr", "1e100"]
+    )
+    return {"exit": str(code), "stderr": err, "wrote_report": str(report is not None)}
+
+
 def cases() -> dict[str, Callable[[], dict]]:
     """Every case by name, in the order they run."""
     found: dict[str, Callable[[], dict]] = {}
@@ -119,6 +164,8 @@ def cases() -> dict[str, Callable[[], dict]]:
             for loss in LOSSES:
                 found[f"loss/{loss}/n{n}/tau{tau}"] = _loss_case(loss, n, tau)
     found["criterion8"] = _criterion_8
+    found["criterion9"] = _criterion_9
+    found["grid-error"] = _grid_error
     return found
 
 
