@@ -11,7 +11,8 @@ failure, 73 any other operating-system error, such as an output location
 that cannot be created or written. The
 output directory, or the parent of ``--out``, is created before anything
 is generated, trained or benchmarked, so such a location fails at once; a
-command that fails removes the directories it made.
+command that fails removes the files it wrote, then the directories it
+made.
 
 argparse only parses: ints, floats and comma lists. The library configs
 (``TrainConfig``, ``OptimConfig``, ``EncoderConfig``, ``SyntheticSpec``
@@ -34,7 +35,7 @@ import sys
 from pathlib import Path
 
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, write_csv
-from .data import _table_lines, _write_lines_atomic
+from .data import _write_lines_atomic, _write_table
 from .encoder import EncoderConfig, OptimConfig, save_checkpoint
 from .errors import ConfigError, DynLocRepError, NumericalError, ParseError
 from .evaluation import RidgeConfig, ablate_norms, benchmark
@@ -414,13 +415,18 @@ def _encoder_config(args: argparse.Namespace, input_dim: int) -> EncoderConfig:
 def _output_dir(path: Path):
     """Create directory ``path`` and its missing parents before the work
     that writes into it, so that an unusable location fails before any
-    work. If the work fails, the directories made here that are still
-    empty are removed again: a failed command leaves no artifact."""
+    work, and yield a list for the work to name each file it has written.
+    If the work fails, those files are removed, then the directories made
+    here that are then empty: a failed command leaves no artifact."""
     made = [p for p in (path, *path.parents) if not p.exists()]
     path.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
     try:
-        yield
+        yield written
     except BaseException:
+        for file in written:
+            with contextlib.suppress(OSError):
+                file.unlink()
         for directory in made:
             with contextlib.suppress(OSError):
                 directory.rmdir()
@@ -450,8 +456,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _write_embedding_export(path: Path, epoch: int, ids, labels, embeddings) -> None:
     header = "epoch,id,y," + ",".join(f"z{j}" for j in range(embeddings.shape[1]))
-    lead = (f"{epoch},{i},{y!r}" for i, y in zip(ids, labels.tolist()))
-    _write_lines_atomic(path, _table_lines(header, lead, embeddings))
+    _write_table(path, header, f"{epoch},", ids, labels, embeddings)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -468,13 +473,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
     optim, encoder_config = _optim_config(args), _encoder_config(args, dataset.feature_dim)
     trace_path = out_dir / "trace.jsonl"
     checkpoint_path = out_dir / "encoder.txt"
-    with _output_dir(out_dir):
+    with _output_dir(out_dir) as written:
         result = train(dataset, config, optim, encoder_config)
         _write_lines_atomic(trace_path, map(json.dumps, result.trace))
+        written.append(trace_path)
         save_checkpoint(result.encoder, checkpoint_path)
+        written.append(checkpoint_path)
         for epoch, embeddings in sorted(result.exports.items()):
             export = out_dir / f"embeddings_epoch{epoch}.csv"
             _write_embedding_export(export, epoch, dataset.ids, dataset.labels, embeddings)
+            written.append(export)
     final_loss = result.trace[-1]["mean_loss"] if result.trace else float("nan")
     print(f"trained {config.variant.value} for {config.epochs} epochs on {dataset.n} samples")
     print(f"final mean batch loss {final_loss:.6f}")

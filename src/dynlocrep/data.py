@@ -7,16 +7,24 @@ cluster in two groups. The CSV format is ``id,y,f0,...,f{p-1}`` with one
 header row. Datasets, embedding exports and checkpoints share the float
 text rule kept here: values are written with repr, so a reload is
 bit-exact, and read back rejecting digit separators and non-finite values.
+The fork plumbing that the table writer and the benchmark grid share is
+kept here too, below both.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
+import pickle
+import signal
+import sys
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -138,29 +146,168 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     return Dataset(features=features, labels=labels, ids=ids)
 
 
-def _write_lines_atomic(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each line, ended by a newline, to a temp file beside path, then
-    os.replace it into place. Lines stream through the file's buffer, so
-    no text of the whole file is ever held.
+def _worker_count(parts: int) -> int:
+    """How many processes may share ``parts`` independent parts of a task:
+    one per usable CPU, at most ``parts``, and at least 1. It is 1, this
+    process alone, where the platform cannot fork or where this process is
+    a multiprocessing daemon, which may not have children."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    multiprocessing = sys.modules.get("multiprocessing")  # imported in any of its daemons
+    if not hasattr(os, "fork") or (
+        multiprocessing is not None and multiprocessing.current_process().daemon
+    ):
+        return 1
+    return max(1, min(parts, cpus))
 
-    A write that fails midway, the line iterator raising included, leaves
-    any previous file at path intact and removes the temp file.
-    """
+
+def _send(pipe: BinaryIO, value) -> None:
+    """Pickle ``value`` to a worker's pipe as its next message."""
+    pickle.dump((value, None), pipe)
+    pipe.flush()
+
+
+def _receive(pipe: BinaryIO, what: str):
+    """The next message a worker sent through ``pipe``. An error it sent in
+    its place is raised here, with the worker's traceback text as its
+    cause; a pipe that ends first raises ChildProcessError naming ``what``."""
+    try:
+        value, traceback_text = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError(f"the worker of {what} died") from None
+    if traceback_text is not None:
+        raise value from RuntimeError(f"in the worker process:\n{traceback_text}")
+    return value
+
+
+def _child(work: Callable[[int, BinaryIO], None], worker: int, write_fd: int) -> None:
+    """A forked worker's life: ``work(worker, pipe)`` on the write end of
+    its pipe; an error it raises is sent in place of its next message. Then
+    exit without returning. Ctrl-C reaches every process of the group, and
+    the parent alone handles it."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        with os.fdopen(write_fd, "wb") as pipe:
+            try:
+                work(worker, pipe)
+            except Exception as exc:  # the parent raises it
+                import traceback
+
+                pickle.dump((exc, traceback.format_exc()), pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _forked(work: Callable[[int, BinaryIO], None], count: int) -> Iterator[list[BinaryIO]]:
+    """Fork ``count`` workers, worker w living ``_child(work, w, ...)``, and
+    yield the read ends of their pipes in worker order. On leaving, every
+    worker is killed and reaped, so none outlives a return, an error or a
+    Ctrl-C: one that has sent its last message has no more to do."""
+    pids, pipes = [], []
+    try:
+        for worker in range(count):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(work, worker, write_fd)
+            pids.append(pid)
+            os.close(write_fd)
+            pipes.append(os.fdopen(read_fd, "rb"))
+        yield pipes
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+@contextlib.contextmanager
+def _atomic_file(path: str | Path) -> Iterator:
+    """A text handle on a temp file beside ``path``, which is os.replace'd
+    into place once the block ends. A block that fails midway leaves any
+    previous file at ``path`` intact and removes the temp file."""
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w") as handle:
-            handle.writelines(f"{line}\n" for line in lines)
+            yield handle
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
 
 
+def _write_lines_atomic(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line, ended by a newline, through an _atomic_file. Lines
+    stream through the file's buffer, so no text of the whole file is ever
+    held; a line iterator that raises fails the write."""
+    with _atomic_file(path) as handle:
+        handle.writelines(f"{line}\n" for line in lines)
+
+
 def _format_rows(matrix: np.ndarray, sep: str = ",") -> Iterator[str]:
     """One text line per row of a float64 matrix, each value its repr; rows
     are converted one at a time, never the whole matrix to Python floats."""
     return (sep.join(map(repr, row.tolist())) for row in matrix)
+
+
+# A table is cut into one row block per usable CPU only if each block
+# holds at least this many cells (labels and matrix values), about twice
+# the break-even: a cell takes about 0.72 us to format, a worker's fork,
+# faults and reaping several ms, and a table written in two blocks by a
+# 75 MB process broke even at about 15 000 cells (CHANGES.md).
+_BLOCK_CELLS = 16_384
+_CHUNK = 1 << 16  # bytes of a worker's text copied into the file at a time
+
+
+def _write_table(path: str | Path, header: str, prefix: str, ids: tuple[str, ...],
+                 labels: np.ndarray, matrix: np.ndarray) -> None:
+    """Write ``header``, then one line per row: ``prefix``, the row's id and
+    its label's repr, comma-joined to the row's _format_rows text (a matrix
+    without columns adds no comma), through an _atomic_file.
+
+    A table of at least two blocks of _BLOCK_CELLS cells is cut into
+    contiguous row blocks, as many as _worker_count allows. A forked worker
+    formats each block but the first into one text, while this process
+    streams the header and the first block into the file; then it appends
+    each worker's text in block order, _CHUNK bytes at a time. The bytes
+    are the same either way. A worker's error is raised here, and a worker
+    that dies raises ChildProcessError.
+    """
+    n = len(ids)
+    blocks = _worker_count(n * (matrix.shape[1] + 1) // _BLOCK_CELLS)
+    bounds = [n * block // blocks for block in range(blocks + 1)]
+
+    def lines(block: int) -> Iterator[str]:
+        rows = slice(bounds[block], bounds[block + 1])
+        for row_id, y, text in zip(ids[rows], labels[rows].tolist(), _format_rows(matrix[rows])):
+            yield f"{prefix}{row_id},{y!r},{text}" if text else f"{prefix}{row_id},{y!r}"
+
+    def send(worker: int, pipe: BinaryIO) -> None:
+        # encoded as the handle encodes, so the bytes are those it would write
+        text = "".join(f"{line}\n" for line in lines(worker + 1)).encode(handle.encoding)
+        _send(pipe, len(text))
+        pipe.write(text)
+
+    with _atomic_file(path) as handle, _forked(send, blocks - 1) as pipes:
+        handle.writelines(f"{line}\n" for line in itertools.chain([header], lines(0)))
+        handle.flush()
+        for block, pipe in enumerate(pipes, start=1):
+            what = f"rows {bounds[block]} to {bounds[block + 1]} of {path}"
+            left = _receive(pipe, what)
+            while left:
+                chunk = pipe.read(min(left, _CHUNK))
+                if not chunk:
+                    raise ChildProcessError(f"the worker of {what} died")
+                handle.buffer.write(chunk)
+                left -= len(chunk)
 
 
 def _parse_floats(text: str, sep: str | None, path: str | Path, lineno: int) -> list[float]:
@@ -178,14 +325,6 @@ def _parse_floats(text: str, sep: str | None, path: str | Path, lineno: int) -> 
     return values
 
 
-def _table_lines(header: str, lead: Iterable[str], matrix: np.ndarray) -> Iterator[str]:
-    """``header``, then per row its ``lead`` text joined by a comma to the
-    row's _format_rows text; a matrix without columns adds no comma."""
-    yield header
-    for text, row in zip(lead, _format_rows(matrix)):
-        yield f"{text},{row}" if row else text
-
-
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write the dataset in the documented ``id,y,f0,...`` format.
 
@@ -199,8 +338,7 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
                 "which a dataset CSV cannot carry"
             )
     header = "id,y," + ",".join(f"f{j}" for j in range(dataset.feature_dim))
-    lead = (f"{i},{y!r}" for i, y in zip(dataset.ids, dataset.labels.tolist()))
-    _write_lines_atomic(path, _table_lines(header, lead, dataset.features))
+    _write_table(path, header, "", dataset.ids, dataset.labels, dataset.features)
 
 
 def load_csv(path: str | Path) -> Dataset:

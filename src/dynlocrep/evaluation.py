@@ -10,16 +10,12 @@ aggregation uses the population standard deviation over seeds.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import sys
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, split
+from .data import Dataset, _forked, _receive, _send, _worker_count, split
 from .encoder import Encoder, EncoderConfig, OptimConfig, init_encoder
 from .errors import (ConfigError, DynLocRepError, InputError, NumericalError, _check_array,
                      _check_int, _check_real, _sequence)
@@ -159,79 +155,31 @@ def _timed_record(job: tuple) -> tuple[dict, float]:
     return record, round(time.perf_counter() - started, 3)
 
 
-def _work(jobs: list[tuple], write_fd: int) -> None:
-    """A forked worker's life: pickle ``_timed_record`` of each job to the
-    pipe, in order, or in its place the first error with its traceback as
-    text, which ends the list; then exit without returning. Ctrl-C reaches
-    every process of the group, and the parent alone handles it."""
-    code = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        with os.fdopen(write_fd, "wb") as pipe:
-            for job in jobs:
-                try:
-                    result = _timed_record(job)
-                except Exception as exc:  # the parent raises it in job order
-                    import traceback
-
-                    pickle.dump((exc, traceback.format_exc()), pipe)
-                    break
-                pickle.dump(result, pipe)
-                pipe.flush()
-        code = 0
-    finally:
-        os._exit(code)
+def _work(jobs: list[tuple], pipe) -> None:
+    """A forked worker's share of the grid: ``_timed_record`` of each job,
+    sent in order. The first error ends the list; ``_child`` sends it."""
+    for job in jobs:
+        _send(pipe, _timed_record(job))
 
 
 def _run_jobs(jobs: list[tuple]) -> list[tuple[dict, float]]:
     """``_timed_record`` of each job, in job order.
 
-    The jobs are independent runs, so they are dealt round-robin to one
-    forked worker per usable CPU, at most one per job; each worker sends its
-    results back through a pipe. They run in this process instead when there
-    is one job or one usable CPU, when the platform cannot fork, or when this
-    process is a multiprocessing daemon, which may not have children. Either
-    way the first failing job in job order raises its own error; a worker
-    that dies raises RuntimeError. No worker is left when this returns or
-    raises: the rest are killed once a job fails.
+    The jobs are independent runs, so they are dealt round-robin to
+    ``_worker_count(len(jobs))`` forked workers; each worker sends its
+    results back through a pipe. They run in this process instead when that
+    count is 1. Either way the first failing job in job order raises its own
+    error; a worker that dies raises ChildProcessError. No worker is left
+    when this returns or raises: the rest are killed once a job fails.
     """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(len(jobs), cpus)
-    multiprocessing = sys.modules.get("multiprocessing")  # imported in any of its daemons
-    if workers < 2 or not hasattr(os, "fork") or (
-        multiprocessing is not None and multiprocessing.current_process().daemon
-    ):
+    workers = _worker_count(len(jobs))
+    if workers < 2:
         return [_timed_record(job) for job in jobs]
-    pids, pipes = [], []
-    try:
-        for worker in range(workers):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _work(jobs[worker::workers], write_fd)
-            pids.append(pid)
-            os.close(write_fd)
-            pipes.append(os.fdopen(read_fd, "rb"))
-        results = []
-        for index in range(len(jobs)):
-            try:
-                result = pickle.load(pipes[index % workers])
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"the worker of run {index} of the grid died") from None
-            if isinstance(result[0], BaseException):
-                raise result[0] from RuntimeError(f"in the worker process:\n{result[1]}")
-            results.append(result)
-        return results
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)  # a worker that has sent its last result has no more to do
-        for pid in pids:
-            os.waitpid(pid, 0)
+    with _forked(lambda worker, pipe: _work(jobs[worker::workers], pipe), workers) as pipes:
+        return [
+            _receive(pipes[index % workers], f"run {index} of the grid")
+            for index in range(len(jobs))
+        ]
 
 
 def _run_grid(

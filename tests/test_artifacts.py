@@ -1,7 +1,10 @@
-"""Artifact I/O: streamed writes pinned to the joined-text bytes, atomic
-failure, loader equivalence, and memory bounds measured with tracemalloc."""
+"""Artifact I/O: streamed writes pinned to the joined-text bytes, tables
+written in row blocks by forked workers, atomic failure, loader
+equivalence, and memory bounds measured with tracemalloc."""
 
 import json
+import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -21,6 +24,7 @@ from dynlocrep import (
 from dynlocrep.cli import EXIT_OK, _write_embedding_export, main
 
 MB = 1 << 20
+BLOCK = data_module._BLOCK_CELLS
 
 
 def joined(lines):
@@ -131,6 +135,136 @@ def test_line_iterator_that_raises_keeps_the_previous_file_and_no_temp_file(tmp_
         data_module._write_lines_atomic(path, lines())
     assert path.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+# ---------------------------------------------------------------------------
+# a large table is written in row blocks by forked workers, to the same bytes
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The process ids of the workers forked while the test runs."""
+    fork, made = os.fork, []
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return made
+
+
+def rows_for(blocks, columns, parity):
+    """The fewest rows of the given parity whose table of ``columns`` matrix
+    columns holds ``blocks`` blocks."""
+    rows = -(-blocks * BLOCK // (columns + 1))
+    return rows + (rows % 2 != parity)
+
+
+@pytest.mark.parametrize(
+    ("columns", "blocks", "usable", "parity"),
+    [(16, 2, 2, 1), (16, 2, 2, 0), (1, 2, 2, 1), (16, 3, 4, 0), (16, 4, 4, 1), (16, 2, 4, 0)],
+    ids=["odd", "even", "one-column", "three-blocks", "four-blocks", "fewer-blocks-than-cpus"],
+)
+def test_write_csv_of_a_table_in_blocks_gives_the_joined_text(
+    tmp_path, cpus, forks, no_worker_left, columns, blocks, usable, parity
+):
+    cpus(usable)
+    rows = rows_for(blocks, columns, parity)
+    dataset = random_dataset(np.random.default_rng(rows), rows, columns)
+    write_csv(dataset, tmp_path / "data.csv")
+    assert len(forks) == blocks - 1
+    assert (tmp_path / "data.csv").read_bytes() == csv_reference(dataset).encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+@pytest.mark.parametrize(("columns", "parity"), [(32, 1), (32, 0), (1, 0)])
+def test_embedding_export_in_blocks_gives_the_joined_text(
+    tmp_path, cpus, forks, no_worker_left, columns, parity
+):
+    cpus(2)
+    rows = rows_for(2, columns, parity)
+    rng = np.random.default_rng(rows)
+    ids = tuple(f"s{i:05d}" for i in range(rows))
+    labels, embeddings = rng.normal(40.0, 15.0, size=rows), rng.standard_normal((rows, columns))
+    _write_embedding_export(tmp_path / "export.csv", 7, ids, labels, embeddings)
+    assert len(forks) == 1
+    expected = export_reference(7, ids, labels, embeddings)
+    assert (tmp_path / "export.csv").read_bytes() == expected.encode()
+
+
+def test_a_table_below_two_blocks_is_written_in_this_process(tmp_path, cpus, forks):
+    # the grid_c8 benchmark's set-up CSV is 500 x 16
+    cpus(2)
+    write_csv(generate_synthetic(SyntheticSpec(n=500), 0), tmp_path / "data.csv")
+    rows = rows_for(2, 16, 0) - 2
+    write_csv(random_dataset(np.random.default_rng(0), rows, 16), tmp_path / "data.csv")
+    assert forks == []
+
+
+def made_to_fail(original, *args):
+    raise ValueError("made to fail")
+
+
+def die(original, *args):
+    os._exit(3)
+
+
+def send_then_die(original, *args):
+    original(*args)
+    os._exit(3)
+
+
+@pytest.mark.parametrize(
+    ("name", "failing", "error", "message"),
+    [("_format_rows", made_to_fail, ValueError, "^made to fail$"),
+     ("_format_rows", die, ChildProcessError, "^the worker of rows {} to {} of {} died$"),
+     ("_send", send_then_die, ChildProcessError, "^the worker of rows {} to {} of {} died$")],
+    ids=["raises", "dies", "dies-after-sending-its-size"],
+)
+def test_a_failing_table_worker_keeps_the_previous_file(
+    tmp_path, cpus, in_workers, no_worker_left, name, failing, error, message
+):
+    cpus(2)
+    in_workers(name, failing)
+    path = tmp_path / "data.csv"
+    path.write_text("previous\n")
+    rows = rows_for(2, 16, 0)
+    with pytest.raises(error, match=message.format(rows // 2, rows, path)) as raised:
+        write_csv(random_dataset(np.random.default_rng(0), rows, 16), path)
+    if error is ValueError:  # the worker sends its traceback
+        assert "made to fail" in str(raised.value.__cause__)
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+def test_a_table_worker_sends_its_block_as_one_sized_text(tmp_path, monkeypatch, cpus, exit_here):
+    """The child's side of the fork, run here: os.fork returns 0, and the
+    worker's pipe is a file."""
+    sent = tmp_path / "sent"
+    write_fd = os.open(sent, os.O_WRONLY | os.O_CREAT)
+    read_fd = os.open(sent, os.O_RDONLY)
+    cpus(2)
+    monkeypatch.setattr(os, "pipe", lambda: (read_fd, write_fd))
+    monkeypatch.setattr(os, "fork", lambda: 0)
+    rows = rows_for(2, 16, 1)
+    dataset = random_dataset(np.random.default_rng(0), rows, 16)
+    try:
+        with pytest.raises(exit_here) as exited:
+            write_csv(dataset, tmp_path / "data.csv")
+    finally:
+        os.close(read_fd)
+    assert exited.value.args == (0,)
+    assert [p.name for p in tmp_path.iterdir()] == ["sent"]
+    with sent.open("rb") as pipe:
+        size, error = pickle.load(pipe)
+        text = pipe.read()
+    lines = csv_reference(dataset).splitlines(keepends=True)
+    assert error is None and size == len(text)
+    assert text == "".join(lines[1 + rows // 2:]).encode()
 
 
 # ---------------------------------------------------------------------------

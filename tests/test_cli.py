@@ -431,6 +431,64 @@ def test_unwritable_output_exits_73_before_any_work(tmp_path, capsys, monkeypatc
     assert blocker.read_text() == "a regular file\n"
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out-dir", "existing-out-dir"])
+def test_train_that_fails_at_an_export_leaves_no_artifact(tmp_path, monkeypatch, capsys, existing):
+    """The trace, the checkpoint and the first export were written when the
+    second export fails: they are removed, then the directories the command
+    made. A file that was there before stays."""
+    import dynlocrep.cli as cli_module
+
+    write_export, present = cli_module._write_embedding_export, []
+
+    def fail_at_epoch_2(path, epoch, *args):
+        if epoch == 2:
+            present.extend(sorted(p.name for p in path.parent.iterdir()))
+            raise OSError(28, "No space left on device")
+        write_export(path, epoch, *args)
+
+    monkeypatch.setattr(cli_module, "_write_embedding_export", fail_at_epoch_2)
+    data = tmp_path / "data.csv"
+    write_small_csv(data)
+    out_dir = tmp_path / "runs" / "run"
+    if existing:
+        out_dir.mkdir(parents=True)
+        (out_dir / "notes.txt").write_text("kept\n")
+    argv = ["train", "--data", str(data), "--out-dir", str(out_dir), *FAST_TRAIN,
+            "--export-epochs", "1,2"]
+    assert main(argv) == EXIT_CANT_CREATE
+    assert capsys.readouterr().err == "dynlocrep: error: [Errno 28] No space left on device\n"
+    kept = ["notes.txt"] if existing else []
+    assert present == sorted(["embeddings_epoch1.csv", "encoder.txt", "trace.jsonl", *kept])
+    if existing:
+        assert [p.name for p in out_dir.iterdir()] == ["notes.txt"]
+    else:
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+def test_train_whose_export_worker_dies_exits_73_without_artifact(
+    tmp_path, capsys, cpus, in_workers, no_worker_left
+):
+    """ChildProcessError is an OSError, and the CLI maps those to 73."""
+    import dynlocrep.data as data_module
+
+    in_workers("_format_rows", lambda original, *args: os._exit(3))
+    cpus(2)
+    data = tmp_path / "data.csv"
+    rows = 1000  # 1000 x 33 cells of export: two blocks
+    assert rows * 33 // data_module._BLOCK_CELLS >= 2 > rows * 7 // data_module._BLOCK_CELLS
+    write_small_csv(data, n=rows)
+    out_dir = tmp_path / "run"
+    argv = ["train", "--data", str(data), "--out-dir", str(out_dir), "--loss", "rnc",
+            "--epochs", "1", "--batch-size", "100", "--hidden-dims", "8", "--embed-dim", "32",
+            "--export-epochs", "1"]
+    assert main(argv) == EXIT_CANT_CREATE
+    export = out_dir / "embeddings_epoch1.csv"
+    assert capsys.readouterr().err == (
+        f"dynlocrep: error: the worker of rows 500 to 1000 of {export} died\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_benchmark_is_byte_identical_excluding_timing(tmp_path):
     """Two identical invocations agree on every byte outside "timing"."""
     reports = []

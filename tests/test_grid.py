@@ -7,7 +7,6 @@ import os
 import pickle
 import re
 import signal
-import threading
 import time
 
 import pytest
@@ -33,7 +32,7 @@ from dynlocrep import (
     train,
     write_csv,
 )
-from dynlocrep.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from dynlocrep.cli import EXIT_CANT_CREATE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 ENC = EncoderConfig(input_dim=8, hidden_dims=(16, 16), output_dim=8)
 BASE = TrainConfig(epochs=4, batch_size=8, nn_final=3, nn_step_size=1)
@@ -147,17 +146,6 @@ SEEDS = [0, 1, 2]
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """Sets how many CPUs this process may use, so that the worker path runs
-    on any machine."""
-
-    def set_cpus(count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-    return set_cpus
-
-
-@pytest.fixture
 def train_pids(monkeypatch, tmp_path):
     """The grid's trains run as usual, and each appends its process id to a
     file, which the returned function reads back as a set."""
@@ -173,27 +161,6 @@ def train_pids(monkeypatch, tmp_path):
 
     monkeypatch.setattr(evaluation_module, "train", recording_train)
     return lambda: set(map(int, pids.read_text().split()))
-
-
-@pytest.fixture
-def no_worker_left():
-    """Fails the test if it waits for more than 60 s, or if it leaves a child
-    process, running or unreaped, or a new thread."""
-
-    def hung(signum, frame):
-        raise TimeoutError("the grid still waits for its workers after 60 s")
-
-    threads = threading.enumerate()
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert threading.enumerate() == threads
 
 
 def ablate_grid(dataset, norms, seeds):
@@ -284,30 +251,46 @@ def test_cli_exit_code_of_a_failing_grid_is_unchanged(
     assert not out.exists()
 
 
-def test_a_dead_worker_makes_the_grid_raise_within_seconds(cpus, monkeypatch, no_worker_left):
+@pytest.fixture
+def dying_train(monkeypatch):
+    """Every train ends its process at once, and fails the test if it runs
+    in this process."""
     import dynlocrep.evaluation as evaluation_module
 
     parent = os.getpid()
 
-    def dying_train(*args, **kwargs):
+    def train_and_die(*args, **kwargs):
         if os.getpid() == parent:
             pytest.fail("the run was not sent to a worker")
         os._exit(3)
 
+    monkeypatch.setattr(evaluation_module, "train", train_and_die)
+
+
+def test_a_dead_worker_makes_the_grid_raise_within_seconds(cpus, dying_train, no_worker_left):
     cpus(2)
-    monkeypatch.setattr(evaluation_module, "train", dying_train)
     started = time.perf_counter()
-    with pytest.raises(RuntimeError, match="^the worker of run 0 of the grid died$"):
+    with pytest.raises(ChildProcessError, match="^the worker of run 0 of the grid died$"):
         run_grid(small_dataset(), [LossVariant.Y_AWARE], SEEDS)
     assert time.perf_counter() - started < 10
 
 
-class _Exited(Exception):
-    """Raised in place of os._exit, so that a worker's side runs in this process."""
+def test_cli_exit_code_of_a_dead_grid_worker_is_73(cpus, dying_train, tmp_path, capsys,
+                                                   no_worker_left):
+    """ChildProcessError is an OSError, and the CLI maps those to 73."""
+    cpus(2)
+    out = tmp_path / "report.json"
+    argv = ["benchmark", "--variants", "yaware", "--epochs", "1", "--synthetic-n", "60",
+            "--seeds", "0,1", "--batch-size", "8", "--hidden-dims", "8,8", "--embed-dim", "4",
+            "--out", str(out)]
+    assert main(argv) == EXIT_CANT_CREATE
+    assert capsys.readouterr().err == "dynlocrep: error: the worker of run 0 of the grid died\n"
+    assert not out.exists()
 
 
-def test_a_worker_sends_each_result_then_the_first_error_and_exits(monkeypatch):
-    """A worker's life, run here: the coverage tool traces no worker."""
+def test_a_worker_sends_each_result_then_the_first_error_and_exits(monkeypatch, exit_here):
+    """A worker's life, run here."""
+    import dynlocrep.data as data_module
     import dynlocrep.evaluation as evaluation_module
 
     def timed_record(job):
@@ -315,51 +298,39 @@ def test_a_worker_sends_each_result_then_the_first_error_and_exits(monkeypatch):
             raise NumericalError("made to fail")
         return {"job": job}, 0.5
 
-    def exit_here(code):
-        raise _Exited(code)
-
     monkeypatch.setattr(evaluation_module, "_timed_record", timed_record)
-    monkeypatch.setattr(os, "_exit", exit_here)
-    previous = signal.getsignal(signal.SIGINT)
     read_fd, write_fd = os.pipe()
-    try:
-        with pytest.raises(_Exited) as exited:
-            evaluation_module._work(["a", "b", "bad", "c"], write_fd)
-        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN  # Ctrl-C is the parent's
-    finally:
-        signal.signal(signal.SIGINT, previous)
+    work = lambda worker, pipe: evaluation_module._work(["a", "b", "bad", "c"], pipe)  # noqa: E731
+    with pytest.raises(exit_here) as exited:
+        data_module._child(work, 0, write_fd)
+    assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN  # Ctrl-C is the parent's
     assert exited.value.args == (0,)
     with os.fdopen(read_fd, "rb") as pipe:
         sent = [pickle.load(pipe) for _ in range(3)]
         assert pipe.read() == b""
-    assert sent[:2] == [({"job": "a"}, 0.5), ({"job": "b"}, 0.5)]
+    assert sent[:2] == [(({"job": "a"}, 0.5), None), (({"job": "b"}, 0.5), None)]
     error, text = sent[2]
     assert type(error) is NumericalError and str(error) == "made to fail"
     assert text.endswith("dynlocrep.errors.NumericalError: made to fail\n")
 
 
-def test_worker_w_of_w_workers_is_dealt_jobs_w_w_plus_w_and_so_on(monkeypatch, cpus):
+def test_worker_w_of_w_workers_is_dealt_jobs_w_w_plus_w_and_so_on(monkeypatch, cpus, exit_here):
     """The child's side of the fork, run here: os.fork returns 0."""
     import dynlocrep.evaluation as evaluation_module
 
     read_fd, write_fd = os.pipe()
     dealt = []
-
-    def work(jobs, fd):
-        dealt.append((jobs, fd))
-        raise _Exited()
-
     cpus(2)
     monkeypatch.setattr(os, "pipe", lambda: (read_fd, write_fd))
     monkeypatch.setattr(os, "fork", lambda: 0)
-    monkeypatch.setattr(evaluation_module, "_work", work)
+    monkeypatch.setattr(evaluation_module, "_work", lambda jobs, pipe: dealt.append(jobs))
     try:
-        with pytest.raises(_Exited):
+        with pytest.raises(exit_here) as exited:
             evaluation_module._run_jobs(["a", "b", "c"])
     finally:
         os.close(read_fd)
-        os.close(write_fd)
-    assert dealt == [(["a", "c"], write_fd)]
+    assert exited.value.args == (0,)
+    assert dealt == [["a", "c"]]
 
 
 # ---------------------------------------------------------------------------

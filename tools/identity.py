@@ -21,6 +21,11 @@ agree on a case only if they agree bit for bit:
   norms, two seeds), outside ``timing``, with each entry's mean MAE;
 - ``grid-error``: the exit code and error text of a ``dynlocrep benchmark``
   whose every run diverges (learning rate 1e100, two losses, two seeds).
+- ``generate``: the exit code and CSV bytes of ``dynlocrep generate`` at
+  n = 10 000;
+- ``train-export``: the exit code and artifact bytes of ``dynlocrep train
+  --export-epochs 1,2`` on a generated 2000-row CSV, whose 2000 x 33-cell
+  exports are large enough to be written in row blocks by forked workers.
 
 It prints each case's verdict and the criterion-8 MAE deltas (this tree
 minus REV), and exits 1 naming the first case that differs, else 0.
@@ -153,6 +158,29 @@ def _grid_error() -> dict:
     return {"exit": str(code), "stderr": err, "wrote_report": str(report is not None)}
 
 
+def _artifacts(*commands: list[str]) -> Callable[[], dict]:
+    """``dynlocrep`` with each argv in turn, ``{tmp}`` naming one fresh
+    directory: the last exit code, and the name and sha256 of every file
+    left in that directory. Stdout is dropped: ``_emit`` owns stdout."""
+
+    def run() -> dict:
+        import contextlib
+        import tempfile
+
+        from dynlocrep.cli import main
+
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            for argv in commands:
+                code = main([arg.format(tmp=tmp) for arg in argv])
+            files = sorted(path for path in Path(tmp).rglob("*") if path.is_file())
+            fields = {"exit": str(code), "files": " ".join(str(f.relative_to(tmp)) for f in files)}
+            for path in files:
+                fields[str(path.relative_to(tmp))] = hashlib.sha256(path.read_bytes()).hexdigest()
+        return fields
+
+    return run
+
+
 def cases() -> dict[str, Callable[[], dict]]:
     """Every case by name, in the order they run."""
     found: dict[str, Callable[[], dict]] = {}
@@ -166,6 +194,12 @@ def cases() -> dict[str, Callable[[], dict]]:
     found["criterion8"] = _criterion_8
     found["criterion9"] = _criterion_9
     found["grid-error"] = _grid_error
+    found["generate"] = _artifacts(["generate", "--n", "10000", "--out", "{tmp}/data.csv"])
+    found["train-export"] = _artifacts(
+        ["generate", "--n", "2000", "--out", "{tmp}/data.csv"],
+        ["train", "--data", "{tmp}/data.csv", "--out-dir", "{tmp}/run", "--epochs", "2",
+         "--export-epochs", "1,2"],
+    )
     return found
 
 
