@@ -31,11 +31,12 @@ import configparser
 import contextlib
 import enum
 import json
+import os
 import sys
 from pathlib import Path
 
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, write_csv
-from .data import _write_lines_atomic, _write_table
+from .data import _table_file, _temp_name, _write_lines_atomic, _write_table
 from .encoder import EncoderConfig, OptimConfig, save_checkpoint
 from .errors import ConfigError, DynLocRepError, NumericalError, ParseError
 from .evaluation import RidgeConfig, ablate_norms, benchmark
@@ -415,18 +416,27 @@ def _encoder_config(args: argparse.Namespace, input_dim: int) -> EncoderConfig:
 def _output_dir(path: Path):
     """Create directory ``path`` and its missing parents before the work
     that writes into it, so that an unusable location fails before any
-    work, and yield a list for the work to name each file it has written.
-    If the work fails, those files are removed, then the directories made
-    here that are then empty: a failed command leaves no artifact."""
+    work, and yield ``stage``: ``stage(file)`` names the temp file that the
+    work writes in place of ``file``. Once the work is done, every temp
+    file is renamed to its file. If the work fails, the temp files are
+    removed, then the directories made here that are then empty: a failed
+    command leaves no artifact, and the files of an earlier run stay."""
     made = [p for p in (path, *path.parents) if not p.exists()]
     path.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    staged: dict[Path, Path] = {}
+
+    def stage(file: Path) -> Path:
+        staged[file] = _temp_name(file)
+        return staged[file]
+
     try:
-        yield written
+        yield stage
+        for file, temp in staged.items():
+            os.replace(temp, file)
     except BaseException:
-        for file in written:
+        for temp in staged.values():
             with contextlib.suppress(OSError):
-                file.unlink()
+                temp.unlink()
         for directory in made:
             with contextlib.suppress(OSError):
                 directory.rmdir()
@@ -454,9 +464,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_embedding_export(path: Path, epoch: int, ids, labels, embeddings) -> None:
+def _export_table(epoch: int, ids, labels, embeddings) -> tuple:
+    """The header, line prefix, ids, labels and matrix of an embedding export."""
     header = "epoch,id,y," + ",".join(f"z{j}" for j in range(embeddings.shape[1]))
-    _write_table(path, header, f"{epoch},", ids, labels, embeddings)
+    return header, f"{epoch},", ids, labels, embeddings
+
+
+def _write_embedding_export(path: Path, epoch: int, ids, labels, embeddings) -> None:
+    _write_table(path, *_export_table(epoch, ids, labels, embeddings))
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -473,16 +488,25 @@ def _cmd_train(args: argparse.Namespace) -> int:
     optim, encoder_config = _optim_config(args), _encoder_config(args, dataset.feature_dim)
     trace_path = out_dir / "trace.jsonl"
     checkpoint_path = out_dir / "encoder.txt"
-    with _output_dir(out_dir) as written:
-        result = train(dataset, config, optim, encoder_config)
-        _write_lines_atomic(trace_path, map(json.dumps, result.trace))
-        written.append(trace_path)
-        save_checkpoint(result.encoder, checkpoint_path)
-        written.append(checkpoint_path)
-        for epoch, embeddings in sorted(result.exports.items()):
-            export = out_dir / f"embeddings_epoch{epoch}.csv"
-            _write_embedding_export(export, epoch, dataset.ids, dataset.labels, embeddings)
-            written.append(export)
+    last = max(config.export_epochs, default=None)
+    with _output_dir(out_dir) as stage, contextlib.ExitStack() as in_flight:
+
+        def export(epoch: int, embeddings) -> None:
+            """Every export but the last starts at its epoch, once the one
+            before it is written, and is formatted while the next epochs
+            train; the last one in flight is written after the last export."""
+            if epoch != last:
+                in_flight.close()
+                table = _export_table(epoch, dataset.ids, dataset.labels, embeddings)
+                path = stage(out_dir / f"embeddings_epoch{epoch}.csv")
+                in_flight.enter_context(_table_file(path, *table, overlapped=True))
+
+        result = train(dataset, config, optim, encoder_config, _on_export=export)
+        _write_lines_atomic(stage(trace_path), map(json.dumps, result.trace))
+        save_checkpoint(result.encoder, stage(checkpoint_path))
+        if last is not None:
+            path = stage(out_dir / f"embeddings_epoch{last}.csv")
+            _write_embedding_export(path, last, dataset.ids, dataset.labels, result.exports[last])
     final_loss = result.trace[-1]["mean_loss"] if result.trace else float("nan")
     print(f"trained {config.variant.value} for {config.epochs} epochs on {dataset.n} samples")
     print(f"final mean batch loss {final_loss:.6f}")

@@ -14,7 +14,6 @@ kept here too, below both.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 import pickle
@@ -228,13 +227,18 @@ def _forked(work: Callable[[int, BinaryIO], None], count: int) -> Iterator[list[
             os.waitpid(pid, 0)
 
 
+def _temp_name(path: str | Path) -> Path:
+    """The temp file beside ``path`` that this process writes it through."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
 @contextlib.contextmanager
 def _atomic_file(path: str | Path) -> Iterator:
     """A text handle on a temp file beside ``path``, which is os.replace'd
     into place once the block ends. A block that fails midway leaves any
     previous file at ``path`` intact and removes the temp file."""
-    path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    temp = _temp_name(path)
     try:
         with open(temp, "w") as handle:
             yield handle
@@ -258,48 +262,64 @@ def _format_rows(matrix: np.ndarray, sep: str = ",") -> Iterator[str]:
     return (sep.join(map(repr, row.tolist())) for row in matrix)
 
 
-# A table is cut into one row block per usable CPU only if each block
-# holds at least this many cells (labels and matrix values), about twice
-# the break-even: a cell takes about 0.72 us to format, a worker's fork,
-# faults and reaping several ms, and a table written in two blocks by a
-# 75 MB process broke even at about 15 000 cells (CHANGES.md).
+# A worker formats a block of a table only if the block holds at least this
+# many cells (labels and matrix values), about twice the break-even: a cell
+# takes about 0.72 us to format, a worker's fork, faults and reaping several
+# ms, and a table written in two blocks by a 75 MB process broke even at
+# about 15 000 cells (CHANGES.md).
 _BLOCK_CELLS = 16_384
 _CHUNK = 1 << 16  # bytes of a worker's text copied into the file at a time
 
 
-def _write_table(path: str | Path, header: str, prefix: str, ids: tuple[str, ...],
-                 labels: np.ndarray, matrix: np.ndarray) -> None:
+@contextlib.contextmanager
+def _table_file(path: str | Path, header: str, prefix: str, ids: tuple[str, ...],
+                labels: np.ndarray, matrix: np.ndarray, *,
+                overlapped: bool = False) -> Iterator[None]:
     """Write ``header``, then one line per row: ``prefix``, the row's id and
     its label's repr, comma-joined to the row's _format_rows text (a matrix
     without columns adds no comma), through an _atomic_file.
 
-    A table of at least two blocks of _BLOCK_CELLS cells is cut into
-    contiguous row blocks, as many as _worker_count allows. A forked worker
-    formats each block but the first into one text, while this process
-    streams the header and the first block into the file; then it appends
-    each worker's text in block order, _CHUNK bytes at a time. The bytes
-    are the same either way. A worker's error is raised here, and a worker
-    that dies raises ChildProcessError.
+    Entering starts the forked workers that format the table; leaving
+    without an error writes it: this process formats the rows that no
+    worker has, then appends each worker's text in row order, _CHUNK bytes
+    at a time. The bytes are the same either way. With an empty with-block,
+    this process formats the first of _worker_count(cells // _BLOCK_CELLS)
+    contiguous row blocks, and a worker each of the others. With
+    ``overlapped``, the with-block does other work meanwhile: one worker
+    formats the whole table if it holds _BLOCK_CELLS cells and a second CPU
+    is usable, and else this process does on leaving. A worker encodes its
+    text into one buffer, as the file's handle would, and sends it once it
+    is formatted. Its error is raised on leaving, and a worker that dies
+    raises ChildProcessError; an error in the with-block ends the workers
+    and the write.
     """
     n = len(ids)
-    blocks = _worker_count(n * (matrix.shape[1] + 1) // _BLOCK_CELLS)
+    cells = n * (matrix.shape[1] + 1)
+    if overlapped:  # first is 1 where this process formats block 0 itself
+        blocks, first = 1, int(cells < _BLOCK_CELLS or _worker_count(2) == 1)
+    else:
+        blocks, first = _worker_count(cells // _BLOCK_CELLS), 1
     bounds = [n * block // blocks for block in range(blocks + 1)]
 
     def lines(block: int) -> Iterator[str]:
+        if block == 0:
+            yield header
         rows = slice(bounds[block], bounds[block + 1])
         for row_id, y, text in zip(ids[rows], labels[rows].tolist(), _format_rows(matrix[rows])):
             yield f"{prefix}{row_id},{y!r},{text}" if text else f"{prefix}{row_id},{y!r}"
 
     def send(worker: int, pipe: BinaryIO) -> None:
-        # encoded as the handle encodes, so the bytes are those it would write
-        text = "".join(f"{line}\n" for line in lines(worker + 1)).encode(handle.encoding)
+        text = bytearray()
+        for line in lines(first + worker):
+            text += f"{line}\n".encode(handle.encoding)
         _send(pipe, len(text))
         pipe.write(text)
 
-    with _atomic_file(path) as handle, _forked(send, blocks - 1) as pipes:
-        handle.writelines(f"{line}\n" for line in itertools.chain([header], lines(0)))
+    with _atomic_file(path) as handle, _forked(send, blocks - first) as pipes:
+        yield
+        handle.writelines(f"{line}\n" for block in range(first) for line in lines(block))
         handle.flush()
-        for block, pipe in enumerate(pipes, start=1):
+        for block, pipe in enumerate(pipes, start=first):
             what = f"rows {bounds[block]} to {bounds[block + 1]} of {path}"
             left = _receive(pipe, what)
             while left:
@@ -308,6 +328,13 @@ def _write_table(path: str | Path, header: str, prefix: str, ids: tuple[str, ...
                     raise ChildProcessError(f"the worker of {what} died")
                 handle.buffer.write(chunk)
                 left -= len(chunk)
+
+
+def _write_table(path: str | Path, header: str, prefix: str, ids: tuple[str, ...],
+                 labels: np.ndarray, matrix: np.ndarray) -> None:
+    """A _table_file written at once, in row blocks where it is large."""
+    with _table_file(path, header, prefix, ids, labels, matrix):
+        pass
 
 
 def _parse_floats(text: str, sep: str | None, path: str | Path, lineno: int) -> list[float]:

@@ -7,6 +7,7 @@ same batches, and every numeric step is deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +88,8 @@ def train(
     config: TrainConfig,
     optim: OptimConfig,
     encoder_config: EncoderConfig,
+    *,
+    _on_export: Callable[[int, np.ndarray], None] = lambda epoch, embeddings: None,
 ) -> TrainResult:
     """Train the encoder on the dataset with the configured loss.
 
@@ -96,6 +99,9 @@ def train(
     ConfigError before the first step, as does an epoch whose guards drop
     every pair weight (the kernel bandwidth does not fit the labels).
     Non-finite embeddings or losses raise NumericalError naming the epoch.
+    Each export is also handed to ``_on_export(epoch, embeddings)`` as
+    soon as its epoch ends, so that a caller can write it while the next
+    epochs train.
     """
     if dataset.feature_dim != encoder_config.input_dim:
         raise ConfigError(
@@ -147,4 +153,6 @@ def train(
             raise NumericalError(f"epoch {epoch}: {exc}") from exc
         mean_loss = float(np.mean(batch_losses))
         trace.append({"epoch": epoch, "lr": lr, "nn_count": nn_count, "mean_loss": mean_loss})
+        if (epoch + 1) in exports:
+            _on_export(epoch + 1, exports[epoch + 1])
     return TrainResult(encoder=encoder, trace=trace, exports=exports)

@@ -1,5 +1,5 @@
-"""Fixtures shared by the tests of the forked workers: the grid's trains
-and the table writer's row blocks."""
+"""Fixtures shared by the tests of the forked workers: the grid's trains,
+the table writer's row blocks and the exports formatted while training."""
 
 import os
 import signal
@@ -17,6 +17,21 @@ def cpus(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
     return set_cpus
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The process ids of the workers forked while the test runs."""
+    fork, made = os.fork, []
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return made
 
 
 @pytest.fixture

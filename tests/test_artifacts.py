@@ -142,21 +142,6 @@ def test_line_iterator_that_raises_keeps_the_previous_file_and_no_temp_file(tmp_
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The process ids of the workers forked while the test runs."""
-    fork, made = os.fork, []
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return made
-
-
 def rows_for(blocks, columns, parity):
     """The fewest rows of the given parity whose table of ``columns`` matrix
     columns holds ``blocks`` blocks."""
@@ -243,7 +228,9 @@ def test_a_failing_table_worker_keeps_the_previous_file(
 
 def test_a_table_worker_sends_its_block_as_one_sized_text(tmp_path, monkeypatch, cpus, exit_here):
     """The child's side of the fork, run here: os.fork returns 0, and the
-    worker's pipe is a file."""
+    worker's pipe is a file. The worker holds one copy of its text, in the
+    buffer it encodes each line into: joining the lines, then encoding the
+    joined string, peaked at about three copies here."""
     sent = tmp_path / "sent"
     write_fd = os.open(sent, os.O_WRONLY | os.O_CREAT)
     read_fd = os.open(sent, os.O_RDONLY)
@@ -252,10 +239,13 @@ def test_a_table_worker_sends_its_block_as_one_sized_text(tmp_path, monkeypatch,
     monkeypatch.setattr(os, "fork", lambda: 0)
     rows = rows_for(2, 16, 1)
     dataset = random_dataset(np.random.default_rng(0), rows, 16)
+    tracemalloc.start()
     try:
         with pytest.raises(exit_here) as exited:
             write_csv(dataset, tmp_path / "data.csv")
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
+        tracemalloc.stop()
         os.close(read_fd)
     assert exited.value.args == (0,)
     assert [p.name for p in tmp_path.iterdir()] == ["sent"]
@@ -265,6 +255,7 @@ def test_a_table_worker_sends_its_block_as_one_sized_text(tmp_path, monkeypatch,
     lines = csv_reference(dataset).splitlines(keepends=True)
     assert error is None and size == len(text)
     assert text == "".join(lines[1 + rows // 2:]).encode()
+    assert peak < 1.5 * len(text)
 
 
 # ---------------------------------------------------------------------------

@@ -431,13 +431,46 @@ def test_unwritable_output_exits_73_before_any_work(tmp_path, capsys, monkeypatc
     assert blocker.read_text() == "a regular file\n"
 
 
-@pytest.mark.parametrize("existing", [False, True], ids=["new-out-dir", "existing-out-dir"])
-def test_train_that_fails_at_an_export_leaves_no_artifact(tmp_path, monkeypatch, capsys, existing):
-    """The trace, the checkpoint and the first export were written when the
-    second export fails: they are removed, then the directories the command
-    made. A file that was there before stays."""
+def earlier_files(out_dir, before, data):
+    """Makes ``out_dir`` as ``before`` says: absent ("new-out-dir"), holding
+    a note ("existing-out-dir"), or holding the artifacts of an earlier
+    successful run of seed 2 ("earlier-run"); returns its files' bytes."""
+    if before == "existing-out-dir":
+        out_dir.mkdir(parents=True)
+        (out_dir / "notes.txt").write_text("kept\n")
+    elif before == "earlier-run":
+        argv = ["train", "--data", str(data), "--out-dir", str(out_dir), *FAST_TRAIN,
+                "--seed", "2", "--export-epochs", "1,2,3"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()} if out_dir.exists() else {}
+
+
+def assert_left_as_before(tmp_path, out_dir, earlier):
+    """No artifact and no temp file is left, and an earlier file's bytes stay."""
+    if earlier:
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == earlier
+    else:
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+def temp_names(*names):
+    return [f".{name}.{os.getpid()}.tmp" for name in names]
+
+
+@pytest.mark.parametrize("before", ["new-out-dir", "existing-out-dir", "earlier-run"])
+def test_train_that_fails_at_an_export_leaves_no_artifact(tmp_path, monkeypatch, capsys, before):
+    """The trace and the checkpoint were written under temp names, and the
+    first export's temp file was open for its text, when the second export
+    fails: they are removed, then the directories the command made. The
+    files that were there before stay as they were, an earlier run's
+    artifacts too."""
     import dynlocrep.cli as cli_module
 
+    data = tmp_path / "data.csv"
+    write_small_csv(data)
+    out_dir = tmp_path / "runs" / "run"
+    earlier = earlier_files(out_dir, before, data)
     write_export, present = cli_module._write_embedding_export, []
 
     def fail_at_epoch_2(path, epoch, *args):
@@ -447,22 +480,15 @@ def test_train_that_fails_at_an_export_leaves_no_artifact(tmp_path, monkeypatch,
         write_export(path, epoch, *args)
 
     monkeypatch.setattr(cli_module, "_write_embedding_export", fail_at_epoch_2)
-    data = tmp_path / "data.csv"
-    write_small_csv(data)
-    out_dir = tmp_path / "runs" / "run"
-    if existing:
-        out_dir.mkdir(parents=True)
-        (out_dir / "notes.txt").write_text("kept\n")
     argv = ["train", "--data", str(data), "--out-dir", str(out_dir), *FAST_TRAIN,
             "--export-epochs", "1,2"]
+    capsys.readouterr()
     assert main(argv) == EXIT_CANT_CREATE
     assert capsys.readouterr().err == "dynlocrep: error: [Errno 28] No space left on device\n"
-    kept = ["notes.txt"] if existing else []
-    assert present == sorted(["embeddings_epoch1.csv", "encoder.txt", "trace.jsonl", *kept])
-    if existing:
-        assert [p.name for p in out_dir.iterdir()] == ["notes.txt"]
-    else:
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+    # the export's file is the temp file of its temp name until its text is in
+    written = temp_names("encoder.txt", "trace.jsonl", *temp_names("embeddings_epoch1.csv"))
+    assert present == sorted([*written, *earlier])
+    assert_left_as_before(tmp_path, out_dir, earlier)
 
 
 def test_train_whose_export_worker_dies_exits_73_without_artifact(
@@ -482,9 +508,108 @@ def test_train_whose_export_worker_dies_exits_73_without_artifact(
             "--epochs", "1", "--batch-size", "100", "--hidden-dims", "8", "--embed-dim", "32",
             "--export-epochs", "1"]
     assert main(argv) == EXIT_CANT_CREATE
-    export = out_dir / "embeddings_epoch1.csv"
+    (export,) = temp_names("embeddings_epoch1.csv")
     assert capsys.readouterr().err == (
-        f"dynlocrep: error: the worker of rows 500 to 1000 of {export} died\n"
+        f"dynlocrep: error: the worker of rows 500 to 1000 of {out_dir / export} died\n"
+    )
+    assert not out_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# every export but the last is formatted in a worker while the next epochs train
+# ---------------------------------------------------------------------------
+
+# 1000 rows of 32 embedding values: 33 000 cells, one worker's table
+OVERLAPPED = ["--batch-size", "100", "--hidden-dims", "8", "--embed-dim", "32"]
+
+
+def test_exports_formatted_while_training_are_the_bytes_of_one_cpu(
+    tmp_path, cpus, forks, no_worker_left
+):
+    """With two CPUs, exports 1 and 2 each have a worker while the next
+    epoch trains, and the last export is written in two row blocks."""
+    data = tmp_path / "data.csv"
+    write_small_csv(data, n=1000)
+    artifacts = {}
+    for usable in (1, 2):
+        cpus(usable)
+        out_dir = tmp_path / f"cpus{usable}"
+        argv = ["train", "--data", str(data), "--out-dir", str(out_dir), *OVERLAPPED,
+                "--epochs", "3", "--export-epochs", "1,2,3"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK
+        artifacts[usable] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert len(forks) == {1: 0, 2: 3}[usable]
+    assert sorted(artifacts[2]) == [
+        "embeddings_epoch1.csv", "embeddings_epoch2.csv", "embeddings_epoch3.csv",
+        "encoder.txt", "trace.jsonl",
+    ]
+    assert artifacts[2] == artifacts[1]
+
+
+@pytest.mark.parametrize(
+    ("before", "interrupt"),
+    [("new-out-dir", False), ("earlier-run", False), ("earlier-run", True)],
+    ids=["new-out-dir", "earlier-run", "earlier-run-ctrl-c"],
+)
+def test_train_that_fails_with_an_export_in_flight_leaves_no_artifact(
+    tmp_path, monkeypatch, capsys, cpus, forks, no_worker_left, before, interrupt
+):
+    """A NumericalError (exit 70) or a Ctrl-C in the first step of epoch 3,
+    while export 2's worker formats it: the worker is ended, and export 1's
+    temp file is removed."""
+    import dynlocrep.training as training_module
+    from dynlocrep import NumericalError
+
+    cpus(2)
+    data = tmp_path / "data.csv"
+    write_small_csv(data, n=1000)
+    out_dir = tmp_path / "runs" / "run"
+    earlier = earlier_files(out_dir, before, data)
+    loss, calls, in_flight = training_module.loss_with_gradient, [], []
+
+    def fail_in_epoch_3(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 21:  # 10 batches an epoch
+            in_flight.append(len(forks))
+            raise KeyboardInterrupt if interrupt else NumericalError("made to fail")
+        return loss(*args, **kwargs)
+
+    monkeypatch.setattr(training_module, "loss_with_gradient", fail_in_epoch_3)
+    argv = ["train", "--data", str(data), "--out-dir", str(out_dir), *OVERLAPPED,
+            "--loss", "rnc", "--epochs", "3", "--export-epochs", "1,2,3"]
+    capsys.readouterr()
+    if interrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "dynlocrep: error: numerical failure: epoch 2: made to fail\n"
+    assert in_flight == [2]
+    assert_left_as_before(tmp_path, out_dir, earlier)
+
+
+def test_train_whose_worker_in_flight_dies_exits_73_without_artifact(
+    tmp_path, capsys, cpus, in_workers, no_worker_left
+):
+    """Export 1's worker, which formats all 1000 rows, dies; the worker of
+    the last export's second row block does not."""
+
+    def die_on_the_whole_table(original, matrix):
+        return os._exit(3) if len(matrix) == 1000 else original(matrix)
+
+    in_workers("_format_rows", die_on_the_whole_table)
+    cpus(2)
+    data = tmp_path / "data.csv"
+    write_small_csv(data, n=1000)
+    out_dir = tmp_path / "run"
+    argv = ["train", "--data", str(data), "--out-dir", str(out_dir), *OVERLAPPED,
+            "--loss", "rnc", "--epochs", "2", "--export-epochs", "1,2"]
+    assert main(argv) == EXIT_CANT_CREATE
+    (export,) = temp_names("embeddings_epoch1.csv")
+    assert capsys.readouterr().err == (
+        f"dynlocrep: error: the worker of rows 0 to 1000 of {out_dir / export} died\n"
     )
     assert not out_dir.exists()
 

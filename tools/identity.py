@@ -23,9 +23,14 @@ agree on a case only if they agree bit for bit:
   whose every run diverges (learning rate 1e100, two losses, two seeds).
 - ``generate``: the exit code and CSV bytes of ``dynlocrep generate`` at
   n = 10 000;
-- ``train-export``: the exit code and artifact bytes of ``dynlocrep train
-  --export-epochs 1,2`` on a generated 2000-row CSV, whose 2000 x 33-cell
-  exports are large enough to be written in row blocks by forked workers.
+- ``train-export`` and ``train-export/<loss>``: the exit code and artifact
+  bytes of ``dynlocrep train --export-epochs 1,2`` on a generated 2000-row
+  CSV, for dynlocrep and for each other loss, whose 2000 x 33-cell exports
+  are large enough to be formatted by forked workers: the first while the
+  second epoch trains, the last in row blocks;
+- ``train-export/epochs3``: the same for dynlocrep with ``--epochs 3
+  --export-epochs 1,2,3``, whose second export is formatted while the first
+  is written.
 
 It prints each case's verdict and the criterion-8 MAE deltas (this tree
 minus REV), and exits 1 naming the first case that differs, else 0.
@@ -195,10 +200,14 @@ def cases() -> dict[str, Callable[[], dict]]:
     found["criterion9"] = _criterion_9
     found["grid-error"] = _grid_error
     found["generate"] = _artifacts(["generate", "--n", "10000", "--out", "{tmp}/data.csv"])
-    found["train-export"] = _artifacts(
-        ["generate", "--n", "2000", "--out", "{tmp}/data.csv"],
-        ["train", "--data", "{tmp}/data.csv", "--out-dir", "{tmp}/run", "--epochs", "2",
-         "--export-epochs", "1,2"],
+    generate = ["generate", "--n", "2000", "--out", "{tmp}/data.csv"]
+    train = ["train", "--data", "{tmp}/data.csv", "--out-dir", "{tmp}/run"]
+    two = ["--epochs", "2", "--export-epochs", "1,2"]
+    found["train-export"] = _artifacts(generate, [*train, *two])
+    for loss in LOSSES[1:]:
+        found[f"train-export/{loss}"] = _artifacts(generate, [*train, "--loss", loss, *two])
+    found["train-export/epochs3"] = _artifacts(
+        generate, [*train, "--epochs", "3", "--export-epochs", "1,2,3"]
     )
     return found
 
