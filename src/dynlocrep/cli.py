@@ -8,7 +8,8 @@ File keys must still name a long flag exactly. Exit codes: 0
 success, 2 refusal to overwrite, 64 usage or configuration error, 66
 input file (dataset or ``--config``) missing or unreadable, 70 numerical
 failure, 73 any other operating-system error, such as an output location
-that cannot be created or written. The
+that cannot be created or written, or a worker process that died, the
+dataset reader's included. The
 output directory, or the parent of ``--out``, is created before anything
 is generated, trained or benchmarked, so such a location fails at once; a
 command that fails removes the files it wrote, then the directories it
@@ -307,9 +308,12 @@ class _UnreadableInput(Exception):
 def _read_input(what: str, path: str | Path, read):
     """``read(path)``, with any OS error it raises reported as an
     unreadable input: every input is read before the first output is
-    made, so the input side is known here."""
+    made, so the input side is known here. A worker of the read that died
+    is no fault of the input: its ChildProcessError goes on (exit 73)."""
     try:
         return read(Path(path))
+    except ChildProcessError:
+        raise
     except OSError as exc:
         raise _UnreadableInput(f"cannot read {what} {path}: {exc.strerror or exc}") from None
 

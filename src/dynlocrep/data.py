@@ -7,8 +7,8 @@ cluster in two groups. The CSV format is ``id,y,f0,...,f{p-1}`` with one
 header row. Datasets, embedding exports and checkpoints share the float
 text rule kept here: values are written with repr, so a reload is
 bit-exact, and read back rejecting digit separators and non-finite values.
-The fork plumbing that the table writer and the benchmark grid share is
-kept here too, below both.
+The fork plumbing that the table writer and reader and the benchmark grid
+share is kept here too, below all three.
 """
 
 from __future__ import annotations
@@ -262,11 +262,12 @@ def _format_rows(matrix: np.ndarray, sep: str = ",") -> Iterator[str]:
     return (sep.join(map(repr, row.tolist())) for row in matrix)
 
 
-# A worker formats a block of a table only if the block holds at least this
-# many cells (labels and matrix values), about twice the break-even: a cell
-# takes about 0.72 us to format, a worker's fork, faults and reaping several
-# ms, and a table written in two blocks by a 75 MB process broke even at
-# about 15 000 cells (CHANGES.md).
+# A worker formats or parses a block of a table only if the block holds at
+# least this many cells (labels and matrix values), about twice the
+# break-even of formatting: a cell takes about 0.72 us to format and 0.5 us
+# to parse, a worker's fork, faults and reaping several ms, and in a 75 MB
+# process a table written in two blocks broke even at about 15 000 cells,
+# one read in two blocks at about 20 000 (CHANGES.md).
 _BLOCK_CELLS = 16_384
 _CHUNK = 1 << 16  # bytes of a worker's text copied into the file at a time
 
@@ -344,10 +345,12 @@ def _parse_floats(text: str, sep: str | None, path: str | Path, lineno: int) -> 
         # float() would also read PEP 515 digit separators: "1_0" as 10.0
         if "_" in text:
             raise ValueError
-        values = [float(cell) for cell in text.split(sep)]
+        values = list(map(float, text.split(sep)))
     except ValueError:
         raise ParseError(f"{path}: line {lineno}: non-numeric cell") from None
-    if not all(map(math.isfinite, values)):
+    # a non-finite cell makes the sum non-finite; a finite sum, the common
+    # case, spares the check of each cell, which runs only where it overflows
+    if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
         raise ParseError(f"{path}: line {lineno}: non-finite cell")
     return values
 
@@ -373,37 +376,89 @@ def load_csv(path: str | Path) -> Dataset:
 
     Raises ParseError naming the offending 1-based line for a malformed
     header, a wrong cell count, a non-numeric (digit separators included)
-    or non-finite cell, or a duplicate id.
+    or non-finite cell, or a duplicate id; a line with several defects
+    names the first of these, and a file with several defective lines
+    names the first line.
+
+    The file is read once, and its header checked, before the rows are
+    parsed, so a file replaced during the load cannot mix two versions.
+    A file of at least twice _BLOCK_CELLS cells (labels and features, one
+    row per newline) is cut at newlines into contiguous row blocks of
+    about equal length, one per usable CPU but none under _BLOCK_CELLS
+    cells (_worker_count): this process parses the first and a forked
+    worker each of the others, each splitting only its own block into
+    lines. A worker sends its block's ids and doubles, and they are
+    appended in block order, so the Dataset is the one a single process
+    parses, bit for bit. A block whose worker found a defect, or that
+    repeats an id of an earlier block, is parsed again here, where its
+    line numbers and the earlier ids are known, so the error is the one a
+    single process raises. A worker that dies raises ChildProcessError.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
+    text = path.read_text()  # universal newlines: no "\r" is left
+    first = text.find("\n") + 1 or len(text)
+    head = text[:first].splitlines()
+    if not head:
         raise ParseError(f"{path}: line 1: empty file")
-    header = lines[0].split(",")
+    header = head[0].split(",")
     if len(header) < 3 or header[0] != "id" or header[1] != "y":
         raise ParseError(f"{path}: line 1: header must start with 'id,y,f0,...'")
     expected = [f"f{j}" for j in range(len(header) - 2)]
     if header[2:] != expected:
         raise ParseError(f"{path}: line 1: feature columns must be f0..f{len(header) - 3}")
+    if len(head) == 1 and first == len(text):
+        raise ParseError(f"{path}: line 2: no data rows")
     p = len(header) - 2
+
+    # a cut just after a "\n" splits no line, so each block's lines are the
+    # file's lines from the block's first
+    blocks = _worker_count(text.count("\n") * (p + 1) // _BLOCK_CELLS)
+    bounds = [0, *(text.find("\n", len(text) * block // blocks) + 1 or len(text)
+                   for block in range(1, blocks)), len(text)]
+
+    def rows(block: int, lineno: int, seen: set[str], ids: list[str], buffer: array) -> None:
+        """Append the id of each row of ``block`` to ``ids`` and its label
+        and features to ``buffer``; its first row is line ``lineno``."""
+        lines = text[bounds[block]:bounds[block + 1]].splitlines()
+        for lineno, line in enumerate(lines[1:] if block == 0 else lines, start=lineno):
+            columns = line.count(",") + 1
+            if columns != p + 2:
+                raise ParseError(f"{path}: line {lineno}: expected {p + 2} columns, got {columns}")
+            row_id, _, numbers = line.partition(",")
+            if row_id in seen:
+                raise ParseError(f"{path}: line {lineno}: duplicate id {row_id!r}")
+            seen.add(row_id)
+            buffer.fromlist(_parse_floats(numbers, ",", path, lineno))
+            ids.append(row_id)
+
+    def send(worker: int, pipe: BinaryIO) -> None:
+        # the line numbers of a worker's block are not known here; an error
+        # it sends only makes the parent parse the block again
+        ids: list[str] = []
+        buffer = array("d")
+        rows(worker + 1, 0, set(), ids, buffer)
+        _send(pipe, (ids, buffer.tobytes()))
 
     ids: list[str] = []
     seen: set[str] = set()
     # one flat buffer of doubles, row by row: label, then the p features
     buffer = array("d")
-    for lineno, line in enumerate(lines[1:], start=2):
-        columns = line.count(",") + 1
-        if columns != p + 2:
-            raise ParseError(f"{path}: line {lineno}: expected {p + 2} columns, got {columns}")
-        row_id, _, numbers = line.partition(",")
-        if row_id in seen:
-            raise ParseError(f"{path}: line {lineno}: duplicate id {row_id!r}")
-        seen.add(row_id)
-        buffer.extend(_parse_floats(numbers, ",", path, lineno))
-        ids.append(row_id)
-    if not ids:
-        raise ParseError(f"{path}: line 2: no data rows")
-    del lines  # the text is parsed: free it before the arrays are copied out
+    with _forked(send, blocks - 1) as pipes:
+        rows(0, 2, seen, ids, buffer)
+        for block, pipe in enumerate(pipes, start=1):
+            lineno = len(ids) + 2
+            try:
+                block_ids, values = _receive(pipe, f"the rows from line {lineno} of {path}")
+                clean = seen.isdisjoint(block_ids)
+            except ParseError:
+                clean = False
+            if clean:
+                seen.update(block_ids)
+                ids.extend(block_ids)
+                buffer.frombytes(values)
+            else:  # raises the block's first defect
+                rows(block, lineno, seen, ids, buffer)
+    del text, seen  # the text is parsed: free it before the arrays are copied out
     values = np.frombuffer(buffer, dtype=np.float64).reshape(len(ids), p + 1)
     return Dataset(features=values[:, 1:].copy(), labels=values[:, 0].copy(), ids=tuple(ids))
 

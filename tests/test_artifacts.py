@@ -14,6 +14,7 @@ import dynlocrep.data as data_module
 from dynlocrep import (
     Dataset,
     EncoderConfig,
+    ParseError,
     SyntheticSpec,
     generate_synthetic,
     init_encoder,
@@ -284,6 +285,10 @@ def test_load_csv_matches_a_list_of_rows_parse_bit_for_bit(tmp_path, seed):
     if seed % 2:  # cells in other spellings than repr
         text = path.read_text().replace("e-", "E-").replace(".0,", ".000,")
         path.write_text(text)
+    assert_loads_as_reference(path)
+
+
+def assert_loads_as_reference(path):
     features, labels, ids = reference_load(path)
     dataset = load_csv(path)
     assert dataset.ids == ids
@@ -291,6 +296,210 @@ def test_load_csv_matches_a_list_of_rows_parse_bit_for_bit(tmp_path, seed):
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.flags.c_contiguous and got.flags.owndata
         assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a large CSV is parsed in row blocks by forked workers, to the same doubles
+# ---------------------------------------------------------------------------
+
+
+def read_rows_for(blocks, columns, parity):
+    """The fewest rows of the given parity whose CSV of ``columns`` features
+    the reader cuts into ``blocks`` blocks: it counts ``columns + 1`` cells
+    (label and features) per newline, the header's included."""
+    rows = -(-blocks * BLOCK // (columns + 1)) - 1
+    return rows + (rows % 2 != parity)
+
+
+def other_spellings(text):
+    return text.replace("e-", "E-").replace("e+", "e").replace(".0,", ".000,")
+
+
+def breaks_at_the_cut(text):
+    """Line breaks other than "\\n" that str.splitlines splits on, on the
+    three lines before and after the middle of the text, where the cut of
+    two blocks is sought."""
+    middle = text.index("\n", len(text) // 2)
+    before = [text.rindex("\n", 0, middle)]
+    while len(before) < 3:
+        before.append(text.rindex("\n", 0, before[-1]))
+    after = [middle]
+    while len(after) < 3:
+        after.append(text.index("\n", after[-1] + 1))
+    chars = list(text)
+    for at, mark in zip(sorted(before + after), "\x85\u2028" * 3):
+        chars[at] = mark
+    return "".join(chars)
+
+
+@pytest.mark.parametrize(
+    ("columns", "blocks", "usable", "parity", "spelling"),
+    [(16, 2, 1, 0, None), (16, 2, 2, 1, None), (16, 2, 2, 0, None), (1, 2, 2, 1, None),
+     (16, 3, 3, 0, None), (16, 4, 4, 1, None), (16, 2, 4, 0, None),
+     (16, 2, 2, 0, other_spellings), (16, 3, 3, 1, "\r\n"), (16, 2, 2, 1, breaks_at_the_cut)],
+    ids=["one-cpu", "odd", "even", "p1", "three-blocks", "four-blocks", "fewer-blocks-than-cpus",
+         "other-spellings", "crlf", "other-breaks-at-the-cut"],
+)
+def test_load_csv_in_blocks_matches_a_list_of_rows_parse_bit_for_bit(
+    tmp_path, cpus, forks, no_worker_left, columns, blocks, usable, parity, spelling
+):
+    cpus(usable)
+    # six newlines fewer where other line breaks stand in for them
+    rows = read_rows_for(blocks, columns, parity) + 6 * (spelling is breaks_at_the_cut)
+    path = tmp_path / "data.csv"
+    write_csv(random_dataset(np.random.default_rng(rows), rows, columns), path)
+    if spelling == "\r\n":
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    elif spelling is not None:
+        path.write_text(spelling(path.read_text()))
+    forks.clear()  # the writer's
+    assert_loads_as_reference(path)
+    assert len(forks) == min(blocks, usable) - 1
+
+
+def second_block_line(path):
+    """The line number of the first row of the second of two blocks: the
+    reader cuts just after the first newline from the middle of the text."""
+    text = path.read_text()
+    return text.count("\n", 0, text.index("\n", len(text) // 2) + 1) + 1
+
+
+def test_a_csv_below_two_blocks_is_parsed_in_this_process(tmp_path, cpus, forks):
+    # the grid_c8 benchmark's set-up CSV is 500 x 16
+    cpus(2)
+    path = tmp_path / "data.csv"
+    write_csv(generate_synthetic(SyntheticSpec(n=500), 0), path)
+    assert load_csv(path).n == 500
+    rows = read_rows_for(2, 16, 0) - 2
+    write_csv(random_dataset(np.random.default_rng(0), rows, 16), path)
+    assert load_csv(path).n == rows
+    assert forks == []  # the writer's included
+
+
+def with_defects(path, defects):
+    """Rewrite the CSV at ``path`` with each ``{line: edit}`` applied to its
+    1-based line: ``edit(line, lines)`` gives the new text."""
+    lines = path.read_text().splitlines()
+    for lineno, edit in defects.items():
+        lines[lineno - 1] = edit(lines[lineno - 1], lines)
+    path.write_text(joined(lines))
+
+
+def short(line, lines):
+    return line.rsplit(",", 1)[0]
+
+
+def nan(line, lines):
+    row_id, _, rest = line.partition(",")
+    return f"{row_id},nan,{rest.partition(',')[2]}"
+
+
+def letters(line, lines):
+    return line.replace(",", ",zebra", 1)
+
+
+def separator(line, lines):
+    row_id, _, rest = line.partition(",")
+    return f"{row_id},1_0,{rest.partition(',')[2]}"
+
+
+def first_id(line, lines):
+    return lines[1].partition(",")[0] + "," + line.partition(",")[2]
+
+
+def both(*edits):
+    def edit(line, lines):
+        for one in edits:
+            line = one(line, lines)
+        return line
+
+    return edit
+
+
+# a line number: 5 lies in the first block, -k is the k-th line from the
+# end, in the last block, and 0.5 the middle line, in the middle of three
+DEFECTS = {
+    "nan-then-short-row": ({5: nan, -5: short}, 5, "non-finite cell"),
+    "short-row-then-nan": ({0.5: short, -5: nan}, 0.5, "expected 18 columns, got 17"),
+    "first-block-id": ({-5: first_id}, -5, "duplicate id 'r0'"),
+    "first-block-id-then-letters": ({-5: first_id, -3: letters}, -5, "duplicate id 'r0'"),
+    "letters-then-first-block-id": ({-5: letters, -3: first_id}, -5, "non-numeric cell"),
+    "first-block-id-with-letters": ({-5: both(first_id, letters)}, -5, "duplicate id 'r0'"),
+    "short-row-with-first-block-id": ({-5: both(first_id, short)}, -5,
+                                      "expected 18 columns, got 17"),
+    "separator-in-the-last-block": ({-2: separator}, -2, "non-numeric cell"),
+}
+
+
+@pytest.mark.parametrize("usable", [2, 3])
+@pytest.mark.parametrize("case", list(DEFECTS))
+def test_a_defect_in_any_block_is_the_first_in_line_order(
+    tmp_path, cpus, forks, no_worker_left, usable, case
+):
+    """The error of a blocked load is the one a single process raises."""
+    edits, line, message = DEFECTS[case]
+    rows = read_rows_for(usable, 16, 0)
+    path = tmp_path / "data.csv"
+    write_csv(random_dataset(np.random.default_rng(0), rows, 16), path)
+    number = {5: 5, 0.5: rows // 2, **{-k: rows + 2 - k for k in range(1, 9)}}
+    with_defects(path, {number[at]: edit for at, edit in edits.items()})
+    line = number[line]
+    forks.clear()  # the writer's
+    errors = []
+    for count in (1, usable):
+        cpus(count)
+        with pytest.raises(ParseError) as raised:
+            load_csv(path)
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1] == f"{path}: line {line}: {message}"
+    assert len(forks) == usable - 1
+
+
+@pytest.mark.parametrize(
+    ("failing", "error", "message"),
+    [(made_to_fail, ValueError, "^made to fail$"),
+     (die, ChildProcessError, "^the worker of the rows from line {} of {} died$")],
+    ids=["raises", "dies"],
+)
+def test_a_failing_parse_worker_fails_the_load(
+    tmp_path, cpus, in_workers, no_worker_left, failing, error, message
+):
+    cpus(2)
+    in_workers("_parse_floats", failing)
+    rows = read_rows_for(2, 16, 0)
+    path = tmp_path / "data.csv"
+    write_csv(random_dataset(np.random.default_rng(0), rows, 16), path)
+    with pytest.raises(error, match=message.format(second_block_line(path), path)) as raised:
+        load_csv(path)
+    if error is ValueError:  # the worker sends its traceback
+        assert "made to fail" in str(raised.value.__cause__)
+
+
+def test_a_parse_worker_sends_its_block_s_ids_and_doubles(tmp_path, monkeypatch, cpus, exit_here):
+    """The child's side of the fork, run here: os.fork returns 0, and the
+    worker's pipe is a file."""
+    sent = tmp_path / "sent"
+    write_fd = os.open(sent, os.O_WRONLY | os.O_CREAT)
+    read_fd = os.open(sent, os.O_RDONLY)
+    cpus(2)
+    monkeypatch.setattr(os, "pipe", lambda: (read_fd, write_fd))
+    monkeypatch.setattr(os, "fork", lambda: 0)
+    rows = read_rows_for(2, 16, 1)
+    path = tmp_path / "data.csv"
+    write_csv(random_dataset(np.random.default_rng(0), rows, 16), path)
+    try:
+        with pytest.raises(exit_here) as exited:
+            load_csv(path)
+    finally:
+        os.close(read_fd)
+    assert exited.value.args == (0,)
+    with sent.open("rb") as pipe:
+        (ids, values), error = pickle.load(pipe)
+        assert pipe.read() == b""
+    first = second_block_line(path) - 2  # a 0-based row
+    features, labels, all_ids = reference_load(path)
+    assert error is None and ids == list(all_ids[first:])
+    assert values == np.column_stack((labels, features))[first:].tobytes()
 
 
 # ---------------------------------------------------------------------------

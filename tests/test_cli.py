@@ -614,6 +614,65 @@ def test_train_whose_worker_in_flight_dies_exits_73_without_artifact(
     assert not out_dir.exists()
 
 
+# ---------------------------------------------------------------------------
+# a 2000-row dataset CSV is parsed in two row blocks where two CPUs are usable
+# ---------------------------------------------------------------------------
+
+
+def dataset_argv(command, data, tmp_path):
+    """``command`` on the dataset ``data``, its output under ``tmp_path``."""
+    if command == "train":
+        return ["train", "--data", str(data), "--out-dir", str(tmp_path / "run"), "--epochs", "1"]
+    return ["benchmark", "--data", str(data), "--out", str(tmp_path / "run" / "report.json"),
+            "--seeds", "0", "--variants", "rnc", "--epochs", "1"]
+
+
+def two_block_csv(path):
+    """Write a 2000 x 16 dataset, 34 017 cells, two row blocks, and return
+    the line number of the second block's first row."""
+    write_csv(generate_synthetic(SyntheticSpec(n=2000), 0), path)
+    text = path.read_text()
+    return text.count("\n", 0, text.index("\n", len(text) // 2) + 1) + 1
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_a_dataset_whose_parse_worker_dies_exits_73(
+    tmp_path, capsys, cpus, in_workers, no_worker_left, command
+):
+    """A dead worker is no fault of the input (66): ChildProcessError is an
+    OSError, and the CLI maps those to 73."""
+    in_workers("_parse_floats", lambda original, *args: os._exit(3))
+    cpus(2)
+    data = tmp_path / "data.csv"
+    line = two_block_csv(data)
+    assert main(dataset_argv(command, data, tmp_path)) == EXIT_CANT_CREATE
+    assert capsys.readouterr().err == (
+        f"dynlocrep: error: the worker of the rows from line {line} of {data} died\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_a_defect_that_a_parse_worker_finds_exits_64_as_in_one_process(
+    tmp_path, capsys, cpus, forks, no_worker_left, command
+):
+    data = tmp_path / "data.csv"
+    two_block_csv(data)
+    lines = data.read_text().splitlines(keepends=True)
+    lines[1990] = lines[1990].replace(",", ",nan", 1)  # line 1991's label: "nan" and digits
+    data.write_text("".join(lines))
+    forks.clear()  # the writer's
+    errors = []
+    for usable in (1, 2):
+        cpus(usable)
+        capsys.readouterr()
+        assert main(dataset_argv(command, data, tmp_path)) == EXIT_USAGE
+        errors.append(capsys.readouterr().err)
+    assert len(forks) == 1
+    assert errors == [f"dynlocrep: error: {data}: line 1991: non-numeric cell\n"] * 2
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
 def test_benchmark_is_byte_identical_excluding_timing(tmp_path):
     """Two identical invocations agree on every byte outside "timing"."""
     reports = []

@@ -194,6 +194,23 @@ def test_nan_cell_is_rejected_with_line_number(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize(
+    ("cells", "finite"),
+    [("1e308,1e308", True), ("-1e308,-1e308", True), ("1e308,inf", False), ("-inf,inf", False),
+     ("1.0,nan", False)],
+)
+def test_a_row_is_finite_by_its_cells_not_by_their_sum(tmp_path, cells, finite):
+    """A row of finite cells whose sum overflows loads; a non-finite cell
+    does not, whatever the other cells sum to."""
+    path = tmp_path / "data.csv"
+    path.write_text(f"id,y,f0\na,{cells}\n")
+    if finite:
+        assert load_csv(path).labels.tolist() == [float(cells.split(",")[0])]
+    else:
+        with pytest.raises(ParseError, match=r"line 2: non-finite cell$"):
+            load_csv(path)
+
+
 def test_non_numeric_cell_is_rejected_with_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,y,f0\na,30.0,zebra\n")

@@ -30,7 +30,14 @@ agree on a case only if they agree bit for bit:
   second epoch trains, the last in row blocks;
 - ``train-export/epochs3``: the same for dynlocrep with ``--epochs 3
   --export-epochs 1,2,3``, whose second export is formatted while the first
-  is written.
+  is written;
+- ``load-error/<defect>``: the exit code and stderr of ``dynlocrep train`` on
+  a generated 2000-row CSV, parsed in two row blocks where two CPUs are
+  usable, whose line 1901, in the last block, holds one defect: a short
+  row, a copy of the first row's id, a non-numeric cell, a digit separator
+  or a NaN;
+- ``help/<command>``: the exit code and stdout of ``dynlocrep --help`` (``root``)
+  and of each command's ``--help``.
 
 It prints each case's verdict and the criterion-8 MAE deltas (this tree
 minus REV), and exits 1 naming the first case that differs, else 0.
@@ -186,6 +193,51 @@ def _artifacts(*commands: list[str]) -> Callable[[], dict]:
     return run
 
 
+# each edits a data row (``id,y,...``) into one holding a defect; ``first``
+# is the first data row
+DEFECTS: dict[str, Callable[[str, str], str]] = {
+    "short-row": lambda row, first: row.rsplit(",", 1)[0],
+    "first-block-id": lambda row, first: f"{first.partition(',')[0]},{row.partition(',')[2]}",
+    "non-numeric": lambda row, first: row.replace(",", ",zebra", 1),
+    "digit-separator": lambda row, first: row.replace(",", ",1_", 1),  # float() reads "1_25.3"
+    "nan": lambda row, first: "{},nan,{}".format(*row.split(",", 2)[::2]),  # the label
+}
+
+
+def _load_error(defect: str) -> Callable[[], dict]:
+    def run() -> dict:
+        import contextlib
+        import tempfile
+
+        from dynlocrep.cli import main
+
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            data, err = Path(tmp) / "data.csv", io.StringIO()
+            main(["generate", "--n", "2000", "--out", str(data)])
+            lines = data.read_text().splitlines()
+            lines[1900] = DEFECTS[defect](lines[1900], lines[1])
+            data.write_text("\n".join(lines) + "\n")
+            with contextlib.redirect_stderr(err):
+                code = main(["train", "--data", str(data), "--out-dir", f"{tmp}/run"])
+        return {"exit": str(code), "stderr": err.getvalue().replace(tmp, "{tmp}")}
+
+    return run
+
+
+def _help(argv: list[str]) -> Callable[[], dict]:
+    def run() -> dict:
+        import contextlib
+
+        from dynlocrep.cli import main
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*argv, "--help"])
+        return {"exit": str(code), "stdout": out.getvalue()}
+
+    return run
+
+
 def cases() -> dict[str, Callable[[], dict]]:
     """Every case by name, in the order they run."""
     found: dict[str, Callable[[], dict]] = {}
@@ -209,6 +261,11 @@ def cases() -> dict[str, Callable[[], dict]]:
     found["train-export/epochs3"] = _artifacts(
         generate, [*train, "--epochs", "3", "--export-epochs", "1,2,3"]
     )
+    for defect in DEFECTS:
+        found[f"load-error/{defect}"] = _load_error(defect)
+    found["help/root"] = _help([])
+    for command in ("generate", "train", "benchmark", "ablate"):
+        found[f"help/{command}"] = _help([command])
     return found
 
 
