@@ -37,7 +37,7 @@ import sys
 from pathlib import Path
 
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, write_csv
-from .data import _table_file, _temp_name, _write_lines_atomic, _write_table
+from .data import _table_file, _temp_name, _write_lines_atomic
 from .encoder import EncoderConfig, OptimConfig, save_checkpoint
 from .errors import ConfigError, DynLocRepError, NumericalError, ParseError
 from .evaluation import RidgeConfig, ablate_norms, benchmark
@@ -474,10 +474,6 @@ def _export_table(epoch: int, ids, labels, embeddings) -> tuple:
     return header, f"{epoch},", ids, labels, embeddings
 
 
-def _write_embedding_export(path: Path, epoch: int, ids, labels, embeddings) -> None:
-    _write_table(path, *_export_table(epoch, ids, labels, embeddings))
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     data_path = _require("train", args, "data", "--data")
     out_dir = Path(_require("train", args, "out_dir", "--out-dir"))
@@ -492,30 +488,30 @@ def _cmd_train(args: argparse.Namespace) -> int:
     optim, encoder_config = _optim_config(args), _encoder_config(args, dataset.feature_dim)
     trace_path = out_dir / "trace.jsonl"
     checkpoint_path = out_dir / "encoder.txt"
-    last = max(config.export_epochs, default=None)
     with _output_dir(out_dir) as stage, contextlib.ExitStack() as in_flight:
 
         def export(epoch: int, embeddings) -> None:
-            """Every export but the last starts at its epoch, once the one
-            before it is written, and is formatted while the next epochs
-            train; the last one in flight is written after the last export."""
-            if epoch != last:
+            """An export with epochs still to train is formatted by one
+            worker while they train, once the export before it is written;
+            one at the last epoch is written at once, in row blocks."""
+            table = _export_table(epoch, dataset.ids, dataset.labels, embeddings)
+            path = stage(out_dir / f"embeddings_epoch{epoch}.csv")
+            if epoch < config.epochs:
                 in_flight.close()
-                table = _export_table(epoch, dataset.ids, dataset.labels, embeddings)
-                path = stage(out_dir / f"embeddings_epoch{epoch}.csv")
                 in_flight.enter_context(_table_file(path, *table, overlapped=True))
+            else:
+                with _table_file(path, *table):
+                    pass
 
         result = train(dataset, config, optim, encoder_config, _on_export=export)
         _write_lines_atomic(stage(trace_path), map(json.dumps, result.trace))
         save_checkpoint(result.encoder, stage(checkpoint_path))
-        if last is not None:
-            path = stage(out_dir / f"embeddings_epoch{last}.csv")
-            _write_embedding_export(path, last, dataset.ids, dataset.labels, result.exports[last])
+    exports = len(set(config.export_epochs))
     final_loss = result.trace[-1]["mean_loss"] if result.trace else float("nan")
     print(f"trained {config.variant.value} for {config.epochs} epochs on {dataset.n} samples")
     print(f"final mean batch loss {final_loss:.6f}")
     print(f"artifacts: {checkpoint_path}, {trace_path}" + (
-        f", {len(result.exports)} embedding export(s)" if result.exports else ""
+        f", {exports} embedding export(s)" if exports else ""
     ))
     return EXIT_OK
 

@@ -277,8 +277,8 @@ def _table_file(path: str | Path, header: str, prefix: str, ids: tuple[str, ...]
                 labels: np.ndarray, matrix: np.ndarray, *,
                 overlapped: bool = False) -> Iterator[None]:
     """Write ``header``, then one line per row: ``prefix``, the row's id and
-    its label's repr, comma-joined to the row's _format_rows text (a matrix
-    without columns adds no comma), through an _atomic_file.
+    its label's repr, comma-joined to the row's _format_rows text, through
+    an _atomic_file.
 
     Entering starts the forked workers that format the table; leaving
     without an error writes it: this process formats the rows that no
@@ -307,7 +307,7 @@ def _table_file(path: str | Path, header: str, prefix: str, ids: tuple[str, ...]
             yield header
         rows = slice(bounds[block], bounds[block + 1])
         for row_id, y, text in zip(ids[rows], labels[rows].tolist(), _format_rows(matrix[rows])):
-            yield f"{prefix}{row_id},{y!r},{text}" if text else f"{prefix}{row_id},{y!r}"
+            yield f"{prefix}{row_id},{y!r},{text}"
 
     def send(worker: int, pipe: BinaryIO) -> None:
         text = bytearray()
@@ -331,13 +331,6 @@ def _table_file(path: str | Path, header: str, prefix: str, ids: tuple[str, ...]
                 left -= len(chunk)
 
 
-def _write_table(path: str | Path, header: str, prefix: str, ids: tuple[str, ...],
-                 labels: np.ndarray, matrix: np.ndarray) -> None:
-    """A _table_file written at once, in row blocks where it is large."""
-    with _table_file(path, header, prefix, ids, labels, matrix):
-        pass
-
-
 def _parse_floats(text: str, sep: str | None, path: str | Path, lineno: int) -> list[float]:
     """The values of the ``sep``-separated cells of ``text``, line ``lineno``
     of ``path``; a non-numeric or non-finite cell raises ParseError."""
@@ -356,11 +349,15 @@ def _parse_floats(text: str, sep: str | None, path: str | Path, lineno: int) -> 
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write the dataset in the documented ``id,y,f0,...`` format.
+    """Write the dataset in the documented ``id,y,f0,...`` format, at once,
+    in row blocks where it is large (_table_file).
 
-    An id holding a comma or a line break of ``str.splitlines``, which
-    load_csv would split, raises InputError before the file is touched.
+    A dataset without features, or an id holding a comma or a line break
+    of ``str.splitlines``, which load_csv would refuse or split, raises
+    InputError before the file is touched.
     """
+    if dataset.feature_dim == 0:
+        raise InputError("a dataset CSV needs at least one feature column; this dataset has none")
     for row, row_id in enumerate(dataset.ids):
         if "," in row_id or row_id.splitlines() not in ([], [row_id]):
             raise InputError(
@@ -368,7 +365,8 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
                 "which a dataset CSV cannot carry"
             )
     header = "id,y," + ",".join(f"f{j}" for j in range(dataset.feature_dim))
-    _write_table(path, header, "", dataset.ids, dataset.labels, dataset.features)
+    with _table_file(path, header, "", dataset.ids, dataset.labels, dataset.features):
+        pass
 
 
 def load_csv(path: str | Path) -> Dataset:

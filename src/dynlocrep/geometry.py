@@ -50,8 +50,8 @@ class EmbeddingBatch:
 
     @classmethod
     def from_raw(cls, raw: np.ndarray) -> "EmbeddingBatch":
-        raw = _check_array("embeddings", raw, ("n", "d"))
-        return cls(raw=raw, unit=l2_normalize(raw))
+        unit = l2_normalize(raw)  # checks raw by the array rule
+        return cls(raw=np.asarray(raw, dtype=_FLOAT64), unit=unit)
 
 
 def l2_normalize(raw: np.ndarray) -> np.ndarray:

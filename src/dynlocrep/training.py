@@ -65,7 +65,8 @@ class TrainResult:
     Each trace entry is a JSON-ready dict {epoch, lr, nn_count, mean_loss};
     nn_count is None for the global baselines, which ignore the schedule.
     exports maps a 1-based count of completed epochs to the unit embeddings
-    of the full training set at that point.
+    of the full training set at that point; it is empty where train handed
+    each export to its ``_on_export`` hook instead.
     """
 
     encoder: Encoder
@@ -89,7 +90,7 @@ def train(
     optim: OptimConfig,
     encoder_config: EncoderConfig,
     *,
-    _on_export: Callable[[int, np.ndarray], None] = lambda epoch, embeddings: None,
+    _on_export: Callable[[int, np.ndarray], None] | None = None,
 ) -> TrainResult:
     """Train the encoder on the dataset with the configured loss.
 
@@ -99,9 +100,10 @@ def train(
     ConfigError before the first step, as does an epoch whose guards drop
     every pair weight (the kernel bandwidth does not fit the labels).
     Non-finite embeddings or losses raise NumericalError naming the epoch.
-    Each export is also handed to ``_on_export(epoch, embeddings)`` as
-    soon as its epoch ends, so that a caller can write it while the next
-    epochs train.
+    Each export goes, as soon as its epoch ends, to one consumer: the hook
+    ``_on_export(epoch, embeddings)`` where one is given, so that a caller
+    can write it while the next epochs train and hold no more exports than
+    it writes, and otherwise the result's ``exports``.
     """
     if dataset.feature_dim != encoder_config.input_dim:
         raise ConfigError(
@@ -124,11 +126,13 @@ def train(
 
     trace: list[dict] = []
     exports: dict[int, np.ndarray] = {}
+    on_export = exports.__setitem__ if _on_export is None else _on_export
     for epoch in range(config.epochs):
         lr = optim.learning_rate_at_epoch(epoch)
         nn_count = neighbors_at_epoch(schedule, epoch) if schedule is not None else None
         batch_losses = []
         weighted = False
+        unit = None
         try:
             for rows in _epoch_batches(dataset.n, config.batch_size, config.seed, epoch):
                 features = dataset.features[rows]
@@ -148,11 +152,11 @@ def train(
                     f"dropped, so it would train on a loss of exactly 0; {unfit}"
                 )
             if (epoch + 1) in config.export_epochs:
-                exports[epoch + 1] = encoder.forward(dataset.features).unit
+                unit = encoder.forward(dataset.features).unit
         except NumericalError as exc:
             raise NumericalError(f"epoch {epoch}: {exc}") from exc
         mean_loss = float(np.mean(batch_losses))
         trace.append({"epoch": epoch, "lr": lr, "nn_count": nn_count, "mean_loss": mean_loss})
-        if (epoch + 1) in exports:
-            _on_export(epoch + 1, exports[epoch + 1])
+        if unit is not None:
+            on_export(epoch + 1, unit)
     return TrainResult(encoder=encoder, trace=trace, exports=exports)

@@ -14,6 +14,7 @@ import dynlocrep.data as data_module
 from dynlocrep import (
     Dataset,
     EncoderConfig,
+    InputError,
     ParseError,
     SyntheticSpec,
     generate_synthetic,
@@ -22,7 +23,7 @@ from dynlocrep import (
     save_checkpoint,
     write_csv,
 )
-from dynlocrep.cli import EXIT_OK, _write_embedding_export, main
+from dynlocrep.cli import EXIT_OK, _export_table, main
 
 MB = 1 << 20
 BLOCK = data_module._BLOCK_CELLS
@@ -47,6 +48,13 @@ def export_reference(epoch, ids, labels, embeddings):
     header = "epoch,id,y," + ",".join(f"z{j}" for j in range(embeddings.shape[1]))
     values = np.column_stack((labels, embeddings))
     return joined([header, *(f"{epoch},{i},{repr_row(row)}" for i, row in zip(ids, values))])
+
+
+def write_export(path, epoch, ids, labels, embeddings):
+    """An embedding export's table, written at once as ``dynlocrep train``
+    writes the export of its last epoch."""
+    with data_module._table_file(path, *_export_table(epoch, ids, labels, embeddings)):
+        pass
 
 
 def random_dataset(rng, n, p):
@@ -74,11 +82,22 @@ def peak_bytes(call):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(("n", "p"), [(1, 1), (7, 1), (23, 5), (4, 0), (1, 0)])
+@pytest.mark.parametrize(("n", "p"), [(1, 1), (7, 1), (23, 5)])
 def test_write_csv_bytes_equal_the_joined_text(tmp_path, n, p):
     dataset = random_dataset(np.random.default_rng(n * 10 + p), n, p)
     write_csv(dataset, tmp_path / "data.csv")
     assert (tmp_path / "data.csv").read_bytes() == csv_reference(dataset).encode()
+
+
+@pytest.mark.parametrize("n", [4, 1])
+def test_write_csv_refuses_a_dataset_without_features_before_the_file_is_touched(tmp_path, n):
+    """Its header would be ``id,y,``, which load_csv refuses."""
+    path = tmp_path / "data.csv"
+    path.write_text("previous\n")
+    with pytest.raises(InputError, match="^a dataset CSV needs at least one feature column"):
+        write_csv(random_dataset(np.random.default_rng(n * 10), n, 0), path)
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
 
 @pytest.mark.parametrize(("n", "d"), [(1, 1), (9, 4), (30, 32)])
@@ -86,7 +105,7 @@ def test_embedding_export_bytes_equal_the_joined_text(tmp_path, n, d):
     rng = np.random.default_rng(n + d)
     ids = tuple(f"s{i:05d}" for i in range(n))
     labels, embeddings = rng.normal(40.0, 15.0, size=n), rng.standard_normal((n, d))
-    _write_embedding_export(tmp_path / "export.csv", 7, ids, labels, embeddings)
+    write_export(tmp_path / "export.csv", 7, ids, labels, embeddings)
     expected = export_reference(7, ids, labels, embeddings)
     assert (tmp_path / "export.csv").read_bytes() == expected.encode()
 
@@ -176,7 +195,7 @@ def test_embedding_export_in_blocks_gives_the_joined_text(
     rng = np.random.default_rng(rows)
     ids = tuple(f"s{i:05d}" for i in range(rows))
     labels, embeddings = rng.normal(40.0, 15.0, size=rows), rng.standard_normal((rows, columns))
-    _write_embedding_export(tmp_path / "export.csv", 7, ids, labels, embeddings)
+    write_export(tmp_path / "export.csv", 7, ids, labels, embeddings)
     assert len(forks) == 1
     expected = export_reference(7, ids, labels, embeddings)
     assert (tmp_path / "export.csv").read_bytes() == expected.encode()
@@ -513,7 +532,7 @@ def test_embedding_export_of_10000_rows_peaks_below_1_mb(tmp_path):
     ids = tuple(f"s{i:05d}" for i in range(10_000))
     labels, embeddings = rng.normal(40.0, 15.0, size=10_000), rng.standard_normal((10_000, 32))
     peak = peak_bytes(
-        lambda: _write_embedding_export(tmp_path / "export.csv", 1, ids, labels, embeddings)
+        lambda: write_export(tmp_path / "export.csv", 1, ids, labels, embeddings)
     )
     assert peak < 1 * MB
 
@@ -530,3 +549,26 @@ def test_load_csv_peaks_below_two_and_a_half_times_the_file_size(tmp_path):
     path = tmp_path / "data.csv"
     write_csv(generate_synthetic(SyntheticSpec(n=10_000), 0), path)
     assert peak_bytes(lambda: load_csv(path)) < 2.5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("usable", [1, 2])
+def test_train_holds_at_most_two_exports_whatever_their_number(
+    tmp_path, capsys, cpus, no_worker_left, usable
+):
+    """An export at each of 6 epochs peaks less than two exports' embeddings
+    above one export at the last epoch: the export in flight and the one
+    just made. Keeping every export until training ended held six."""
+    cpus(usable)
+    rows, embed_dim = 3000, 32
+    data = tmp_path / "data.csv"
+    write_csv(generate_synthetic(SyntheticSpec(n=rows), 0), data)
+    peaks, codes = {}, []
+    for exports in ("6", "1,2,3,4,5,6"):
+        out_dir = tmp_path / exports.replace(",", "")
+        argv = ["train", "--data", str(data), "--out-dir", str(out_dir), "--loss", "rnc",
+                "--epochs", "6", "--batch-size", "100", "--hidden-dims", "8",
+                "--embed-dim", str(embed_dim), "--export-epochs", exports]
+        peaks[exports] = peak_bytes(lambda: codes.append(main(argv)))
+    assert codes == [EXIT_OK, EXIT_OK]
+    assert capsys.readouterr().out.count(" 6 embedding export(s)\n") == 1
+    assert peaks["1,2,3,4,5,6"] - peaks["6"] < 2 * rows * embed_dim * 8

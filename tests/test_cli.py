@@ -431,6 +431,22 @@ def test_unwritable_output_exits_73_before_any_work(tmp_path, capsys, monkeypatc
     assert blocker.read_text() == "a regular file\n"
 
 
+def test_train_counts_an_export_epoch_given_twice_once(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_small_csv(data)
+    out_dir = tmp_path / "run"
+    argv = ["train", "--data", str(data), "--out-dir", str(out_dir), *FAST_TRAIN,
+            "--export-epochs", "1,1,2"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"artifacts: {out_dir / 'encoder.txt'}, {out_dir / 'trace.jsonl'}, 2 embedding export(s)"
+    )
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "embeddings_epoch1.csv", "embeddings_epoch2.csv", "encoder.txt", "trace.jsonl",
+    ]
+
+
 def earlier_files(out_dir, before, data):
     """Makes ``out_dir`` as ``before`` says: absent ("new-out-dir"), holding
     a note ("existing-out-dir"), or holding the artifacts of an earlier
@@ -460,33 +476,33 @@ def temp_names(*names):
 
 @pytest.mark.parametrize("before", ["new-out-dir", "existing-out-dir", "earlier-run"])
 def test_train_that_fails_at_an_export_leaves_no_artifact(tmp_path, monkeypatch, capsys, before):
-    """The trace and the checkpoint were written under temp names, and the
-    first export's temp file was open for its text, when the second export
-    fails: they are removed, then the directories the command made. The
-    files that were there before stay as they were, an earlier run's
-    artifacts too."""
+    """The first export's temp file was open for its text, while epoch 2
+    trained, when the second export fails at the end of epoch 2: it is
+    removed, then the directories the command made. The files that were
+    there before stay as they were, an earlier run's artifacts too."""
     import dynlocrep.cli as cli_module
 
     data = tmp_path / "data.csv"
     write_small_csv(data)
     out_dir = tmp_path / "runs" / "run"
     earlier = earlier_files(out_dir, before, data)
-    write_export, present = cli_module._write_embedding_export, []
+    export_table, present = cli_module._export_table, []
 
-    def fail_at_epoch_2(path, epoch, *args):
+    def fail_at_epoch_2(epoch, *args):
         if epoch == 2:
-            present.extend(sorted(p.name for p in path.parent.iterdir()))
+            present.extend(sorted(p.name for p in out_dir.iterdir()))
             raise OSError(28, "No space left on device")
-        write_export(path, epoch, *args)
+        return export_table(epoch, *args)
 
-    monkeypatch.setattr(cli_module, "_write_embedding_export", fail_at_epoch_2)
+    monkeypatch.setattr(cli_module, "_export_table", fail_at_epoch_2)
     argv = ["train", "--data", str(data), "--out-dir", str(out_dir), *FAST_TRAIN,
             "--export-epochs", "1,2"]
     capsys.readouterr()
     assert main(argv) == EXIT_CANT_CREATE
     assert capsys.readouterr().err == "dynlocrep: error: [Errno 28] No space left on device\n"
-    # the export's file is the temp file of its temp name until its text is in
-    written = temp_names("encoder.txt", "trace.jsonl", *temp_names("embeddings_epoch1.csv"))
+    # the export's file is the temp file of its temp name until its text is
+    # in; the trace and the checkpoint are written once training ends
+    written = temp_names(*temp_names("embeddings_epoch1.csv"))
     assert present == sorted([*written, *earlier])
     assert_left_as_before(tmp_path, out_dir, earlier)
 
@@ -516,7 +532,7 @@ def test_train_whose_export_worker_dies_exits_73_without_artifact(
 
 
 # ---------------------------------------------------------------------------
-# every export but the last is formatted in a worker while the next epochs train
+# an export with epochs still to train is formatted in a worker while they train
 # ---------------------------------------------------------------------------
 
 # 1000 rows of 32 embedding values: 33 000 cells, one worker's table

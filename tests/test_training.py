@@ -125,6 +125,19 @@ def test_exports_at_requested_epochs():
     assert not np.array_equal(result.exports[1], result.exports[4])
 
 
+def test_a_hook_takes_each_export_in_place_of_the_result():
+    dataset = tiny_dataset()
+    config = tiny_config(epochs=4, export_epochs=(4, 1, 1))
+    handed = []
+    result = train(dataset, config, OPT, ENC,
+                   _on_export=lambda epoch, embeddings: handed.append((epoch, embeddings)))
+    assert result.exports == {}
+    expected = train(dataset, config, OPT, ENC).exports
+    assert [epoch for epoch, _ in handed] == [1, 4]
+    for epoch, embeddings in handed:
+        assert embeddings.tobytes() == expected[epoch].tobytes()
+
+
 def test_feature_width_mismatch_rejected():
     dataset = tiny_dataset()
     with pytest.raises(ConfigError):

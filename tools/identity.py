@@ -19,6 +19,8 @@ agree on a case only if they agree bit for bit:
   five seeds, 50 epochs), outside ``timing``, with each entry's mean MAE;
 - ``criterion9``: acceptance criterion 9's ``dynlocrep ablate`` report (four
   norms, two seeds), outside ``timing``, with each entry's mean MAE;
+- ``benchmark-report``: the same for a ``dynlocrep benchmark`` report (five
+  losses, two seeds);
 - ``grid-error``: the exit code and error text of a ``dynlocrep benchmark``
   whose every run diverges (learning rate 1e100, two losses, two seeds).
 - ``generate``: the exit code and CSV bytes of ``dynlocrep generate`` at
@@ -31,6 +33,9 @@ agree on a case only if they agree bit for bit:
 - ``train-export/epochs3``: the same for dynlocrep with ``--epochs 3
   --export-epochs 1,2,3``, whose second export is formatted while the first
   is written;
+- ``train-export/sparse`` and ``train-export/final-only``: the same with
+  ``--epochs 4 --export-epochs 1,3``, whose last export is formatted while
+  the fourth epoch trains, and with ``--epochs 2 --export-epochs 2``;
 - ``load-error/<defect>``: the exit code and stderr of ``dynlocrep train`` on
   a generated 2000-row CSV, parsed in two row blocks where two CPUs are
   usable, whose line 1901, in the last block, holds one defect: a short
@@ -144,18 +149,25 @@ def _cli(argv: list[str]) -> tuple[int, str, dict | None]:
         return code, err.getvalue(), json.loads(out.read_text()) if out.exists() else None
 
 
-def _criterion_9() -> dict:
-    from dynlocrep.evaluation import strip_timing
+def _report(command: str, entries: str) -> Callable[[], dict]:
+    """``dynlocrep command`` on 80 synthetic rows, two seeds and 6 epochs:
+    its exit code, the digest of its report outside ``timing``, and the
+    mean MAE of each of the report's ``entries``."""
 
-    code, _, report = _cli(
-        ["ablate", "--synthetic-n", "80", "--seeds", "0,1", "--epochs", "6", "--batch-size", "8",
-         "--nn-final", "3", "--hidden-dims", "8,8", "--embed-dim", "4"]
-    )
-    text = json.dumps(strip_timing(report), sort_keys=True)
-    fields = {"exit": str(code), "report": hashlib.sha256(text.encode()).hexdigest()}
-    for name, entry in report["norms"].items():
-        fields[f"mae/{name}"] = float(entry["mean_mae"]).hex()
-    return fields
+    def run() -> dict:
+        from dynlocrep.evaluation import strip_timing
+
+        code, _, report = _cli(
+            [command, "--synthetic-n", "80", "--seeds", "0,1", "--epochs", "6",
+             "--batch-size", "8", "--nn-final", "3", "--hidden-dims", "8,8", "--embed-dim", "4"]
+        )
+        text = json.dumps(strip_timing(report), sort_keys=True)
+        fields = {"exit": str(code), "report": hashlib.sha256(text.encode()).hexdigest()}
+        for name, entry in report[entries].items():
+            fields[f"mae/{name}"] = float(entry["mean_mae"]).hex()
+        return fields
+
+    return run
 
 
 def _grid_error() -> dict:
@@ -249,7 +261,8 @@ def cases() -> dict[str, Callable[[], dict]]:
             for loss in LOSSES:
                 found[f"loss/{loss}/n{n}/tau{tau}"] = _loss_case(loss, n, tau)
     found["criterion8"] = _criterion_8
-    found["criterion9"] = _criterion_9
+    found["criterion9"] = _report("ablate", "norms")
+    found["benchmark-report"] = _report("benchmark", "variants")
     found["grid-error"] = _grid_error
     found["generate"] = _artifacts(["generate", "--n", "10000", "--out", "{tmp}/data.csv"])
     generate = ["generate", "--n", "2000", "--out", "{tmp}/data.csv"]
@@ -260,6 +273,12 @@ def cases() -> dict[str, Callable[[], dict]]:
         found[f"train-export/{loss}"] = _artifacts(generate, [*train, "--loss", loss, *two])
     found["train-export/epochs3"] = _artifacts(
         generate, [*train, "--epochs", "3", "--export-epochs", "1,2,3"]
+    )
+    found["train-export/sparse"] = _artifacts(
+        generate, [*train, "--epochs", "4", "--export-epochs", "1,3"]
+    )
+    found["train-export/final-only"] = _artifacts(
+        generate, [*train, "--epochs", "2", "--export-epochs", "2"]
     )
     for defect in DEFECTS:
         found[f"load-error/{defect}"] = _load_error(defect)
