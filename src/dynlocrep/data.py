@@ -150,16 +150,13 @@ def _worker_count(parts: int) -> int:
     one per usable CPU, at most ``parts``, and at least 1. It is 1, this
     process alone, where the platform cannot fork or where this process is
     a multiprocessing daemon, which may not have children."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
     multiprocessing = sys.modules.get("multiprocessing")  # imported in any of its daemons
     if not hasattr(os, "fork") or (
         multiprocessing is not None and multiprocessing.current_process().daemon
     ):
         return 1
-    return max(1, min(parts, cpus))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(parts, cpus or 1))
 
 
 def _send(pipe: BinaryIO, value) -> None:
@@ -211,7 +208,12 @@ def _forked(work: Callable[[int, BinaryIO], None], count: int) -> Iterator[list[
     try:
         for worker in range(count):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:  # no worker holds this pipe
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 _child(work, worker, write_fd)
             pids.append(pid)
@@ -269,7 +271,7 @@ def _format_rows(matrix: np.ndarray, sep: str = ",") -> Iterator[str]:
 # process a table written in two blocks broke even at about 15 000 cells,
 # one read in two blocks at about 20 000 (CHANGES.md).
 _BLOCK_CELLS = 16_384
-_CHUNK = 1 << 16  # bytes of a worker's text copied into the file at a time
+_CHUNK = 1 << 16  # the most bytes of a worker's text in one message
 
 
 @contextlib.contextmanager
@@ -282,17 +284,18 @@ def _table_file(path: str | Path, header: str, prefix: str, ids: tuple[str, ...]
 
     Entering starts the forked workers that format the table; leaving
     without an error writes it: this process formats the rows that no
-    worker has, then appends each worker's text in row order, _CHUNK bytes
-    at a time. The bytes are the same either way. With an empty with-block,
-    this process formats the first of _worker_count(cells // _BLOCK_CELLS)
-    contiguous row blocks, and a worker each of the others. With
-    ``overlapped``, the with-block does other work meanwhile: one worker
-    formats the whole table if it holds _BLOCK_CELLS cells and a second CPU
-    is usable, and else this process does on leaving. A worker encodes its
-    text into one buffer, as the file's handle would, and sends it once it
-    is formatted. Its error is raised on leaving, and a worker that dies
-    raises ChildProcessError; an error in the with-block ends the workers
-    and the write.
+    worker has, then appends each worker's text in row order. The bytes
+    are the same either way. With an empty with-block, this process
+    formats the first of _worker_count(cells // _BLOCK_CELLS) contiguous
+    row blocks, and a worker each of the others. With ``overlapped``, the
+    with-block does other work meanwhile: one worker formats the whole
+    table if it holds _BLOCK_CELLS cells and a second CPU is usable, and
+    else this process does on leaving. A worker encodes its text into one
+    buffer, as the file's handle would, then _sends it as bytes messages
+    of at most _CHUNK bytes and one empty message, and this process writes
+    each message it _receives. A worker's error is raised on leaving, and
+    a worker that dies at any point raises ChildProcessError; an error in
+    the with-block ends the workers and the write.
     """
     n = len(ids)
     cells = n * (matrix.shape[1] + 1)
@@ -313,8 +316,9 @@ def _table_file(path: str | Path, header: str, prefix: str, ids: tuple[str, ...]
         text = bytearray()
         for line in lines(first + worker):
             text += f"{line}\n".encode(handle.encoding)
-        _send(pipe, len(text))
-        pipe.write(text)
+        for start in range(0, len(text), _CHUNK):
+            _send(pipe, bytes(memoryview(text)[start:start + _CHUNK]))
+        _send(pipe, b"")
 
     with _atomic_file(path) as handle, _forked(send, blocks - first) as pipes:
         yield
@@ -322,13 +326,8 @@ def _table_file(path: str | Path, header: str, prefix: str, ids: tuple[str, ...]
         handle.flush()
         for block, pipe in enumerate(pipes, start=first):
             what = f"rows {bounds[block]} to {bounds[block + 1]} of {path}"
-            left = _receive(pipe, what)
-            while left:
-                chunk = pipe.read(min(left, _CHUNK))
-                if not chunk:
-                    raise ChildProcessError(f"the worker of {what} died")
+            while chunk := _receive(pipe, what):
                 handle.buffer.write(chunk)
-                left -= len(chunk)
 
 
 def _parse_floats(text: str, sep: str | None, path: str | Path, lineno: int) -> list[float]:

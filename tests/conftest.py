@@ -3,6 +3,7 @@ the table writer's row blocks and the exports formatted while training."""
 
 import os
 import signal
+import sys
 import threading
 
 import pytest
@@ -34,15 +35,21 @@ def forks(monkeypatch):
     return made
 
 
+def open_fds():
+    """The file descriptors open in this process, where Linux lists them."""
+    return sorted(os.listdir("/proc/self/fd")) if sys.platform == "linux" else None
+
+
 @pytest.fixture
 def no_worker_left():
     """Fails the test if it waits for more than 60 s, or if it leaves a child
-    process, running or unreaped, or a new thread."""
+    process, running or unreaped, a new thread or, on Linux, a file
+    descriptor open."""
 
     def hung(signum, frame):
         raise TimeoutError("still waiting for the workers after 60 s")
 
-    threads = threading.enumerate()
+    threads, fds = threading.enumerate(), open_fds()
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
@@ -53,6 +60,7 @@ def no_worker_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert threading.enumerate() == threads
+    assert open_fds() == fds
 
 
 @pytest.fixture

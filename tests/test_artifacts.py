@@ -2,6 +2,7 @@
 written in row blocks by forked workers, atomic failure, loader
 equivalence, and memory bounds measured with tracemalloc."""
 
+import errno
 import json
 import os
 import pickle
@@ -228,7 +229,7 @@ def send_then_die(original, *args):
     [("_format_rows", made_to_fail, ValueError, "^made to fail$"),
      ("_format_rows", die, ChildProcessError, "^the worker of rows {} to {} of {} died$"),
      ("_send", send_then_die, ChildProcessError, "^the worker of rows {} to {} of {} died$")],
-    ids=["raises", "dies", "dies-after-sending-its-size"],
+    ids=["raises", "dies", "dies-mid-text"],
 )
 def test_a_failing_table_worker_keeps_the_previous_file(
     tmp_path, cpus, in_workers, no_worker_left, name, failing, error, message
@@ -246,11 +247,14 @@ def test_a_failing_table_worker_keeps_the_previous_file(
     assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
 
-def test_a_table_worker_sends_its_block_as_one_sized_text(tmp_path, monkeypatch, cpus, exit_here):
+def test_a_table_worker_sends_its_block_as_bytes_messages_and_an_empty_one(
+    tmp_path, monkeypatch, cpus, exit_here
+):
     """The child's side of the fork, run here: os.fork returns 0, and the
     worker's pipe is a file. The worker holds one copy of its text, in the
-    buffer it encodes each line into: joining the lines, then encoding the
-    joined string, peaked at about three copies here."""
+    buffer it encodes each line into, and a message at a time: joining the
+    lines, then encoding the joined string, peaked at about three copies
+    here."""
     sent = tmp_path / "sent"
     write_fd = os.open(sent, os.O_WRONLY | os.O_CREAT)
     read_fd = os.open(sent, os.O_RDONLY)
@@ -270,12 +274,40 @@ def test_a_table_worker_sends_its_block_as_one_sized_text(tmp_path, monkeypatch,
     assert exited.value.args == (0,)
     assert [p.name for p in tmp_path.iterdir()] == ["sent"]
     with sent.open("rb") as pipe:
-        size, error = pickle.load(pipe)
-        text = pipe.read()
+        messages = [pickle.load(pipe)]
+        while messages[-1] != (b"", None):
+            messages.append(pickle.load(pipe))
+        assert pipe.read() == b""
+    assert all(type(chunk) is bytes and error is None for chunk, error in messages)
+    chunks = [chunk for chunk, _ in messages]
+    assert len(chunks) > 2 and all(0 < len(chunk) <= data_module._CHUNK for chunk in chunks[:-1])
+    text = b"".join(chunks)
     lines = csv_reference(dataset).splitlines(keepends=True)
-    assert error is None and size == len(text)
     assert text == "".join(lines[1 + rows // 2:]).encode()
     assert peak < 1.5 * len(text)
+
+
+def test_a_failed_fork_closes_its_pipe_and_ends_the_workers_forked_before(
+    tmp_path, monkeypatch, cpus, no_worker_left
+):
+    """no_worker_left fails the test on a pipe left open."""
+    cpus(4)
+    fork, calls = os.fork, []
+
+    def fork_once():
+        calls.append(None)
+        if len(calls) > 1:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    path = tmp_path / "data.csv"
+    path.write_text("previous\n")
+    with pytest.raises(BlockingIOError):
+        write_csv(random_dataset(np.random.default_rng(0), rows_for(4, 16, 0), 16), path)
+    assert len(calls) == 2
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ agree on a case only if they agree bit for bit:
   n = 2, 3, 7, 32 and 256 and temperature 0.5, 0.1 and 0.002, on a batch
   with one all-zero row and tied integer labels, as its value, gradient
   bytes and ``weighted``;
+- ``loss/<loss>/underflow`` and ``loss/<loss>/dropped``: the same for each
+  kernel-weighted loss on 8 rows, at temperature 0.5, where one anchor's
+  kernel weights to every other row fall below ``WEIGHT_SUM_EPS``, and
+  where every anchor's do, so that no pair is weighted;
 - ``criterion8``: acceptance criterion 8's benchmark report (five losses,
   five seeds, 50 epochs), outside ``timing``, with each entry's mean MAE;
 - ``criterion9``: acceptance criterion 9's ``dynlocrep ablate`` report (four
@@ -36,6 +40,9 @@ agree on a case only if they agree bit for bit:
 - ``train-export/sparse`` and ``train-export/final-only``: the same with
   ``--epochs 4 --export-epochs 1,3``, whose last export is formatted while
   the fourth epoch trains, and with ``--epochs 2 --export-epochs 2``;
+- ``train-export/norm/<norm>/<space>``: the same as ``train-export`` with
+  ``--distance-norm`` each of the four norms and ``--nn-space`` each of the
+  two neighbor spaces;
 - ``load-error/<defect>``: the exit code and stderr of ``dynlocrep train`` on
   a generated 2000-row CSV, parsed in two row blocks where two CPUs are
   usable, whose line 1901, in the last block, holds one defect: a short
@@ -89,28 +96,52 @@ def _train_case(loss: str, batch: int) -> Callable[[], dict]:
     return run
 
 
+def _loss_fields(loss: str, tau: float, points, labels) -> dict:
+    """One ``loss_with_gradient`` call on ``points`` and ``labels``, with half
+    the other rows as neighbors: its value, gradient bytes and ``weighted``."""
+    from dynlocrep import EmbeddingBatch, LossConfig, loss_with_gradient
+
+    n = len(points)
+    out = loss_with_gradient(
+        LossConfig(variant=loss, temperature=tau),
+        EmbeddingBatch.from_raw(points),
+        labels,
+        neighbor_count=max(1, n // 2),
+        input_features=points,
+    )
+    return {
+        "value": float(out.value).hex(),
+        "grad_raw": _digest(out.grad_raw),
+        "weighted": str(out.weighted),
+    }
+
+
 def _loss_case(loss: str, n: int, tau: float) -> Callable[[], dict]:
     def run() -> dict:
         import numpy as np
-
-        from dynlocrep import EmbeddingBatch, LossConfig, loss_with_gradient
 
         rng = np.random.default_rng(n)
         points = rng.normal(size=(n, 8))
         points[n // 2] = 0.0  # an all-zero embedding row
         labels = rng.integers(20, 20 + max(2, n // 4), size=n).astype(float)  # tied labels
-        out = loss_with_gradient(
-            LossConfig(variant=loss, temperature=tau),
-            EmbeddingBatch.from_raw(points),
-            labels,
-            neighbor_count=max(1, n // 2),
-            input_features=points,
-        )
-        return {
-            "value": float(out.value).hex(),
-            "grad_raw": _digest(out.grad_raw),
-            "weighted": str(out.weighted),
-        }
+        return _loss_fields(loss, tau, points, labels)
+
+    return run
+
+
+def _light_case(loss: str, dropped: bool) -> Callable[[], dict]:
+    """8 rows at temperature 0.5 where kernel weights (bandwidth 6) fall
+    below WEIGHT_SUM_EPS without reaching 0: a label 60 units, 10
+    bandwidths, from every other gives its anchor weights of at most
+    exp(-50). Only the last row's label is that far (``underflow``), or
+    every row's (``dropped``), which leaves no weighted pair."""
+
+    def run() -> dict:
+        import numpy as np
+
+        points = np.random.default_rng(8).normal(size=(8, 8))
+        labels = np.array([20.0, 21.0, 21.0, 22.0, 23.0, 23.0, 24.0, 84.0])
+        return _loss_fields(loss, 0.5, points, 60.0 * np.arange(8.0) if dropped else labels)
 
     return run
 
@@ -260,6 +291,9 @@ def cases() -> dict[str, Callable[[], dict]]:
         for tau in (0.5, 0.1, 0.002):
             for loss in LOSSES:
                 found[f"loss/{loss}/n{n}/tau{tau}"] = _loss_case(loss, n, tau)
+    for loss in LOSSES[:4]:  # the kernel-weighted losses
+        found[f"loss/{loss}/underflow"] = _light_case(loss, False)
+        found[f"loss/{loss}/dropped"] = _light_case(loss, True)
     found["criterion8"] = _criterion_8
     found["criterion9"] = _report("ablate", "norms")
     found["benchmark-report"] = _report("benchmark", "variants")
@@ -280,6 +314,11 @@ def cases() -> dict[str, Callable[[], dict]]:
     found["train-export/final-only"] = _artifacts(
         generate, [*train, "--epochs", "2", "--export-epochs", "2"]
     )
+    for norm in ("manhattan", "euclidean", "chebyshev", "cosine"):
+        for space in ("embedding", "input"):
+            found[f"train-export/norm/{norm}/{space}"] = _artifacts(
+                generate, [*train, *two, "--distance-norm", norm, "--nn-space", space]
+            )
     for defect in DEFECTS:
         found[f"load-error/{defect}"] = _load_error(defect)
     found["help/root"] = _help([])
