@@ -22,7 +22,9 @@ file's value overridden by flags with the last flag winning; a value that
 is overridden or unused is not checked. Three flags keep a check of their
 own, on every occurrence: ``--epochs`` >= 1 (the library accepts 0
 epochs), ``--nn-final`` >= 1 and ``--seeds`` >= 0. Every flag default
-that a library config declares comes from that config's class attribute.
+that a library config declares comes from that config's class attribute:
+such a flag is one row of ``_CONFIG_FLAGS``, which gives both its parser
+entry and the config field it sets.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import ConfigError, DynLocRepError, NumericalError, ParseError
 from .evaluation import RidgeConfig, ablate_norms, benchmark
 from .geometry import DistanceNorm
 from .kernels import KernelSpec
-from .losses import LossVariant, NeighborSpace, Reduction
+from .losses import LossVariant
 from .training import TrainConfig, train
 
 EXIT_OK = 0
@@ -110,37 +112,57 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
-def _add_training_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=_positive_int, default=TrainConfig.epochs,
-                        help="training epochs")
-    parser.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
-                        help="samples per batch")
-    parser.add_argument("--lr", type=float, default=OptimConfig.learning_rate,
-                        help="initial learning rate")
-    parser.add_argument("--lr-decay", type=float, default=OptimConfig.decay_factor,
-                        help="learning-rate decay factor")
-    parser.add_argument("--lr-decay-every", type=int, default=OptimConfig.decay_every,
-                        help="epochs between decays")
-    parser.add_argument("--weight-decay", type=float, default=OptimConfig.weight_decay,
-                        help="L2 weight decay")
-    parser.add_argument("--kernel-sigma", type=float, default=TrainConfig.kernel.bandwidth,
-                        help="gaussian kernel bandwidth in label units")
-    parser.add_argument("--temperature", type=float, default=TrainConfig.temperature,
-                        help="similarity temperature")
-    parser.add_argument("--nn-final", type=_positive_int, default=TrainConfig.nn_final,
-                        help="final neighbor count of the schedule")
-    parser.add_argument("--nn-step-size", type=int, default=TrainConfig.nn_step_size,
-                        help="epochs between schedule steps")
-    parser.add_argument("--nn-space", choices=[s.value for s in NeighborSpace],
-                        default=TrainConfig.nn_space.value,
-                        help="space in which neighbors are selected")
-    parser.add_argument("--reduction", choices=[r.value for r in Reduction],
-                        default=TrainConfig.reduction.value,
-                        help="loss reduction over anchors")
-    parser.add_argument("--hidden-dims", type=_list(int), default=list(EncoderConfig.hidden_dims),
-                        help="encoder hidden widths")
-    parser.add_argument("--embed-dim", type=int, default=EncoderConfig.output_dim,
-                        help="encoder output dimension")
+# Each flag that sets a field with a library default: (flag, config class,
+# field, argparse type, help). The parser entry and the config's keyword
+# argument both come from its row, so the default is the field's class
+# default, an enum field takes its members' values and a tuple shows as a list.
+_CONFIG_FLAGS = (
+    ("--feature-dim", SyntheticSpec, "feature_dim", int, "feature count"),
+    ("--informative-dims", SyntheticSpec, "informative_dims", int, "label-dependent feature count"),
+    ("--noise-std", SyntheticSpec, "noise_std", float, "observation noise on informative features"),
+    ("--mix-means", SyntheticSpec, "mixture_means", _list(float), "label component means"),
+    ("--mix-stds", SyntheticSpec, "mixture_stds", _list(float), "label component stds"),
+    ("--mix-weights", SyntheticSpec, "mixture_weights", _list(float),
+     "label component weights (sum to 1)"),
+    ("--ridge-lambda", RidgeConfig, "regularization", float, "ridge regularization"),
+    ("--epochs", TrainConfig, "epochs", _positive_int, "training epochs"),
+    ("--batch-size", TrainConfig, "batch_size", int, "samples per batch"),
+    ("--lr", OptimConfig, "learning_rate", float, "initial learning rate"),
+    ("--lr-decay", OptimConfig, "decay_factor", float, "learning-rate decay factor"),
+    ("--lr-decay-every", OptimConfig, "decay_every", int, "epochs between decays"),
+    ("--weight-decay", OptimConfig, "weight_decay", float, "L2 weight decay"),
+    ("--kernel-sigma", KernelSpec, "bandwidth", float, "gaussian kernel bandwidth in label units"),
+    ("--temperature", TrainConfig, "temperature", float, "similarity temperature"),
+    ("--nn-final", TrainConfig, "nn_final", _positive_int, "final neighbor count of the schedule"),
+    ("--nn-step-size", TrainConfig, "nn_step_size", int, "epochs between schedule steps"),
+    ("--nn-space", TrainConfig, "nn_space", str, "space in which neighbors are selected"),
+    ("--reduction", TrainConfig, "reduction", str, "loss reduction over anchors"),
+    ("--hidden-dims", EncoderConfig, "hidden_dims", _list(int), "encoder hidden widths"),
+    ("--embed-dim", EncoderConfig, "output_dim", int, "encoder output dimension"),
+)
+_TRAINING_CONFIGS = (TrainConfig, OptimConfig, KernelSpec, EncoderConfig)
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, *configs: type) -> None:
+    """Add the table's flags of the ``configs`` classes, in table order."""
+    for flag, config, field, kind, help in _CONFIG_FLAGS:
+        if config not in configs:
+            continue
+        default, choices = getattr(config, field), None
+        if isinstance(default, enum.Enum):
+            default, choices = default.value, [member.value for member in type(default)]
+        elif isinstance(default, tuple):
+            default = list(default)
+        parser.add_argument(flag, type=kind, choices=choices, default=default, help=help)
+
+
+def _fields(args: argparse.Namespace, config: type) -> dict:
+    """The keyword arguments of ``config`` that the table's flags set."""
+    return {
+        field: getattr(args, flag[2:].replace("-", "_"))
+        for flag, owner, field, _, _ in _CONFIG_FLAGS
+        if owner is config
+    }
 
 
 def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
@@ -160,8 +182,7 @@ def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--test-fraction", type=float, default=0.2, help="held-out fraction per split"
     )
-    parser.add_argument("--ridge-lambda", type=float, default=RidgeConfig.regularization,
-                        help="ridge regularization")
+    _add_config_flags(parser, RidgeConfig)
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -204,19 +225,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     gen.add_argument(
         "--force", action="store_true", help="overwrite an existing output file"
     )
-    gen.add_argument("--feature-dim", type=int, default=SyntheticSpec.feature_dim,
-                     help="feature count")
-    gen.add_argument("--informative-dims", type=int, default=SyntheticSpec.informative_dims,
-                     help="label-dependent feature count")
-    gen.add_argument("--noise-std", type=float, default=SyntheticSpec.noise_std,
-                     help="observation noise on informative features")
-    gen.add_argument("--mix-means", type=_list(float), default=list(SyntheticSpec.mixture_means),
-                     help="label component means")
-    gen.add_argument("--mix-stds", type=_list(float), default=list(SyntheticSpec.mixture_stds),
-                     help="label component stds")
-    gen.add_argument("--mix-weights", type=_list(float),
-                     default=list(SyntheticSpec.mixture_weights),
-                     help="label component weights (sum to 1)")
+    _add_config_flags(gen, SyntheticSpec)
 
     tr = command(
         "train",
@@ -245,7 +254,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         default=list(TrainConfig.export_epochs),
         help="1-based epochs after which to export train-set embeddings (e.g. 1,6,21,30,40,50)",
     )
-    _add_training_flags(tr)
+    _add_config_flags(tr, *_TRAINING_CONFIGS)
 
     bm = command(
         "benchmark",
@@ -274,7 +283,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     bm.add_argument(
         "--out", default="benchmark_report.json", metavar="JSON", help="report path"
     )
-    _add_training_flags(bm)
+    _add_config_flags(bm, *_TRAINING_CONFIGS)
 
     ab = command(
         "ablate",
@@ -296,7 +305,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     ab.add_argument(
         "--out", default="ablation_report.json", metavar="JSON", help="report path"
     )
-    _add_training_flags(ab)
+    _add_config_flags(ab, *_TRAINING_CONFIGS)
 
     return parser, commands
 
@@ -386,34 +395,8 @@ def _load_dataset(args: argparse.Namespace) -> tuple:
 
 def _train_config(args: argparse.Namespace, **fields) -> TrainConfig:
     """The shared training flags; ``fields`` sets the command-specific rest."""
-    return TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        kernel=KernelSpec(bandwidth=args.kernel_sigma),
-        nn_final=args.nn_final,
-        nn_step_size=args.nn_step_size,
-        temperature=args.temperature,
-        nn_space=args.nn_space,
-        reduction=args.reduction,
-        **fields,
-    )
-
-
-def _optim_config(args: argparse.Namespace) -> OptimConfig:
-    return OptimConfig(
-        learning_rate=args.lr,
-        decay_factor=args.lr_decay,
-        decay_every=args.lr_decay_every,
-        weight_decay=args.weight_decay,
-    )
-
-
-def _encoder_config(args: argparse.Namespace, input_dim: int) -> EncoderConfig:
-    return EncoderConfig(
-        input_dim=input_dim,
-        hidden_dims=args.hidden_dims,
-        output_dim=args.embed_dim,
-    )
+    kernel = KernelSpec(**_fields(args, KernelSpec))
+    return TrainConfig(kernel=kernel, **_fields(args, TrainConfig), **fields)
 
 
 @contextlib.contextmanager
@@ -452,15 +435,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if out.exists() and not args.force:
         print(f"refusing to overwrite {out}; pass --force to replace it", file=sys.stderr)
         return EXIT_OVERWRITE
-    spec = SyntheticSpec(
-        n=args.n,
-        feature_dim=args.feature_dim,
-        mixture_means=args.mix_means,
-        mixture_stds=args.mix_stds,
-        mixture_weights=args.mix_weights,
-        informative_dims=args.informative_dims,
-        noise_std=args.noise_std,
-    )
+    spec = SyntheticSpec(n=args.n, **_fields(args, SyntheticSpec))
     with _output_dir(out.parent):
         dataset = generate_synthetic(spec, args.seed)
         write_csv(dataset, out)
@@ -485,7 +460,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         distance_norm=args.distance_norm,
         export_epochs=args.export_epochs,
     )
-    optim, encoder_config = _optim_config(args), _encoder_config(args, dataset.feature_dim)
+    optim = OptimConfig(**_fields(args, OptimConfig))
+    encoder_config = EncoderConfig(input_dim=dataset.feature_dim, **_fields(args, EncoderConfig))
     trace_path = out_dir / "trace.jsonl"
     checkpoint_path = out_dir / "encoder.txt"
     with _output_dir(out_dir) as stage, contextlib.ExitStack() as in_flight:
@@ -519,9 +495,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _protocol_configs(args: argparse.Namespace, dataset: Dataset, source: str) -> dict:
     """Keyword arguments shared by the benchmark and ablation runners."""
     return dict(
-        optim=_optim_config(args),
-        encoder_config=_encoder_config(args, dataset.feature_dim),
-        ridge=RidgeConfig(regularization=args.ridge_lambda),
+        optim=OptimConfig(**_fields(args, OptimConfig)),
+        encoder_config=EncoderConfig(input_dim=dataset.feature_dim, **_fields(args, EncoderConfig)),
+        ridge=RidgeConfig(**_fields(args, RidgeConfig)),
         test_fraction=args.test_fraction,
         dataset_source=source,
     )

@@ -85,6 +85,18 @@ class OptimConfig:
         return self.learning_rate * self.decay_factor ** (epoch // self.decay_every)
 
 
+def _layer_views(vector: np.ndarray, dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The per-layer weight and bias views of ``vector``, laid out like the
+    ``params`` of an encoder whose layer widths are ``dims``."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        end = start + fan_in * fan_out
+        weights.append(vector[start:end].reshape(fan_in, fan_out))
+        biases.append(vector[end : end + fan_out])
+        start = end + fan_out
+    return weights, biases
+
+
 class Encoder:
     """One flat parameter vector, per-layer views of it, and cached activations."""
 
@@ -100,9 +112,8 @@ class Encoder:
             pieces.append(_check_array(f"layer {layer} weight", w, (fan_in, "m")))
             pieces.append(_check_array(f"layer {layer} bias", b, (pieces[-1].shape[1],)))
         self.params = np.concatenate(pieces, axis=None)
-        flat = np.split(self.params, np.cumsum([np.size(p) for p in pieces])[:-1])
-        views = [view.reshape(np.shape(p)) for view, p in zip(flat, pieces)]
-        self.weights, self.biases = views[0::2], views[1::2]
+        dims = (pieces[0].shape[0], *(b.shape[0] for b in pieces[1::2]))
+        self.weights, self.biases = _layer_views(self.params, dims)
         self._inputs: list[np.ndarray] | None = None
 
     @property
@@ -136,17 +147,17 @@ class Encoder:
         """
         if self._inputs is None:
             raise InputError("backward called before forward")
-        grads: list[np.ndarray] = []
         g = _check_array("gradient", grad_raw, (len(self._inputs[0]), self.weights[-1].shape[1]))
+        grad = np.empty_like(self.params)
+        grad_weights, grad_biases = _layer_views(grad, self.layer_dims)
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads.append(np.add.reduce(g, axis=0))
-            grads.append(self._inputs[layer].T @ g)
+            np.add.reduce(g, axis=0, out=grad_biases[layer])
+            np.matmul(self._inputs[layer].T, g, out=grad_weights[layer])
             if layer > 0:
                 # a ReLU output is positive exactly where its input was
                 g = g @ self.weights[layer].T
                 g *= self._inputs[layer] > 0.0
-        # collected (bias, weight) from the top layer down; reversed it is params order
-        return np.concatenate(grads[::-1], axis=None)
+        return grad
 
 
 def init_encoder(config: EncoderConfig, seed: int) -> Encoder:

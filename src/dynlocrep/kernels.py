@@ -68,8 +68,7 @@ def positiveness_matrix(
             rows, cols = np.isinf(w).nonzero()
             scaled = np.abs(labels[rows] - labels[cols]) / spec.bandwidth
             overflowed = np.exp(-0.5 * (scaled * scaled))
-    np.negative(w, out=w)
-    np.divide(w, 2.0 * spec.bandwidth * spec.bandwidth, out=w)
+    np.divide(w, -(2.0 * spec.bandwidth * spec.bandwidth), out=w)
     np.exp(w, out=w)
     if overflowed is not None:
         w[rows, cols] = overflowed

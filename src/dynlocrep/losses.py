@@ -311,7 +311,8 @@ def _loss_core(
     work: list[np.ndarray],
 ) -> tuple[float, np.ndarray, bool]:
     """Total loss, dL/ds (rows indexed by anchors) and whether any pair
-    kept a weight, for any variant.
+    kept a weight, for any variant. The total is 0.0 - sum, not -sum, so
+    that a batch whose every pair dropped gives +0.0.
 
     ``w`` is needed by every variant but rnc, ``gaps`` (|y_i - y_t|) by
     rnc and ``neighbors`` (n, count) by dynlocrep, where None stands for
@@ -378,7 +379,7 @@ def _loss_core(
             terms = np.exp(np.subtract(x, peak, out=x), out=x)
             mass = np.add.reduce(terms, axis=1, keepdims=True)
             shifted = np.subtract(s, peak + np.log(mass), out=work[3])
-            total = -float(np.multiply(shifted, a, out=shifted).sum())
+            total = 0.0 - float(np.multiply(shifted, a, out=shifted).sum())
             # dL/ds_it = -a_it + b_it * softmax over the neighbor set * sum_k a_ik
             terms *= b
             terms *= np.add.reduce(a, axis=1, keepdims=True) / mass
@@ -392,7 +393,7 @@ def _loss_core(
         a[dropped] = 0.0
         log_denom[dropped] = 0.0
     pairs = _rows(work[4], a.shape[1])
-    total = -float(np.multiply(np.subtract(s, log_denom, out=pairs), a, out=pairs).sum())
+    total = 0.0 - float(np.multiply(np.subtract(s, log_denom, out=pairs), a, out=pairs).sum())
 
     # dL/ds_it = -a_it + b_it * sum_k a_ik * exp(x_it - log_denom_ik) over
     # the k whose candidate set holds t: for yaware and exponential every k

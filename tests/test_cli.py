@@ -1051,6 +1051,59 @@ def test_benchmark_defaults_are_the_library_defaults(tmp_path):
     assert json.dumps(strip_timing(json.loads(out.read_text())), indent=2) == expected
 
 
+# every config-backed flag at a non-default value, and the protocol field it must reach
+REACHED = {
+    "epochs": ("4", ("epochs",), 4),
+    "batch-size": ("8", ("batch_size",), 8),
+    "lr": ("0.002", ("learning_rate",), 0.002),
+    "lr-decay": ("0.5", ("decay_factor",), 0.5),
+    "lr-decay-every": ("2", ("decay_every",), 2),
+    "weight-decay": ("0.001", ("weight_decay",), 0.001),
+    "kernel-sigma": ("4.5", ("kernel", "bandwidth"), 4.5),
+    "temperature": ("0.25", ("temperature",), 0.25),
+    "nn-final": ("3", ("nn_final",), 3),
+    "nn-step-size": ("2", ("nn_step_size",), 2),
+    "nn-space": ("input", ("nn_space",), "input"),
+    "reduction": ("mean", ("reduction",), "mean"),
+    "hidden-dims": ("8,8", ("encoder", "hidden_dims"), [8, 8]),
+    "embed-dim": ("4", ("encoder", "output_dim"), 4),
+    "ridge-lambda": ("0.5", ("ridge_lambda",), 0.5),
+}
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_every_training_flag_reaches_its_protocol_field(tmp_path, source):
+    """A value that never reached its config would leave the default in the report."""
+    out = tmp_path / "report.json"
+    argv = ["benchmark", "--synthetic-n", "40", "--seeds", "0", "--variants", "dynlocrep",
+            "--out", str(out)]
+    if source == "flags":
+        argv += [token for key, (text, _, _) in REACHED.items() for token in (f"--{key}", text)]
+    else:
+        config = tmp_path / "run.conf"
+        config.write_text("".join(f"{key} = {text}\n" for key, (text, _, _) in REACHED.items()))
+        argv += ["--config", str(config)]
+    assert main(argv) == EXIT_OK
+    protocol = json.loads(out.read_text())["protocol"]
+    for key, (_, path, expected) in REACHED.items():
+        value = protocol
+        for part in path:
+            value = value[part]
+        assert value == expected, key
+
+
+def test_every_generate_flag_reaches_its_spec_field(tmp_path):
+    argv = ["generate", "--n", "40", "--seed", "3", "--out", str(tmp_path / "cli.csv"),
+            "--feature-dim", "5", "--informative-dims", "2", "--noise-std", "0.3",
+            "--mix-means", "10,50,90", "--mix-stds", "2,3,4", "--mix-weights", "0.2,0.3,0.5"]
+    assert main(argv) == EXIT_OK
+    spec = SyntheticSpec(n=40, feature_dim=5, informative_dims=2, noise_std=0.3,
+                         mixture_means=(10.0, 50.0, 90.0), mixture_stds=(2.0, 3.0, 4.0),
+                         mixture_weights=(0.2, 0.3, 0.5))
+    write_csv(generate_synthetic(spec, 3), tmp_path / "library.csv")
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # help goldens
 # ---------------------------------------------------------------------------

@@ -578,6 +578,7 @@ def test_calls_alternating_batch_size_and_neighbor_count_match_oracles():
 
 
 def test_weighted_is_false_exactly_when_the_guards_drop_every_pair():
+    """A fully dropped loss is +0.0, not -0.0, through every entry point."""
     batch, labels = random_batch(3, n=5, label_range=(20.0, 30.0))
     spread_out = labels * 1e6
     for variant in LossVariant:
@@ -587,8 +588,14 @@ def test_weighted_is_false_exactly_when_the_guards_drop_every_pair():
         out = loss_with_gradient(config, batch, spread_out, neighbor_count=count)
         assert out.weighted is (variant is LossVariant.RANK_N_CONTRAST)
         if not out.weighted:
-            assert out.value == 0.0
             assert not np.any(out.grad_raw)
+            sim, weights, neighbors = forward_pieces(batch, spread_out, neighbor_count=count)
+            if count:
+                forward = dynlocrep_forward(sim, weights, neighbors)
+            else:
+                forward = baseline_forward(variant, sim, weights=weights)
+            for value in (out.value, forward):
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0, variant
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +868,7 @@ def reference_dynlocrep_core(s, w, neighbors):
     peak = np.max(x, axis=1, keepdims=True, initial=-np.inf, where=in_set)
     terms = np.exp(x - peak, out=np.zeros((n, n)), where=in_set)
     mass = terms.sum(axis=1, keepdims=True)
-    total = -float(np.sum(a * (s - (peak + np.log(mass)))))
+    total = 0.0 - float(np.sum(a * (s - (peak + np.log(mass)))))  # +0.0 when all dropped
     grad_s = -a + b * terms * (a.sum(axis=1, keepdims=True) / mass)
     return total, grad_s, bool((a > 0.0).any())
 
