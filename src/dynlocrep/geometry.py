@@ -83,37 +83,17 @@ def _batch_size(n: int) -> int:
     return n
 
 
-def _square_out(out: np.ndarray | None, n: int, given: np.ndarray) -> np.ndarray:
-    """A new (n, n) float64 array, or ``out`` once it is checked to be one
-    that is C-contiguous, writable and shares no memory with the input
-    ``given``: the one check of the ``out=`` of the functions here."""
-    if out is None:
-        return np.empty((n, n))
-    if not (
-        isinstance(out, np.ndarray)
-        and out.shape == (n, n)
-        and out.dtype == _FLOAT64
-        and (flags := out.flags).c_contiguous
-        and flags.writeable
-    ):
-        raise InputError(f"out must be a writable C-contiguous float64 ({n}, {n}) array")
-    if np.may_share_memory(out, given):
-        raise InputError("out must not share memory with the input")
-    return out
-
-
 def _positive(value: float) -> bool:
     return value > 0
 
 
 def similarity_matrix(
-    unit: np.ndarray, temperature: float, *, out: np.ndarray | None = None
+    unit: np.ndarray, temperature: float, *, _out: np.ndarray | None = None
 ) -> np.ndarray:
     """Cosine similarities of unit rows divided by the temperature.
 
     Entries are bounded by 1/temperature in absolute value; the diagonal
-    is 1/temperature. Rows are assumed normalized already. The result is
-    written to ``out`` if given, else to a new array.
+    is 1/temperature. Rows are assumed normalized already.
     """
     _check_real("temperature", temperature, "be positive", _positive)
     # NumPy evaluates a BLAS-ready array times its own transpose as one
@@ -121,26 +101,25 @@ def similarity_matrix(
     # is exactly symmetric without a mirror. A column-strided view would
     # take a general product instead, whose triangles may round apart.
     unit = np.ascontiguousarray(_check_array("unit embeddings", unit, ("n", "d")))
-    s = np.matmul(unit, unit.T, out=_square_out(out, len(unit), unit))
+    s = np.matmul(unit, unit.T, out=_out)
     return np.divide(s, temperature, out=s)
 
 
 def distance_matrix(
-    points: np.ndarray, norm: DistanceNorm | str, *, out: np.ndarray | None = None
+    points: np.ndarray, norm: DistanceNorm | str, *, _out: np.ndarray | None = None
 ) -> np.ndarray:
     """Pairwise distances under the requested norm, a member or its string value.
 
-    Returns a symmetric, nonnegative matrix with zero diagonal, written to
-    ``out`` if given, else to a new array. Cosine distance is
-    1 - cos(a, b) with epsilon-guarded norms, which lies in [0, 2]; the
-    other three are computed from coordinate differences, so their
-    diagonal and symmetry are exact.
+    Returns a symmetric, nonnegative matrix with zero diagonal. Cosine
+    distance is 1 - cos(a, b) with epsilon-guarded norms, which lies in
+    [0, 2]; the other three are computed from coordinate differences, so
+    their diagonal and symmetry are exact.
     """
     points = _check_array("points", points, ("n", "m"))
     _batch_size(len(points))
     norm = _member("distance norm", DistanceNorm, norm)
     n, d = points.shape
-    out = _square_out(out, n, points)
+    out = np.empty((n, n)) if _out is None else _out
     if norm is DistanceNorm.COSINE:
         points = np.ascontiguousarray(points)
         g = np.matmul(points, points.T, out=out)  # exactly symmetric, as in similarity_matrix
@@ -189,7 +168,7 @@ def _fold_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def select_neighbors(
-    distances: np.ndarray, count: int, *, out: np.ndarray | None = None
+    distances: np.ndarray, count: int, *, _out: np.ndarray | None = None
 ) -> np.ndarray:
     """Each anchor's set of ``count`` nearest other samples, as (n, count)
     indices.
@@ -201,9 +180,7 @@ def select_neighbors(
     of a stable sort on (distance, index). Each row lists its set in
     ascending index order. The diagonal is ignored; a non-finite distance
     anywhere else raises InputError. Callers must clamp ``count`` into
-    [1, n - 1] beforehand; it must be an integer. The selection partitions
-    a copy of the distances, made in ``out`` if given, else in a new
-    array; the result is always a new array.
+    [1, n - 1] beforehand; it must be an integer.
     """
     distances = _check_array("distances", distances, ("n", "n"))
     n = len(distances)
@@ -212,7 +189,7 @@ def select_neighbors(
         raise ConfigError(f"neighbor count must lie in [1, {n - 1}], got {count}")
     # O(n^2): everything up to the count-th smallest distance of its row,
     # less the highest-index ties at that distance where there are too many
-    masked = _square_out(out, n, distances)
+    masked = np.empty((n, n)) if _out is None else _out
     np.copyto(masked, distances)
     masked.ravel()[:: n + 1] = np.inf
     if np.count_nonzero(np.isfinite(masked)) != n * (n - 1):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, _check_array, _check_real
-from .geometry import _batch_size, _square_out
+from .geometry import _batch_size
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,13 @@ class KernelSpec:
 
 
 def positiveness_matrix(
-    labels: np.ndarray, spec: KernelSpec, *, out: np.ndarray | None = None
+    labels: np.ndarray, spec: KernelSpec, *, _out: np.ndarray | None = None
 ) -> np.ndarray:
     """Build the n x n matrix of kernel weights over all label pairs.
 
     Entry (i, k) is exp(-(y_i - y_k)^2 / (2 * bandwidth^2)), which lies in
-    [0, 1] and peaks at equal labels; it is written to ``out`` if given,
-    else to a new array. Exact symmetry and a unit diagonal follow from the
-    kernel being computed on the squared difference. A pair whose squared
+    [0, 1] and peaks at equal labels. Exact symmetry and a unit diagonal
+    follow from the kernel being computed on the squared difference. A pair whose squared
     difference overflows, a gap above about 1.34e154, is computed as
     exp(-(gap / bandwidth)^2 / 2) instead.
     """
@@ -55,7 +54,7 @@ def positiveness_matrix(
         raise InputError("labels contains non-finite values")
     # delta squared is bit-identical across the diagonal, so w is exactly
     # symmetric; (delta * delta) rather than delta**2 keeps it elementwise.
-    w = _square_out(out, n, labels)
+    w = np.empty((n, n)) if _out is None else _out
     # no |delta| exceeds high - low, and Python floats overflow silently
     if (high - low) * (high - low) < math.inf:
         overflowed = None

@@ -428,6 +428,43 @@ def _label_gaps(labels: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.abs(gaps, out=gaps)
 
 
+def _forward(variant: LossVariant, sim: np.ndarray, weights: np.ndarray | None,
+             labels: np.ndarray | None, neighbors: np.ndarray | None) -> float:
+    """The loss of dynlocrep_forward and baseline_forward, once s, then w or
+    the labels, then dynlocrep's neighbor sets pass their checks."""
+    sim = _check_array("similarity matrix", sim, ("n", "n"), finite=True)
+    n = _batch_size(len(sim))
+    work, gaps = _scratch(n)[1:], None
+    if variant is LossVariant.RANK_N_CONTRAST:
+        if labels is None:
+            raise InputError("rank-n-contrast needs labels")
+        gaps = _label_gaps(_check_array("labels", labels, (n,), finite=True), work[0])
+    else:
+        if weights is None:
+            raise InputError(f"{variant.value} needs a positiveness matrix")
+        weights = _check_array("positiveness matrix", weights, (n, n), finite=True)
+    if variant is LossVariant.DYN_LOC_REP:
+        expected = f"neighbor sets must have shape ({n}, count >= 1)"
+        try:
+            neighbors = np.asarray(neighbors)
+        except ValueError:  # NumPy refuses rows of unequal length
+            raise InputError(f"{expected}, got rows of unequal length") from None
+        if neighbors.ndim != 2 or len(neighbors) != n or neighbors.shape[1] < 1:
+            raise InputError(f"{expected}, got {neighbors.shape}")
+        # the dtype first: np.sort would compare None or str entries raw
+        if (
+            not np.issubdtype(neighbors.dtype, np.integer)
+            or (ordered := np.sort(neighbors, axis=1))[:, 0].min() < 0
+            or ordered[:, -1].max() >= n
+            or np.any(ordered[:, 1:] == ordered[:, :-1])
+            or np.any(neighbors == np.arange(n)[:, None])
+        ):
+            raise InputError(
+                f"neighbor indices must be distinct integers in [0, {n}) other than their anchor"
+            )
+    return _loss_core(variant, sim, weights, gaps, neighbors, work)[0]
+
+
 def dynlocrep_forward(sim: np.ndarray, weights: np.ndarray, neighbors: np.ndarray) -> float:
     """Total dynamic localized repulsion loss over all anchors.
 
@@ -437,28 +474,7 @@ def dynlocrep_forward(sim: np.ndarray, weights: np.ndarray, neighbors: np.ndarra
     denominator is restricted to the anchor's neighbor set (which may include k
     itself). InputError reports fewer than 2 rows or a non-finite s or w.
     """
-    sim = _check_array("similarity matrix", sim, ("n", "n"), finite=True)
-    n = _batch_size(len(sim))
-    weights = _check_array("positiveness matrix", weights, (n, n), finite=True)
-    expected = f"neighbor sets must have shape ({n}, count >= 1)"
-    try:
-        neighbors = np.asarray(neighbors)
-    except ValueError:  # NumPy refuses rows of unequal length
-        raise InputError(f"{expected}, got rows of unequal length") from None
-    if neighbors.ndim != 2 or len(neighbors) != n or neighbors.shape[1] < 1:
-        raise InputError(f"{expected}, got {neighbors.shape}")
-    ordered = np.sort(neighbors, axis=1)
-    if (
-        not np.issubdtype(neighbors.dtype, np.integer)
-        or ordered[:, 0].min() < 0
-        or ordered[:, -1].max() >= n
-        or np.any(ordered[:, 1:] == ordered[:, :-1])
-        or np.any(neighbors == np.arange(n)[:, None])
-    ):
-        raise InputError(
-            f"neighbor indices must be distinct integers in [0, {n}) other than their anchor"
-        )
-    return _loss_core(LossVariant.DYN_LOC_REP, sim, weights, None, neighbors, _scratch(n)[1:])[0]
+    return _forward(LossVariant.DYN_LOC_REP, sim, weights, None, neighbors)
 
 
 def baseline_forward(
@@ -476,18 +492,7 @@ def baseline_forward(
     variant = _member("variant", LossVariant, variant)
     if variant is LossVariant.DYN_LOC_REP:
         raise ConfigError("use dynlocrep_forward for the localized loss")
-    sim = _check_array("similarity matrix", sim, ("n", "n"), finite=True)
-    n = _batch_size(len(sim))
-    work, gaps = _scratch(n)[1:], None
-    if variant is LossVariant.RANK_N_CONTRAST:
-        if labels is None:
-            raise InputError("rank-n-contrast needs labels")
-        gaps = _label_gaps(_check_array("labels", labels, (n,), finite=True), work[0])
-    else:
-        if weights is None:
-            raise InputError(f"{variant.value} needs a positiveness matrix")
-        weights = _check_array("positiveness matrix", weights, (n, n), finite=True)
-    return _loss_core(variant, sim, weights, gaps, None, work)[0]
+    return _forward(variant, sim, weights, labels, None)
 
 
 def loss_with_gradient(
@@ -508,20 +513,22 @@ def loss_with_gradient(
     NumericalError before anything is computed from them.
     """
     n = _batch_size(batch.n)
+    unit = _check_array("unit embeddings", batch.unit, batch.raw.shape)
     variant = config.variant
     # rnc reads the labels' gaps; positiveness_matrix checks them for the rest
     labels = _check_array("labels", labels, (n,), finite=variant is LossVariant.RANK_N_CONTRAST)
-    # s, then the core's work, whose first array holds w or gaps
+    # s, then the core's work, whose first array holds w or gaps; each is a
+    # C-contiguous float64 (n, n) array that aliases no input, as _out needs
     work = _scratch(n)
     w = gaps = None
     if variant is LossVariant.RANK_N_CONTRAST:
         gaps = _label_gaps(labels, work[1])
     else:
-        w = positiveness_matrix(labels, config.kernel, out=work[1])
+        w = positiveness_matrix(labels, config.kernel, _out=work[1])
     if not np.isfinite(batch.raw).all():
         raise NumericalError("embeddings contain non-finite values")
 
-    s = similarity_matrix(batch.unit, config.temperature, out=work[0])
+    s = similarity_matrix(unit, config.temperature, _out=work[0])
     neighbors = None
     if variant is LossVariant.DYN_LOC_REP:
         if neighbor_count is None:
@@ -532,12 +539,12 @@ def loss_with_gradient(
                 raise ConfigError("input-space neighbor selection needs input features")
             points = _check_array("input features", input_features, (n, "m"))
         else:
-            points = batch.unit
+            points = unit
         # count n - 1 is everyone but the anchor (None); any other count,
         # out-of-range ones included, goes through select_neighbors
         if neighbor_count != n - 1:
-            distances = distance_matrix(points, config.distance_norm, out=work[2])
-            neighbors = select_neighbors(distances, neighbor_count, out=work[3])
+            distances = distance_matrix(points, config.distance_norm, _out=work[2])
+            neighbors = select_neighbors(distances, neighbor_count, _out=work[3])
 
     value, grad_s, weighted = _loss_core(variant, s, w, gaps, neighbors, work[1:])
     # The selection is the step's one large new array. Freed before the product
@@ -546,10 +553,10 @@ def loss_with_gradient(
     del neighbors
 
     # Chain rule: s = U U^T / tau, then u = z / max(||z||, eps) per row.
-    grad_unit = np.add(grad_s, grad_s.T, out=work[0]) @ batch.unit
+    grad_unit = np.add(grad_s, grad_s.T, out=work[0]) @ unit
     grad_unit /= config.temperature
     norms = np.sqrt(np.add.reduce(batch.raw * batch.raw, axis=1, keepdims=True))
-    tangent = np.add.reduce(grad_unit * batch.unit, axis=1, keepdims=True) * batch.unit
+    tangent = np.add.reduce(grad_unit * unit, axis=1, keepdims=True) * unit
     if norms.min() <= NORM_EPS:
         # a row at the guard passes grad_unit through, divided by the guard
         tangent[norms[:, 0] <= NORM_EPS] = 0.0

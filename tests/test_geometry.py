@@ -1,5 +1,6 @@
 """Geometry: normalization, similarities, the four distance norms, neighbors."""
 
+import inspect
 import math
 import re
 import tracemalloc
@@ -187,75 +188,33 @@ def test_geometry_rejects_misshapen_inputs(call, message):
 
 
 def out_cases():
-    """Each function that takes ``out=``, as (input, call(input, out)), on an
-    n = 256 batch at d = 32."""
+    """Each function that takes the step's private ``_out``, as (function,
+    input, the other arguments), on an n = 256 batch at d = 32."""
     rng = np.random.default_rng(19)
     points = rng.normal(size=(256, 32))
     return {
-        "similarity_matrix": (
-            l2_normalize(points),
-            lambda unit, out: similarity_matrix(unit, 0.5, out=out),
-        ),
+        "similarity_matrix": (similarity_matrix, l2_normalize(points), (0.5,)),
         "positiveness_matrix": (
-            rng.uniform(0.0, 60.0, size=256),
-            lambda labels, out: positiveness_matrix(labels, KernelSpec(), out=out),
+            positiveness_matrix, rng.uniform(0.0, 60.0, size=256), (KernelSpec(),)
         ),
-        "distance_matrix": (points, lambda points, out: distance_matrix(points, "manhattan", out=out)),
+        "distance_matrix": (distance_matrix, points, ("manhattan",)),
         "select_neighbors": (
-            distance_matrix(points, DistanceNorm.MANHATTAN),
-            lambda distances, out: select_neighbors(distances, 5, out=out),
+            select_neighbors, distance_matrix(points, DistanceNorm.MANHATTAN), (5,)
         ),
     }
 
 
-def read_only_out():
-    out = np.empty((256, 256))
-    out.flags.writeable = False
-    return out
-
-
-BAD_OUTS = {
-    "wrong shape": lambda: np.empty((256, 255)),
-    "wrong dtype": lambda: np.empty((256, 256), dtype=np.float32),
-    "fortran order": lambda: np.empty((256, 256), order="F"),
-    "read-only": read_only_out,
-    "not an array": lambda: np.empty((256, 256)).tolist(),
-}
-
-
 @pytest.mark.parametrize("name", list(out_cases()))
 def test_a_given_out_receives_the_result(name):
-    """A checked ``out`` holds the bytes of a call without one, and is the
-    result, except for select_neighbors, whose indices are always new."""
-    given, call = out_cases()[name]
+    """A given ``_out`` holds the bytes of a call without one, and is the
+    result, except for select_neighbors, whose indices are always new. No
+    public signature has an ``out``."""
+    function, given, args = out_cases()[name]
+    assert "out" not in inspect.signature(function).parameters
     out = np.full((256, 256), np.nan)
-    result = call(given, out)
-    assert np.asarray(result).tobytes() == np.asarray(call(given, None)).tobytes()
+    result = function(given, *args, _out=out)
+    assert result.tobytes() == function(given, *args).tobytes()
     assert (result is out) == (name != "select_neighbors")
-
-
-@pytest.mark.parametrize("defect", list(BAD_OUTS))
-@pytest.mark.parametrize("name", list(out_cases()))
-def test_a_malformed_out_is_refused(name, defect):
-    given, call = out_cases()[name]
-    with pytest.raises(InputError, match=r"out must be a writable C-contiguous float64 \(256, 256\)"):
-        call(given, BAD_OUTS[defect]())
-
-
-@pytest.mark.parametrize("name", list(out_cases()))
-def test_an_out_that_shares_memory_with_the_input_is_refused(name):
-    """The input is placed in the out's own memory: in its first columns
-    (where distance_matrix used to overwrite points it had still to read),
-    in its first items, or as the whole of it."""
-    given, call = out_cases()[name]
-    out = np.zeros((256, 256))
-    if name == "distance_matrix":
-        placed = out[:, : given.shape[1]]
-    else:
-        placed = out.ravel()[: given.size].reshape(given.shape)
-    placed[...] = given
-    with pytest.raises(InputError, match="^out must not share memory with the input$"):
-        call(placed, out)
 
 
 def test_full_neighborhood_is_all_other_indices():
@@ -391,12 +350,12 @@ def test_training_through_the_reference_distance_gives_the_same_bits(monkeypatch
     shipped = [train(dataset, config, OptimConfig(), encoder_config) for config in configs]
     sizes = set()
 
-    def reference(points, norm, *, out=None):
+    def reference(points, norm, *, _out=None):
         sizes.add(len(points))
-        if out is None:
+        if _out is None:
             return repeat_reference(points, norm)
-        np.copyto(out, repeat_reference(points, norm))
-        return out
+        np.copyto(_out, repeat_reference(points, norm))
+        return _out
 
     monkeypatch.setattr(losses_module, "distance_matrix", reference)
     for config, ours in zip(configs, shipped):

@@ -711,15 +711,17 @@ def test_single_sample_batch_rejected():
 
 @pytest.mark.parametrize(
     "row, column, index",
-    [(0, 0, 5), (1, 0, -1), (0, 0, 0), (2, 1, None)],
-    ids=["beyond-n", "negative", "anchor", "repeated"],
+    [(0, 0, 5), (1, 0, -1), (0, 0, 0), (2, 1, "repeat"), (1, 1, None)],
+    ids=["beyond-n", "negative", "anchor", "repeated", "none"],
 )
 def test_dynlocrep_forward_rejects_invalid_neighbor_indices(row, column, index):
+    """A None entry used to escape np.sort as a raw TypeError."""
     batch, labels = random_batch(8, n=5)
     sim, weights, neighbors = forward_pieces(batch, labels, neighbor_count=2)
-    neighbors = neighbors.copy()
-    neighbors[row, column] = neighbors[row, 1 - column] if index is None else index
-    with pytest.raises(InputError):
+    neighbors = neighbors.tolist()
+    neighbors[row][column] = neighbors[row][1 - column] if index == "repeat" else index
+    message = "neighbor indices must be distinct integers in [0, 5) other than their anchor"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         dynlocrep_forward(sim, weights, neighbors)
 
 
@@ -764,6 +766,25 @@ def test_input_features_must_match_the_batch():
     message = "^input features must have shape \\(5, m\\), got \\(4, 3\\)$"
     with pytest.raises(InputError, match=message):
         loss_with_gradient(config, batch, labels, neighbor_count=2, input_features=np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("variant", [LossVariant.DYN_LOC_REP, LossVariant.Y_AWARE])
+@pytest.mark.parametrize(
+    ("raw_shape", "unit_shape"),
+    [((6, 4), (6, 3)), ((6, 3), (6, 4)), ((6, 4), (5, 4))],
+    ids=["narrower-unit", "wider-unit", "fewer-unit-rows"],
+)
+def test_a_batch_whose_unit_and_raw_differ_in_shape_is_refused(variant, raw_shape, unit_shape):
+    """The first two used to return a gradient of unit's shape for raw's
+    embeddings, the third to name the out= of similarity_matrix."""
+    rng = np.random.default_rng(14)
+    raw, unit = rng.normal(size=raw_shape), rng.normal(size=unit_shape)
+    batch = EmbeddingBatch(raw=raw, unit=unit / np.linalg.norm(unit, axis=1, keepdims=True))
+    message = f"unit embeddings must have shape {raw_shape}, got {unit_shape}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        loss_with_gradient(
+            LossConfig(variant=variant), batch, rng.uniform(20.0, 80.0, size=6), neighbor_count=2
+        )
 
 
 @pytest.mark.parametrize("variant", list(LossVariant))

@@ -163,22 +163,6 @@ def test_values_that_used_to_run_or_escape_as_type_errors_are_config_errors(call
         call()
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda out: similarity_matrix(UNIT, "0.5", out=out),
-        lambda out: similarity_matrix(UNIT, math.inf, out=out),
-        lambda out: distance_matrix(UNIT, "taxicab", out=out),
-    ],
-    ids=["similarity-type", "similarity-range", "distance-norm"],
-)
-def test_a_rejected_setting_leaves_out_untouched(call):
-    out = np.full((4, 4), 7.0)
-    with pytest.raises(ConfigError):
-        call(out)
-    assert (out == 7.0).all()
-
-
 def _grid(call, **change):
     """``call`` (benchmark or ablate_norms) on a tiny grid, with ``change``
     replacing its sweep values or seeds; every case here fails before a run."""

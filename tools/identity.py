@@ -15,6 +15,9 @@ agree on a case only if they agree bit for bit:
   n = 2, 3, 7, 32 and 256 and temperature 0.5, 0.1 and 0.002, on a batch
   with one all-zero row and tied integer labels, as its value, gradient
   bytes and ``weighted``;
+- ``forward/<loss>/n<n>``: the ``dynlocrep_forward`` or ``baseline_forward``
+  value of each loss, as float hex, at n = 2, 32 and 256 and temperature
+  0.5 on the ``loss/`` batch, with half the other rows as neighbors;
 - ``loss/<loss>/underflow`` and ``loss/<loss>/dropped``: the same for each
   kernel-weighted loss on 8 rows, at temperature 0.5, where one anchor's
   kernel weights to every other row fall below ``WEIGHT_SUM_EPS``, and
@@ -116,15 +119,46 @@ def _loss_fields(loss: str, tau: float, points, labels) -> dict:
     }
 
 
+def _loss_batch(n: int):
+    """The n-row points and labels of the ``loss/`` and ``forward/`` cases."""
+    import numpy as np
+
+    rng = np.random.default_rng(n)
+    points = rng.normal(size=(n, 8))
+    points[n // 2] = 0.0  # an all-zero embedding row
+    labels = rng.integers(20, 20 + max(2, n // 4), size=n).astype(float)  # tied labels
+    return points, labels
+
+
 def _loss_case(loss: str, n: int, tau: float) -> Callable[[], dict]:
     def run() -> dict:
-        import numpy as np
+        return _loss_fields(loss, tau, *_loss_batch(n))
 
-        rng = np.random.default_rng(n)
-        points = rng.normal(size=(n, 8))
-        points[n // 2] = 0.0  # an all-zero embedding row
-        labels = rng.integers(20, 20 + max(2, n // 4), size=n).astype(float)  # tied labels
-        return _loss_fields(loss, tau, points, labels)
+    return run
+
+
+def _forward_case(loss: str, n: int) -> Callable[[], dict]:
+    """``dynlocrep_forward`` or ``baseline_forward`` at temperature 0.5 on the
+    ``loss/`` batch, its pieces built by the public functions as the step
+    builds them: half the other rows as manhattan neighbors in embedding
+    space, the default kernel, the labels for rnc."""
+
+    def run() -> dict:
+        from dynlocrep import (KernelSpec, baseline_forward, distance_matrix, dynlocrep_forward,
+                               l2_normalize, positiveness_matrix, select_neighbors,
+                               similarity_matrix)
+
+        points, labels = _loss_batch(n)
+        unit = l2_normalize(points)
+        sim = similarity_matrix(unit, 0.5)
+        if loss == "rnc":
+            value = baseline_forward(loss, sim, labels=labels)
+        elif loss == "dynlocrep":
+            neighbors = select_neighbors(distance_matrix(unit, "manhattan"), max(1, n // 2))
+            value = dynlocrep_forward(sim, positiveness_matrix(labels, KernelSpec()), neighbors)
+        else:
+            value = baseline_forward(loss, sim, positiveness_matrix(labels, KernelSpec()))
+        return {"value": float(value).hex()}
 
     return run
 
@@ -291,6 +325,9 @@ def cases() -> dict[str, Callable[[], dict]]:
         for tau in (0.5, 0.1, 0.002):
             for loss in LOSSES:
                 found[f"loss/{loss}/n{n}/tau{tau}"] = _loss_case(loss, n, tau)
+    for n in (2, 32, 256):
+        for loss in LOSSES:
+            found[f"forward/{loss}/n{n}"] = _forward_case(loss, n)
     for loss in LOSSES[:4]:  # the kernel-weighted losses
         found[f"loss/{loss}/underflow"] = _light_case(loss, False)
         found[f"loss/{loss}/dropped"] = _light_case(loss, True)
