@@ -760,6 +760,65 @@ def test_a_baseline_without_its_supervision_is_rejected(variant):
         baseline_forward(variant, sim)
 
 
+def test_dynlocrep_forward_without_weights_is_rejected():
+    batch, labels = random_batch(11, n=5)
+    sim, _, neighbors = forward_pieces(batch, labels, neighbor_count=2)
+    with pytest.raises(InputError, match="^dynlocrep needs a positiveness matrix$"):
+        dynlocrep_forward(sim, None, neighbors)
+
+
+def _nan_at(array, index):
+    array = np.array(array)
+    array[index] = np.nan
+    return array
+
+
+# a defect of s or of the supervision (w, or rnc's labels), as (s, supervision) of
+# the valid pair -> (s, supervision), and its message, where {name}, {shape} and
+# {short} are the supervision's name, its shape and the shape of its first 4 rows
+FORWARD_DEFECTS = {
+    "one-row": (lambda s, sup: (s[:1, :1], sup), "need a batch of at least 2 samples, got 1"),
+    "non-square-s": (
+        lambda s, sup: (s[:, :4], sup), "similarity matrix must have shape (n, n), got (5, 4)"
+    ),
+    # both are non-finite, and s is named: it is checked first
+    "non-finite-s": (
+        lambda s, sup: (_nan_at(s, (1, 2)), _nan_at(sup, 1)),
+        "similarity matrix contains non-finite values",
+    ),
+    "non-finite-supervision": (
+        lambda s, sup: (s, _nan_at(sup, 1)), "{name} contains non-finite values"
+    ),
+    "short-supervision": (
+        lambda s, sup: (s, sup[:4, :4] if sup.ndim == 2 else sup[:4]),
+        "{name} must have shape {shape}, got {short}",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", [LossVariant.DYN_LOC_REP, *BASELINES])
+@pytest.mark.parametrize("defect", list(FORWARD_DEFECTS))
+def test_both_forwards_check_s_then_its_supervision_alike(defect, variant):
+    """dynlocrep_forward and baseline_forward share one check path: the same
+    defect gives every variant the same message, s before w or the labels."""
+    batch, labels = random_batch(12, n=5)
+    sim, weights, neighbors = forward_pieces(batch, labels, neighbor_count=2)
+    rnc = variant is LossVariant.RANK_N_CONTRAST
+    change, message = FORWARD_DEFECTS[defect]
+    if rnc:
+        message = message.format(name="labels", shape="(5,)", short="(4,)")
+    else:
+        message = message.format(name="positiveness matrix", shape="(5, 5)", short="(4, 4)")
+    sim, supervision = change(sim, labels if rnc else weights)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        if variant is LossVariant.DYN_LOC_REP:
+            dynlocrep_forward(sim, supervision, neighbors)
+        elif rnc:
+            baseline_forward(variant, sim, labels=supervision)
+        else:
+            baseline_forward(variant, sim, weights=supervision)
+
+
 def test_input_features_must_match_the_batch():
     batch, labels = random_batch(12, n=5)
     config = LossConfig(nn_space=NeighborSpace.INPUT)

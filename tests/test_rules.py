@@ -33,6 +33,7 @@ from dynlocrep import (
     l2_normalize,
     loss_with_gradient,
     neighbors_at_epoch,
+    select_neighbors,
     similarity_matrix,
     split,
 )
@@ -161,6 +162,24 @@ def test_a_numpy_integer_keeps_working(where):
 def test_values_that_used_to_run_or_escape_as_type_errors_are_config_errors(call, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda out: similarity_matrix(UNIT, "0.5", _out=out),
+        lambda out: similarity_matrix(UNIT, math.inf, _out=out),
+        lambda out: distance_matrix(UNIT, "taxicab", _out=out),
+        lambda out: select_neighbors(distance_matrix(UNIT, "manhattan"), 4, _out=out),
+    ],
+    ids=["similarity-type", "similarity-range", "distance-norm", "neighbor-count"],
+)
+def test_a_rejected_setting_leaves_out_untouched(call):
+    """Each setting is checked before the loss step's work array is written."""
+    out = np.full((4, 4), 7.0)
+    with pytest.raises(ConfigError):
+        call(out)
+    assert (out == 7.0).all()
 
 
 def _grid(call, **change):
