@@ -3,9 +3,20 @@
 The encoder is an affine/ReLU stack whose final layer is linear. Raw
 outputs are what the optimizer differentiates through (the normalization
 Jacobian lives in the loss module); the unit rows feed the similarities.
-An encoder holds the layer inputs of its latest forward pass only, for
-``backward``; a new pass frees them before it allocates its own, so two
-full-data passes in a row never hold two sets of activations.
+An encoder holds what ``backward`` needs of its latest forward pass only;
+a new pass frees it before it allocates its own, so two full-data passes
+in a row never hold two sets of activations. A pass over at most
+``_CACHE_ROWS`` (256) rows, which covers the training batches of the
+paper's settings and of the benchmarks, holds every layer's input. A
+longer one runs the stack in blocks of ``_BLOCK_ROWS`` (64) rows and holds
+only the features array it was given, by reference, as a short pass holds
+its first layer's input; ``backward`` then recomputes the layer inputs
+from it in one pass, so a training batch above 256 rows pays one extra
+pass per step. 64-row blocks keep each product below the size at which
+OpenBLAS starts a second thread. Every output row has the bits of one pass
+over all rows, since each entry is summed in the same order, except in a
+block of one row, which NumPy multiplies as a matrix-vector product with
+other bits; so a lone last row joins the block before it.
 
 All parameters live in one flat float64 vector, ``Encoder.params``: for
 each layer its weight matrix (row-major) and then its bias. The per-layer
@@ -35,6 +46,9 @@ CHECKPOINT_VERSION = 1
 
 # Adam's moment coefficients and epsilon, the defaults of Kingma & Ba (ICLR 2015)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+# a forward pass over more rows than this runs in blocks of _BLOCK_ROWS rows
+_CACHE_ROWS, _BLOCK_ROWS = 256, 64
 
 
 @dataclass(frozen=True)
@@ -121,14 +135,31 @@ class Encoder:
         return (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
 
     def forward(self, features: np.ndarray) -> EmbeddingBatch:
-        """Run the stack and cache every layer's input for ``backward``.
+        """Run the stack and cache what ``backward`` needs.
 
+        A pass over at most ``_CACHE_ROWS`` rows caches every layer's
+        input. A longer one runs in blocks of ``_BLOCK_ROWS`` rows, a lone
+        last row joining the block before it, and caches only ``features``,
+        held by reference; its bits are those of one pass over all rows.
         Only this pass is cached: once the features pass the width check,
-        the previous pass's inputs are freed before any layer runs. A
+        the previous pass's cache is freed before any layer runs. A
         rejected call leaves the previous pass in place.
         """
         x = _check_array("features", features, ("n", self.weights[0].shape[0]))
         self._inputs = None
+        if len(x) <= _CACHE_ROWS:
+            self._inputs, raw = self._run(x)
+        else:
+            raw = np.empty((len(x), self.weights[-1].shape[1]))
+            # a one-row block would be a matrix-vector product, whose bits differ
+            starts = range(0, len(x) - 1, _BLOCK_ROWS)
+            for start, stop in zip(starts, [*starts[1:], len(x)]):
+                raw[start:stop] = self._run(x[start:stop])[1]
+            self._inputs = [x]
+        return EmbeddingBatch.from_raw(raw)
+
+    def _run(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Every layer's input on ``x``, and the raw output."""
         inputs: list[np.ndarray] = []
         h = x
         for w, b in zip(self.weights, self.biases):
@@ -137,26 +168,32 @@ class Encoder:
             inputs.append(h)
             h = h @ w
             h += b
-        self._inputs = inputs
-        return EmbeddingBatch.from_raw(h)
+        return inputs, h
 
     def backward(self, grad_raw: np.ndarray) -> np.ndarray:
         """Gradient of the most recent forward pass, laid out like ``params``.
 
-        The ReLU derivative at exactly 0 is taken as 0.
+        After a pass over more than ``_CACHE_ROWS`` rows, the layer inputs
+        are first recomputed in one pass over the features array that pass
+        was given, which the encoder holds by reference, so the gradient has
+        the same bits and a training batch that large pays one extra pass
+        per step. The ReLU derivative at exactly 0 is taken as 0.
         """
         if self._inputs is None:
             raise InputError("backward called before forward")
         g = _check_array("gradient", grad_raw, (len(self._inputs[0]), self.weights[-1].shape[1]))
+        inputs = self._inputs
+        if len(inputs) < len(self.weights):  # a blocked pass cached its features only
+            inputs = self._run(inputs[0])[0]
         grad = np.empty_like(self.params)
         grad_weights, grad_biases = _layer_views(grad, self.layer_dims)
         for layer in range(len(self.weights) - 1, -1, -1):
             np.add.reduce(g, axis=0, out=grad_biases[layer])
-            np.matmul(self._inputs[layer].T, g, out=grad_weights[layer])
+            np.matmul(inputs[layer].T, g, out=grad_weights[layer])
             if layer > 0:
                 # a ReLU output is positive exactly where its input was
                 g = g @ self.weights[layer].T
-                g *= self._inputs[layer] > 0.0
+                g *= inputs[layer] > 0.0
         return grad
 
 

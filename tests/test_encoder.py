@@ -18,6 +18,8 @@ from dynlocrep import (
     load_checkpoint,
     save_checkpoint,
 )
+from dynlocrep.encoder import _BLOCK_ROWS, _CACHE_ROWS
+from dynlocrep.geometry import EmbeddingBatch
 
 CONFIG = EncoderConfig(input_dim=6, hidden_dims=(16, 16), output_dim=8)
 
@@ -155,11 +157,12 @@ def test_backward_differentiates_the_latest_pass_only():
         encoder.backward(np.ones((7, 8)))
 
 
-def test_a_rejected_forward_keeps_the_previous_pass():
+@pytest.mark.parametrize("n", [5, _CACHE_ROWS + _BLOCK_ROWS + 1], ids=["cached", "blocked"])
+def test_a_rejected_forward_keeps_the_previous_pass(n):
     rng = np.random.default_rng(10)
     encoder = init_encoder(CONFIG, seed=10)
-    g = rng.normal(size=(5, 8))
-    encoder.forward(rng.normal(size=(5, 6)))
+    g = rng.normal(size=(n, 8))
+    encoder.forward(rng.normal(size=(n, 6)))
     before = encoder.backward(g)
     with pytest.raises(InputError):
         encoder.forward(np.zeros((3, 5)))
@@ -169,9 +172,12 @@ def test_a_rejected_forward_keeps_the_previous_pass():
 def test_a_forward_frees_the_previous_pass_before_allocating_its_own():
     """Two back-to-back full-data passes, as the export and readout passes
     run them: the second may add at most 8 MiB to what the first left held.
-    Freeing the old layer inputs first adds 5.1 MiB here (h1, h2 and raw
-    outputs, then the unit rows, less the old h1 and h2); with the old
-    inputs still cached while the new ones were built it was 12.3 MiB."""
+    A 10 000-row pass runs in row blocks and holds only its result
+    (4.9 MiB), so the second adds 5.1 MiB here: its raw outputs and their
+    squares, then its unit rows. When each pass cached its layer inputs
+    (9.8 MiB), freeing them first also kept the second pass at 5.1 MiB;
+    with the old inputs still cached while the new ones were built it was
+    12.3 MiB."""
     encoder = init_encoder(EncoderConfig(input_dim=16), seed=0)
     x = np.random.default_rng(11).normal(size=(10_000, 16))
     tracemalloc.start()
@@ -185,6 +191,62 @@ def test_a_forward_frees_the_previous_pass_before_allocating_its_own():
         tracemalloc.stop()
     assert first.raw.tobytes() == second.raw.tobytes()
     assert peak - held < 8 * 2**20
+
+
+def reference_pass(encoder, x, grad_raw):
+    """One pass over all rows that keeps every layer input, and the backward
+    pass through them: the raw outputs and the gradient of ``grad_raw``."""
+    inputs, h = [], x
+    for w, b in zip(encoder.weights, encoder.biases):
+        inputs.append(np.maximum(h, 0.0) if inputs else h)
+        h = inputs[-1] @ w + b
+    raw, g, grad = h, grad_raw, []
+    for layer in range(len(inputs) - 1, -1, -1):
+        grad[:0] = [(inputs[layer].T @ g).ravel(), g.sum(axis=0)]
+        if layer > 0:
+            g = (g @ encoder.weights[layer].T) * (inputs[layer] > 0.0)
+    return raw, np.concatenate(grad)
+
+
+BLOCKED_ROWS = {
+    "cache-limit": _CACHE_ROWS,
+    "one-past": _CACHE_ROWS + 1,
+    "k-blocks": 5 * _BLOCK_ROWS,
+    "k-blocks-and-one-row": 5 * _BLOCK_ROWS + 1,
+    "k-blocks-and-two-rows": 5 * _BLOCK_ROWS + 2,
+}
+
+
+@pytest.mark.parametrize("n", BLOCKED_ROWS.values(), ids=BLOCKED_ROWS.keys())
+def test_a_pass_and_its_gradient_have_the_bits_of_one_pass_over_all_rows(n):
+    """Above the cache limit the forward runs in row blocks and the backward
+    recomputes the layer inputs; neither may change a bit. A lone last row,
+    multiplied on its own, would: NumPy takes it as a matrix-vector product."""
+    rng = np.random.default_rng(n)
+    encoder = init_encoder(EncoderConfig(input_dim=16), seed=n)
+    x, g = rng.normal(size=(n, 16)), rng.normal(size=(n, 32))
+    raw, grad = reference_pass(encoder, x, g)
+    batch = encoder.forward(x)
+    assert batch.raw.tobytes() == raw.tobytes()
+    assert batch.unit.tobytes() == EmbeddingBatch.from_raw(raw).unit.tobytes()
+    assert encoder.backward(g).tobytes() == grad.tobytes()
+
+
+def test_a_full_data_pass_holds_only_its_result():
+    """A 10 000-row pass peaked at 14.9 MiB and kept 14.7 MiB of layer
+    inputs for a backward call that never came, against 4.9 MiB of raw and
+    unit rows; in row blocks it peaks at 5.1 MiB and keeps its result."""
+    encoder = init_encoder(EncoderConfig(input_dim=16), seed=0)
+    x = np.random.default_rng(12).normal(size=(10_000, 16))
+    tracemalloc.start()
+    try:
+        batch = encoder.forward(x)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = batch.raw.nbytes + batch.unit.nbytes
+    assert peak <= result + 2**20
+    assert held <= result + 2**16  # the batch object and the one-entry cache
 
 
 def test_backward_before_forward_rejected():

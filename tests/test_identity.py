@@ -15,7 +15,7 @@ CASES = ["loss/yaware/n7/tau0.5", "train/yaware/b32"]
 
 def test_every_case_name_is_unique_and_the_list_is_fixed():
     names = list(identity.cases())
-    assert len(names) == len(set(names)) == 3 * 5 + 5 * 3 * 5 + 3 * 5 + 2 * 4 + 6 + 7 + 8 + 5 + 5
+    assert len(names) == len(set(names)) == 3 * 5 + 5 * 3 * 5 + 3 * 5 + 2 * 4 + 9 + 6 + 7 + 8 + 5 + 5
     assert set(CASES) <= set(names)
 
 

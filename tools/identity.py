@@ -22,6 +22,11 @@ agree on a case only if they agree bit for bit:
   kernel-weighted loss on 8 rows, at temperature 0.5, where one anchor's
   kernel weights to every other row fall below ``WEIGHT_SUM_EPS``, and
   where every anchor's do, so that no pair is weighted;
+- ``encoder/n<n>``: one ``Encoder.forward`` of the first n of 10 000 fixed
+  rows of 16 features, at n = 1, 2, 64, 65, 256, 257, 400, 1025 and 10 000,
+  through one encoder at the default widths, and ``backward`` of fixed
+  output gradients after it, as the digests of the unit rows and of the
+  gradient;
 - ``criterion8``: acceptance criterion 8's benchmark report (five losses,
   five seeds, 50 epochs), outside ``timing``, with each entry's mean MAE;
 - ``criterion9``: acceptance criterion 9's ``dynlocrep ablate`` report (four
@@ -180,6 +185,21 @@ def _light_case(loss: str, dropped: bool) -> Callable[[], dict]:
     return run
 
 
+def _encoder_case(n: int) -> Callable[[], dict]:
+    def run() -> dict:
+        import numpy as np
+
+        from dynlocrep import EncoderConfig, init_encoder
+
+        rng = np.random.default_rng(16)
+        features, grad_raw = rng.normal(size=(10_000, 16)), rng.normal(size=(10_000, 32))
+        encoder = init_encoder(EncoderConfig(input_dim=16), seed=0)
+        unit = encoder.forward(features[:n]).unit
+        return {"unit": _digest(unit), "grad": _digest(encoder.backward(grad_raw[:n]))}
+
+    return run
+
+
 def _criterion_8() -> dict:
     from dynlocrep import (EncoderConfig, LossVariant, OptimConfig, RidgeConfig, SyntheticSpec,
                            TrainConfig, benchmark, generate_synthetic)
@@ -331,6 +351,8 @@ def cases() -> dict[str, Callable[[], dict]]:
     for loss in LOSSES[:4]:  # the kernel-weighted losses
         found[f"loss/{loss}/underflow"] = _light_case(loss, False)
         found[f"loss/{loss}/dropped"] = _light_case(loss, True)
+    for n in (1, 2, 64, 65, 256, 257, 400, 1025, 10_000):
+        found[f"encoder/n{n}"] = _encoder_case(n)
     found["criterion8"] = _criterion_8
     found["criterion9"] = _report("ablate", "norms")
     found["benchmark-report"] = _report("benchmark", "variants")
