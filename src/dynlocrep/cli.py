@@ -1,4 +1,6 @@
-"""Command-line entry point: generate, train, benchmark, ablate.
+"""Command-line entry point: ``generate``, ``train``, and one sweep over
+seeds, of the loss variant (``benchmark``) or of the neighbor-selection
+distance norm (``ablate``), each a row of ``_SWEEPS`` run by ``_cmd_sweep``.
 
 Flags may also be supplied through a flat ``key = value`` config file
 (``--config``); explicit flags override file values. argparse resolves
@@ -8,12 +10,12 @@ File keys must still name a long flag exactly. Exit codes: 0
 success, 2 refusal to overwrite, 64 usage or configuration error, 66
 input file (dataset or ``--config``) missing or unreadable, 70 numerical
 failure, 73 any other operating-system error, such as an output location
-that cannot be created or written, or a worker process that died, the
-dataset reader's included. The
-output directory, or the parent of ``--out``, is created before anything
-is generated, trained or benchmarked, so such a location fails at once; a
-command that fails removes the files it wrote, then the directories it
-made.
+that cannot be created or written (an ``--out`` that names a directory
+among them), or a worker process that died, the dataset reader's
+included. The output directory, or the parent of ``--out``, is created
+before anything is generated, trained or benchmarked, so such a location
+fails at once; a command that fails removes the files it wrote, then the
+directories it made.
 
 argparse only parses: ints, floats and comma lists. The library configs
 (``TrainConfig``, ``OptimConfig``, ``EncoderConfig``, ``SyntheticSpec``
@@ -30,6 +32,7 @@ entry and the config field it sets.
 from __future__ import annotations
 
 import argparse
+import collections
 import configparser
 import contextlib
 import enum
@@ -38,11 +41,11 @@ import os
 import sys
 from pathlib import Path
 
-from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, write_csv
+from .data import SyntheticSpec, generate_synthetic, load_csv, write_csv
 from .data import _table_file, _temp_name, _write_lines_atomic
 from .encoder import EncoderConfig, OptimConfig, save_checkpoint
 from .errors import ConfigError, DynLocRepError, NumericalError, ParseError
-from .evaluation import RidgeConfig, ablate_norms, benchmark
+from .evaluation import RidgeConfig, ablate_norms, benchmark  # noqa: F401 (see _Sweep)
 from .geometry import DistanceNorm
 from .kernels import KernelSpec
 from .losses import LossVariant
@@ -165,24 +168,29 @@ def _fields(args: argparse.Namespace, config: type) -> dict:
     }
 
 
-def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--data", default=None, metavar="CSV", help="input dataset; omit to use synthetic data"
-    )
-    parser.add_argument(
-        "--synthetic-n", type=int, default=500, help="synthetic dataset size when --data is omitted"
-    )
-    parser.add_argument("--data-seed", type=int, default=0, help="synthetic dataset seed")
-
-
-def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--seeds", type=_seed_list, default=[0, 1, 2, 3, 4], help="comma-separated run seeds"
-    )
-    parser.add_argument(
-        "--test-fraction", type=float, default=0.2, help="held-out fraction per split"
-    )
-    _add_config_flags(parser, RidgeConfig)
+# What sets one sweep over seeds apart from the other. The swept flag's name
+# is also its namespace field and the report's entry key. ``runner`` names the
+# library function, looked up in this module's globals when the command runs,
+# not bound here, so that a rebinding of that name (a tracer's) is seen.
+_Sweep = collections.namedtuple(
+    "_Sweep", "help description flag kind flag_help takes_distance_norm out title label runner"
+)
+_SWEEPS = {
+    "benchmark": _Sweep(
+        "compare loss variants across seeds",
+        "Train every requested variant across seeds, score ridge-readout MAE on held-out "
+        "splits, and write a JSON report including raw-feature and untrained-encoder baselines.",
+        "--variants", LossVariant, "comma-separated loss variants", True,
+        "benchmark_report.json", "benchmark", "variant", "benchmark",
+    ),
+    "ablate": _Sweep(
+        "sweep neighbor-selection distance norms",
+        "Fix the localized loss and sweep the neighbor-selection distance norm, "
+        "reporting per-norm MAE next to published reference values.",
+        "--norms", DistanceNorm, "comma-separated distance norms", False,
+        "ablation_report.json", "distance-norm ablation", "norm", "ablate_norms",
+    ),
+}
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -256,56 +264,30 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     _add_config_flags(tr, *_TRAINING_CONFIGS)
 
-    bm = command(
-        "benchmark",
-        _cmd_benchmark,
-        help="compare loss variants across seeds",
-        description=(
-            "Train every requested variant across seeds, score ridge-readout MAE on held-out "
-            "splits, and write a JSON report including raw-feature and untrained-encoder "
-            "baselines."
-        ),
-    )
-    _add_dataset_flags(bm)
-    _add_protocol_flags(bm)
-    bm.add_argument(
-        "--variants",
-        type=_list(LossVariant),
-        default=_VARIANT_NAMES,
-        help="comma-separated loss variants",
-    )
-    bm.add_argument(
-        "--distance-norm",
-        choices=_NORM_NAMES,
-        default=TrainConfig.distance_norm.value,
-        help="neighbor-selection distance norm for the localized loss",
-    )
-    bm.add_argument(
-        "--out", default="benchmark_report.json", metavar="JSON", help="report path"
-    )
-    _add_config_flags(bm, *_TRAINING_CONFIGS)
-
-    ab = command(
-        "ablate",
-        _cmd_ablate,
-        help="sweep neighbor-selection distance norms",
-        description=(
-            "Fix the localized loss and sweep the neighbor-selection distance norm, "
-            "reporting per-norm MAE next to published reference values."
-        ),
-    )
-    _add_dataset_flags(ab)
-    _add_protocol_flags(ab)
-    ab.add_argument(
-        "--norms",
-        type=_list(DistanceNorm),
-        default=_NORM_NAMES,
-        help="comma-separated distance norms",
-    )
-    ab.add_argument(
-        "--out", default="ablation_report.json", metavar="JSON", help="report path"
-    )
-    _add_config_flags(ab, *_TRAINING_CONFIGS)
+    for name, sweep in _SWEEPS.items():
+        sw = command(name, _cmd_sweep, help=sweep.help, description=sweep.description)
+        sw.add_argument("--data", metavar="CSV", help="input dataset; omit to use synthetic data")
+        sw.add_argument(
+            "--synthetic-n", type=int, default=500,
+            help="synthetic dataset size when --data is omitted",
+        )
+        sw.add_argument("--data-seed", type=int, default=0, help="synthetic dataset seed")
+        sw.add_argument(
+            "--seeds", type=_seed_list, default=[0, 1, 2, 3, 4], help="comma-separated run seeds"
+        )
+        sw.add_argument(
+            "--test-fraction", type=float, default=0.2, help="held-out fraction per split"
+        )
+        _add_config_flags(sw, RidgeConfig)
+        names = [member.value for member in sweep.kind]
+        sw.add_argument(sweep.flag, type=_list(sweep.kind), default=names, help=sweep.flag_help)
+        if sweep.takes_distance_norm:
+            sw.add_argument(
+                "--distance-norm", choices=_NORM_NAMES, default=TrainConfig.distance_norm.value,
+                help="neighbor-selection distance norm for the localized loss",
+            )
+        sw.add_argument("--out", default=sweep.out, metavar="JSON", help="report path")
+        _add_config_flags(sw, *_TRAINING_CONFIGS)
 
     return parser, commands
 
@@ -386,17 +368,20 @@ def _require(parser_name: str, args: argparse.Namespace, attr: str, flag: str):
     return value
 
 
-def _load_dataset(args: argparse.Namespace) -> tuple:
-    if args.data is not None:
-        return _read_input("dataset", args.data, load_csv), str(Path(args.data))
-    spec = SyntheticSpec(n=args.synthetic_n)
-    return generate_synthetic(spec, args.data_seed), f"synthetic(n={spec.n}, seed={args.data_seed})"
-
-
 def _train_config(args: argparse.Namespace, **fields) -> TrainConfig:
     """The shared training flags; ``fields`` sets the command-specific rest."""
     kernel = KernelSpec(**_fields(args, KernelSpec))
     return TrainConfig(kernel=kernel, **_fields(args, TrainConfig), **fields)
+
+
+def _out_file(text: str) -> Path:
+    """``--out`` as the path of a file. One that names a directory (the empty
+    path, ``.``, a trailing separator or an existing directory) is an output
+    location that cannot be created, and fails before any work (exit 73)."""
+    path = Path(text)
+    if path.name in ("", "..") or text.endswith(os.sep) or path.is_dir():
+        raise IsADirectoryError(f"--out {text!r} names a directory, not a file")
+    return path
 
 
 @contextlib.contextmanager
@@ -431,7 +416,7 @@ def _output_dir(path: Path):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    out = Path(_require("generate", args, "out", "--out"))
+    out = _out_file(_require("generate", args, "out", "--out"))
     if out.exists() and not args.force:
         print(f"refusing to overwrite {out}; pass --force to replace it", file=sys.stderr)
         return EXIT_OVERWRITE
@@ -492,50 +477,34 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _protocol_configs(args: argparse.Namespace, dataset: Dataset, source: str) -> dict:
-    """Keyword arguments shared by the benchmark and ablation runners."""
-    return dict(
-        optim=OptimConfig(**_fields(args, OptimConfig)),
-        encoder_config=EncoderConfig(input_dim=dataset.feature_dim, **_fields(args, EncoderConfig)),
-        ridge=RidgeConfig(**_fields(args, RidgeConfig)),
-        test_fraction=args.test_fraction,
-        dataset_source=source,
-    )
-
-
-def _summarize(entries: dict, label: str) -> None:
-    for name, entry in entries.items():
-        print(f"  {label} {name}: MAE {entry['mean_mae']:.4f} +- {entry['std_mae']:.4f}")
-
-
-def _write_report(
-    args: argparse.Namespace, report: dict, title: str, entries_key: str, label: str
-) -> int:
-    """Write the report to --out and print its per-entry MAE summary."""
-    out = Path(args.out)
-    _write_lines_atomic(out, [json.dumps(report, indent=2)])
-    print(f"{title} over seeds {args.seeds} on {report['dataset']['source']}")
-    _summarize(report[entries_key], label)
-    _summarize(report["baselines"], "baseline")
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Run the sweep over seeds of ``args.command``, write its report to
+    --out and print each entry's MAE."""
+    sweep = _SWEEPS[args.command]
+    key = sweep.flag[2:]
+    if args.data is not None:
+        dataset, source = _read_input("dataset", args.data, load_csv), str(Path(args.data))
+    else:
+        dataset = generate_synthetic(SyntheticSpec(n=args.synthetic_n), args.data_seed)
+        source = f"synthetic(n={args.synthetic_n}, seed={args.data_seed})"
+    norm = {"distance_norm": args.distance_norm} if sweep.takes_distance_norm else {}
+    config = _train_config(args, **norm)
+    optim = OptimConfig(**_fields(args, OptimConfig))
+    encoder_config = EncoderConfig(input_dim=dataset.feature_dim, **_fields(args, EncoderConfig))
+    ridge = RidgeConfig(**_fields(args, RidgeConfig))
+    out = _out_file(args.out)
+    with _output_dir(out.parent):
+        report = globals()[sweep.runner](
+            dataset, getattr(args, key), args.seeds, config, optim, encoder_config, ridge,
+            test_fraction=args.test_fraction, dataset_source=source,
+        )
+        _write_lines_atomic(out, [json.dumps(report, indent=2)])
+    print(f"{sweep.title} over seeds {args.seeds} on {report['dataset']['source']}")
+    for label, entries in ((sweep.label, report[key]), ("baseline", report["baselines"])):
+        for name, entry in entries.items():
+            print(f"  {label} {name}: MAE {entry['mean_mae']:.4f} +- {entry['std_mae']:.4f}")
     print(f"report written to {out}")
     return EXIT_OK
-
-
-def _cmd_benchmark(args: argparse.Namespace) -> int:
-    dataset, source = _load_dataset(args)
-    config = _train_config(args, distance_norm=args.distance_norm)
-    protocol = _protocol_configs(args, dataset, source)
-    with _output_dir(Path(args.out).parent):
-        report = benchmark(dataset, args.variants, args.seeds, config, **protocol)
-        return _write_report(args, report, "benchmark", "variants", "variant")
-
-
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    dataset, source = _load_dataset(args)
-    config, protocol = _train_config(args), _protocol_configs(args, dataset, source)
-    with _output_dir(Path(args.out).parent):
-        report = ablate_norms(dataset, args.norms, args.seeds, config, **protocol)
-        return _write_report(args, report, "distance-norm ablation", "norms", "norm")
 
 
 def main(argv: list[str] | None = None) -> int:

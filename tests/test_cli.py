@@ -353,6 +353,39 @@ def test_benchmark_single_variant_report(tmp_path):
     assert sorted(report["baselines"]) == ["raw_features", "untrained_encoder"]
 
 
+@pytest.mark.parametrize(
+    "command, flags, title, label",
+    [
+        ("benchmark", ["--variants", "rnc,dynlocrep"], "benchmark", "variant"),
+        ("ablate", ["--norms", "cosine,manhattan"], "distance-norm ablation", "norm"),
+    ],
+)
+def test_a_sweep_prints_the_mae_of_each_entry_of_its_report(
+    tmp_path, capsys, command, flags, title, label
+):
+    """Every stdout line of `benchmark` and `ablate`: the title with the seeds
+    and the dataset, each swept entry and each baseline in report order, and
+    the report's path."""
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main([command, *flags, "--out", str(out), *FAST_PROTOCOL]) == EXIT_OK
+    report = json.loads(out.read_text())
+    entries = report[flags[0][2:]]
+    assert report["dataset"]["source"] == "synthetic(n=60, seed=0)"
+    assert list(entries) == flags[1].split(",")
+    assert list(report["baselines"]) == ["raw_features", "untrained_encoder"]
+
+    def mae(label, name, entry):
+        return f"  {label} {name}: MAE {entry['mean_mae']:.4f} +- {entry['std_mae']:.4f}"
+
+    assert capsys.readouterr().out.splitlines() == [
+        f"{title} over seeds [0, 1] on synthetic(n=60, seed=0)",
+        *(mae(label, name, entry) for name, entry in entries.items()),
+        *(mae("baseline", name, entry) for name, entry in report["baselines"].items()),
+        f"report written to {out}",
+    ]
+
+
 def test_benchmark_empty_variants_rejected(tmp_path):
     code = main(["benchmark", "--variants", "", "--out", str(tmp_path / "r.json")])
     assert code == EXIT_USAGE
@@ -404,11 +437,18 @@ def test_unreadable_input_exits_66(tmp_path, capsys, argv):
         ("benchmark", ["--out", "{blocker}/r.json", "--variants", "rnc", "--seeds", "0"]),
         ("ablate", ["--out", "{blocker}/r.json", "--norms", "cosine", "--seeds", "0"]),
         ("generate", ["--out", "{blocker}/x.csv"]),
+        ("generate", ["--out", "{dir}"]),
+        ("generate", ["--out", "", "--force"]),
+        ("benchmark", ["--out", "{dir}/", "--variants", "rnc", "--seeds", "0"]),
+        ("benchmark", ["--out", "", "--variants", "rnc", "--seeds", "0"]),
+        ("ablate", ["--out", "{dir}", "--norms", "cosine", "--seeds", "0"]),
+        ("ablate", ["--out", ".", "--norms", "cosine", "--seeds", "0"]),
     ],
 )
 def test_unwritable_output_exits_73_before_any_work(tmp_path, capsys, monkeypatch, command, flags):
-    """A regular file where the output directory should be fails at once,
-    not after training, and without a traceback."""
+    """A regular file where the output directory should be, or an --out that
+    names a directory (the empty path and "." among them), fails at once,
+    not after training, with one error line and without a traceback."""
     import dynlocrep.cli as cli_module
     import dynlocrep.evaluation as evaluation_module
 
@@ -418,17 +458,24 @@ def test_unwritable_output_exits_73_before_any_work(tmp_path, capsys, monkeypatc
     for module, name in ((cli_module, "train"), (evaluation_module, "train"),
                          (cli_module, "generate_synthetic")):
         monkeypatch.setattr(module, name, must_not_run)
+    monkeypatch.chdir(tmp_path)  # where the empty path and "." point
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file\n")
+    directory = tmp_path / "somedir"
+    directory.mkdir()
     data = tmp_path / "data.csv"
     write_small_csv(data)
     inputs = [] if command == "generate" else ["--data", str(data), *FAST_TRAIN]
-    code = main([command, *inputs, *(f.format(blocker=blocker) for f in flags)])
+    code = main([command, *inputs, *(f.format(blocker=blocker, dir=directory) for f in flags)])
     err = capsys.readouterr().err
     assert code == EXIT_CANT_CREATE
-    assert err.startswith("dynlocrep: error: ")
+    assert err.startswith("dynlocrep: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if "{blocker}" not in flags[1]:
+        assert err.startswith("dynlocrep: error: --out ")
     assert blocker.read_text() == "a regular file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "data.csv", "somedir"]
+    assert list(directory.iterdir()) == []
 
 
 def test_train_counts_an_export_epoch_given_twice_once(tmp_path, capsys):

@@ -30,7 +30,8 @@ agree on a case only if they agree bit for bit:
 - ``criterion8``: acceptance criterion 8's benchmark report (five losses,
   five seeds, 50 epochs), outside ``timing``, with each entry's mean MAE;
 - ``criterion9``: acceptance criterion 9's ``dynlocrep ablate`` report (four
-  norms, two seeds), outside ``timing``, with each entry's mean MAE;
+  norms, two seeds), outside ``timing``, with each entry's mean MAE, and the
+  command's stdout with its temp directory read as ``{tmp}``;
 - ``benchmark-report``: the same for a ``dynlocrep benchmark`` report (five
   losses, two seeds);
 - ``grid-error``: the exit code and error text of a ``dynlocrep benchmark``
@@ -219,35 +220,38 @@ def _criterion_8() -> dict:
     return fields
 
 
-def _cli(argv: list[str]) -> tuple[int, str, dict | None]:
-    """``dynlocrep argv --out <file>``: its exit code, its stderr and the
-    report it wrote, if any. Its stdout is dropped: ``_emit`` owns stdout."""
+def _cli(argv: list[str]) -> tuple[int, str, str, dict | None]:
+    """``dynlocrep argv --out <file>``: its exit code, its stdout with the
+    temp directory read as ``{tmp}`` (captured, since ``_emit`` owns this
+    process's stdout), its stderr and the report it wrote, if any."""
     import contextlib
     import tempfile
 
     from dynlocrep.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
-        out, err = Path(tmp) / "report.json", io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        out, stdout, err = Path(tmp) / "report.json", io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
             code = main([*argv, "--out", str(out)])
-        return code, err.getvalue(), json.loads(out.read_text()) if out.exists() else None
+        report = json.loads(out.read_text()) if out.exists() else None
+        return code, stdout.getvalue().replace(tmp, "{tmp}"), err.getvalue(), report
 
 
 def _report(command: str, entries: str) -> Callable[[], dict]:
     """``dynlocrep command`` on 80 synthetic rows, two seeds and 6 epochs:
-    its exit code, the digest of its report outside ``timing``, and the
-    mean MAE of each of the report's ``entries``."""
+    its exit code, its stdout, the digest of its report outside ``timing``,
+    and the mean MAE of each of the report's ``entries``."""
 
     def run() -> dict:
         from dynlocrep.evaluation import strip_timing
 
-        code, _, report = _cli(
+        code, stdout, _, report = _cli(
             [command, "--synthetic-n", "80", "--seeds", "0,1", "--epochs", "6",
              "--batch-size", "8", "--nn-final", "3", "--hidden-dims", "8,8", "--embed-dim", "4"]
         )
         text = json.dumps(strip_timing(report), sort_keys=True)
-        fields = {"exit": str(code), "report": hashlib.sha256(text.encode()).hexdigest()}
+        fields = {"exit": str(code), "stdout": stdout,
+                  "report": hashlib.sha256(text.encode()).hexdigest()}
         for name, entry in report[entries].items():
             fields[f"mae/{name}"] = float(entry["mean_mae"]).hex()
         return fields
@@ -259,7 +263,7 @@ def _grid_error() -> dict:
     import warnings
 
     warnings.simplefilter("ignore")  # an overflow warning would name its tree's file
-    code, err, report = _cli(
+    code, _, err, report = _cli(
         ["benchmark", "--variants", "rnc,yaware", "--synthetic-n", "80", "--seeds", "0,1",
          "--epochs", "2", "--batch-size", "8", "--nn-final", "3", "--hidden-dims", "8,8",
          "--embed-dim", "4", "--lr", "1e100"]
